@@ -7,8 +7,11 @@ is_clockwise_order.rs, bounding_box.rs:217-219, geometry.rs:305-412.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitebox_tools_ray.kernels import geometry as g
+from whitebox_tools_ray.kernels.grid import GridSpec
 
 
 TRI = ([0.0, 5.0, 5.0, 0.0], [0.0, 0.0, 5.0, 0.0])  # the reference's test "rectangle" (a closed triangle)
@@ -163,3 +166,75 @@ class TestHull:
         ys = np.array(SQ[1])
         px, py = g.interior_point(xs, ys)
         assert g.point_in_poly(px, py, xs, ys)
+
+
+# --- scanline runs vs the per-cell winding test --------------------------
+
+RUNS_SET = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def ring_on_grid(draw):
+    """A random closed ring on a random grid: vertices on cell centres or
+    anywhere near the grid, repeated y values (horizontal edges), free
+    self-intersection; negative or offset origins; res 0.5 to 30."""
+    res = draw(st.sampled_from([0.5, 1.0, 2.5, 7.3, 30.0]) | st.floats(0.5, 30.0))
+    west = draw(st.sampled_from([0.0, -1234.5, 6.0e5]) | st.floats(-1e6, 1e6))
+    north = draw(st.sampled_from([0.0, -987.25, 4.5e6]) | st.floats(-1e6, 5e6))
+    gs = GridSpec(west=west, north=north, res_x=res, res_y=res, rows=24, columns=24, nodata=-32768.0)
+    n = draw(st.integers(3, 12))
+    xs, ys = [], []
+    for i in range(n):
+        if draw(st.booleans()):
+            x = float(gs.x_from_col(draw(st.integers(-3, 27))))
+            y = float(gs.y_from_row(draw(st.integers(-3, 27))))
+        else:
+            x = west + draw(st.floats(-3.0, 27.0)) * res
+            y = north - draw(st.floats(-3.0, 27.0)) * res
+        if i and draw(st.integers(0, 3)) == 0:
+            y = ys[-1]  # horizontal edge
+        xs.append(x)
+        ys.append(y)
+    xs.append(xs[0])
+    ys.append(ys[0])
+    r0 = draw(st.integers(-2, 24))
+    r1 = draw(st.integers(r0 + 1, 26))
+    c0 = draw(st.integers(-2, 24))
+    c1 = draw(st.integers(c0 + 1, 26))
+    return gs, np.array(xs), np.array(ys), (r0, r1, c0, c1)
+
+
+class TestRingRuns:
+    @RUNS_SET
+    @given(ring_on_grid(), st.data())
+    def test_runs_mask_matches_points_in_poly(self, case, data):
+        gs, xs, ys, (r0, r1, c0, c1) = case
+        rows, ks = g.ring_runs(xs, ys, gs, r0, r1, c0, c1)
+        gx, gy = np.meshgrid(gs.x_from_col(np.arange(c0, c1)), gs.y_from_row(np.arange(r0, r1)))
+        expect = g.points_in_poly(gx.ravel(), gy.ravel(), xs, ys).reshape(gx.shape)
+        np.testing.assert_array_equal(g.runs_mask(rows, ks, r0, r1, c0, c1), expect)
+        # any sub-window (a tile cutting the window) reads the same cells
+        a0 = data.draw(st.integers(r0, r1 - 1))
+        a1 = data.draw(st.integers(a0 + 1, r1))
+        b0 = data.draw(st.integers(c0, c1 - 1))
+        b1 = data.draw(st.integers(b0 + 1, c1))
+        np.testing.assert_array_equal(
+            g.runs_mask(rows, ks, a0, a1, b0, b1), expect[a0 - r0 : a1 - r0, b0 - c0 : b1 - c0]
+        )
+
+    def test_vertex_on_cell_centre_row(self):
+        # a vertex exactly on a row centre: the half-open y rule decides
+        gs = GridSpec(west=0.0, north=10.0, res_x=1.0, res_y=1.0, rows=10, columns=10, nodata=-1.0)
+        xs = np.array([1.5, 8.5, 4.5, 1.5])
+        ys = np.array([1.5, 1.5, 8.5, 1.5])
+        rows, ks = g.ring_runs(xs, ys, gs, 0, 10, 0, 10)
+        gx, gy = np.meshgrid(gs.x_from_col(np.arange(10)), gs.y_from_row(np.arange(10)))
+        expect = g.points_in_poly(gx.ravel(), gy.ravel(), xs, ys).reshape(10, 10)
+        np.testing.assert_array_equal(g.runs_mask(rows, ks, 0, 10, 0, 10), expect)
+        assert rows.dtype == np.int32 and np.all(np.diff(rows) >= 0)
+
+    def test_empty_window(self):
+        gs = GridSpec(west=0.0, north=10.0, res_x=1.0, res_y=1.0, rows=10, columns=10, nodata=-1.0)
+        xs, ys = np.array(SQ[0]), np.array(SQ[1])
+        rows, ks = g.ring_runs(xs, ys, gs, 4, 4, 0, 10)
+        assert len(rows) == len(ks) == 0

@@ -40,6 +40,27 @@ def scene_polygons(spec):
     return pa.Table.from_pydict(d, schema=t.schema)
 
 
+def densify(poly_table, k):
+    """Split every edge into ``k`` collinear segments (many-edge parts)."""
+    import pyarrow as pa
+
+    d = poly_table.to_pydict()
+    frac = np.arange(k) / k
+    for i in range(poly_table.num_rows):
+        xs, ys = np.asarray(d["xs"][i]), np.asarray(d["ys"][i])
+        bounds = list(d["parts"][i]) + [len(xs)]
+        parts, nx, ny = [], [], []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            parts.append(len(nx))
+            for j in range(a, b - 1):
+                nx.extend(xs[j] + (xs[j + 1] - xs[j]) * frac)
+                ny.extend(ys[j] + (ys[j + 1] - ys[j]) * frac)
+            nx.append(xs[b - 1])
+            ny.append(ys[b - 1])
+        d["parts"][i], d["xs"][i], d["ys"][i] = parts, nx, ny
+    return pa.Table.from_pydict(d, schema=poly_table.schema)
+
+
 def oracle_clip_raster(scene_grid, gs, poly_table, erase=False):
     """Literal clip_raster_to_polygon.rs:230-403 whole-raster scan."""
     out = scene_grid.copy() if erase else np.full_like(scene_grid, gs.nodata)
@@ -109,6 +130,25 @@ class TestClipRaster:
         np.testing.assert_array_equal(
             got.astype(np.float32), expect.astype(np.float32)
         )
+
+
+    @pytest.mark.parametrize("erase", [False, True])
+    def test_densified_layer_matches_oracle(self, ray_session, erase):
+        # tiles that do not divide the part windows: windows end inside tiles
+        spec = tsrc.SceneSpec(tiles_x=3, tiles_y=3, tile_px=12)
+        table = tsrc.generate_tiles(spec, fmt_cycle=("f32",))
+        gs = spec.grid_spec()
+        polys = densify(scene_polygons(spec), 256)
+        parts = prepare_mask_parts(polys, gs)
+        assert any(len(p.xs) > 1000 for p in parts)
+        assert any(0 < p.ending_row < gs.rows and p.ending_row % spec.tile_px for p in parts)
+        assert any(0 < p.ending_col < gs.columns and p.ending_col % spec.tile_px for p in parts)
+        import pyarrow as pa
+
+        out = clip_raster_to_polygon(rd.from_arrow(table), polys, spec, erase=erase).to_pandas()
+        got = tsrc.assemble_scene(pa.Table.from_pandas(out), spec)
+        expect = oracle_clip_raster(tsrc.assemble_scene(table, spec), gs, polys, erase=erase)
+        np.testing.assert_array_equal(got.astype(np.float32), expect.astype(np.float32))
 
 
 class TestRasterToVectorPoints:

@@ -3906,8 +3906,9 @@ _CLIP_GATE_UV = [(10.2, 8.3), (52.7, 14.1), (58.3, 49.8), (15.6, 55.9)]
 def q_clip_raster_poly(sf_dir: str):
     """ClipRasterToPolygon (data_tools/clip_raster_to_polygon.rs) on the
     analytic DEM with a convex quad whose edges avoid all cell centres:
-    the actor-pool mask stage (stages/clip_raster.py) vs a half-plane
-    SQL twin restricted to the reference's exclusive-end bbox window."""
+    the scanline-run mask stage on stateless tasks (stages/clip_raster.py)
+    vs a half-plane SQL twin restricted to the reference's exclusive-end
+    bbox window."""
     from ..stages.clip_raster import clip_raster_to_polygon
     from ..sources.vectors import make_polygon_record
 
@@ -5680,8 +5681,9 @@ def q_points_to_raster_sql() -> str:
 def q_polygons_to_raster(sf_dir: str):
     """VectorPolygonsToRaster (data_tools/vector_polygons_to_raster.rs):
     cell-center fill of the convex gate quad with value 7 over the
-    analytic scene (rasterize.py Fill actor pool vs a half-plane twin;
-    unlike ClipRasterToPolygon there is no bbox window truncation)."""
+    analytic scene (rasterize.py scanline-run fill on stateless tasks vs a
+    half-plane twin; unlike ClipRasterToPolygon there is no bbox window
+    truncation, so each ring's runs span the whole scene)."""
     from ..sources.vectors import make_polygon_record
     from ..stages.rasterize import polygons_to_raster
 

@@ -18,12 +18,15 @@ ErasePolygonFromRaster (erase_polygon_from_raster.rs) is the complement:
 output starts as the INPUT and matching non-hole cells become nodata,
 hole cells are restored.
 
-Ray-Data design: polygons broadcast (``ray.put``); the tile table streams
-through an actor-pool ``map_batches``; each tile rasterizes only the
-intersection of its own window with each part's bbox (NumPy-vectorized
-winding test over the tile's cell centers). Tiles not intersecting any
-part bbox skip decode entirely in clip mode (they are all-nodata) — the
-pruning required for 100 TB inputs.
+Ray-Data design: the driver computes each part's scanline runs once over
+its bbox window (``geometry.ring_runs``: per-row toggle columns from edge
+crossings, Raptor-style) and broadcasts them (``ray.put``); the tile table
+streams through stateless ``map_batches`` tasks that read the broadcast
+through the per-worker cache (``broadcast.get_cached``). Each tile turns
+its slice of every part's runs into a mask (``geometry.runs_mask``), so no
+cell-centre geometry runs per tile. Tiles not intersecting any part bbox
+skip decode entirely in clip mode (they are all-nodata) — the pruning
+required for 100 TB inputs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import pyarrow as pa
 from ..kernels import codecs, geometry
 from ..kernels.grid import GridSpec
 from ..sources.vectors import part_slices, record_is_hole
+from .broadcast import get_cached
 
 
 @dataclass
@@ -48,13 +52,16 @@ class MaskPart:
     ending_row: int  # EXCLUSIVE (reference off-by-one)
     starting_col: int
     ending_col: int  # EXCLUSIVE
+    run_rows: np.ndarray  # geometry.ring_runs over the scan window
+    run_ks: np.ndarray
 
 
 def prepare_mask_parts(poly_table: pa.Table, gs: GridSpec) -> list[MaskPart]:
     """Flatten polygons into the reference's two-phase scan list: per
     record, non-hole parts first (in part order), then hole parts
     (clip_raster_to_polygon.rs:246-375). Bbox rows/cols via the grid's
-    floor transforms over part vertices (:261-280)."""
+    floor transforms over part vertices (:261-280); each part's scanline
+    runs are built once over that exclusive-end window."""
     out: list[MaskPart] = []
     cols = poly_table.to_pydict()
     for i in range(poly_table.num_rows):
@@ -71,16 +78,20 @@ def prepare_mask_parts(poly_table: pa.Table, gs: GridSpec) -> list[MaskPart]:
                 ry = ys[first : last + 1]
                 rr = gs.row_from_y(ry)
                 cc = gs.col_from_x(rx)
+                r0, r1, c0, c1 = int(rr.min()), int(rr.max()), int(cc.min()), int(cc.max())
+                run_rows, run_ks = geometry.ring_runs(rx, ry, gs, r0, r1, c0, c1)
                 out.append(
                     MaskPart(
                         record_pos=i,
                         is_hole=phase_hole,
                         xs=rx,
                         ys=ry,
-                        starting_row=int(rr.min()),
-                        ending_row=int(rr.max()),
-                        starting_col=int(cc.min()),
-                        ending_col=int(cc.max()),
+                        starting_row=r0,
+                        ending_row=r1,
+                        starting_col=c0,
+                        ending_col=c1,
+                        run_rows=run_rows,
+                        run_ks=run_ks,
                     )
                 )
     return out
@@ -107,7 +118,6 @@ def mask_tile(
         out = grid.copy()
     else:
         out = np.full((h, w), gs.nodata, dtype=np.float64)
-    last_rec = None
     for p in parts:
         # intersect the part's (exclusive-end) scan window with this tile
         r0 = max(p.starting_row, tile_r0)
@@ -116,47 +126,31 @@ def mask_tile(
         c1 = min(p.ending_col, tile_c0 + w)
         if r0 >= r1 or c0 >= c1:
             continue
-        rows = np.arange(r0, r1)
-        colsx = np.arange(c0, c1)
-        ys = gs.y_from_row(rows)
-        xs = gs.x_from_col(colsx)
-        gx, gy = np.meshgrid(xs, ys)
-        inside = geometry.points_in_poly(gx.ravel(), gy.ravel(), p.xs, p.ys).reshape(gx.shape)
-        lr = rows - tile_r0
-        lc = colsx - tile_c0
-        sub = out[lr[0] : lr[-1] + 1, lc[0] : lc[-1] + 1]
-        src = grid[lr[0] : lr[-1] + 1, lc[0] : lc[-1] + 1]
-        if not erase:
-            if p.is_hole:
-                sub[inside] = gs.nodata
-            else:
-                sub[inside] = src[inside]
+        inside = geometry.runs_mask(p.run_rows, p.run_ks, r0, r1, c0, c1)
+        win = np.s_[r0 - tile_r0 : r1 - tile_r0, c0 - tile_c0 : c1 - tile_c0]
+        sub = out[win]
+        if p.is_hole != erase:
+            sub[inside] = gs.nodata
         else:
-            if p.is_hole:
-                sub[inside] = src[inside]
-            else:
-                sub[inside] = gs.nodata
-        last_rec = p.record_pos
-    del last_rec
+            sub[inside] = grid[win][inside]
     return out
 
 
-class _ClipRasterActor:
-    """Actor-pool stage over the tile table: decode → mask → re-encode."""
+class _ClipRasterFn:
+    """Stateless task body over the tile table: decode → mask → re-encode.
+    The parts broadcast is read through the per-worker cache."""
 
-    def __init__(self, parts_ref, scene_spec, erase: bool):
-        import ray
-
-        self.parts: list[MaskPart] = ray.get(parts_ref)
+    def __init__(self, parts_ref, parts: list[MaskPart], scene_spec, erase: bool):
+        self.parts_ref = parts_ref
         self.spec = scene_spec
         self.gs = scene_spec.grid_spec()
         self.erase = erase
         # tile-level pruning: global bbox over all part windows
-        if self.parts:
-            self.any_r0 = min(p.starting_row for p in self.parts)
-            self.any_r1 = max(p.ending_row for p in self.parts)
-            self.any_c0 = min(p.starting_col for p in self.parts)
-            self.any_c1 = max(p.ending_col for p in self.parts)
+        if parts:
+            self.any_r0 = min(p.starting_row for p in parts)
+            self.any_r1 = max(p.ending_row for p in parts)
+            self.any_c0 = min(p.starting_col for p in parts)
+            self.any_c1 = max(p.ending_col for p in parts)
         else:
             self.any_r0 = self.any_r1 = self.any_c0 = self.any_c1 = 0
 
@@ -181,7 +175,7 @@ class _ClipRasterActor:
             if not touches:
                 out_bytes.append(codecs.encode_tile(grid, "f32"))
                 continue
-            out = mask_tile(grid, r0, c0, self.gs, self.parts, erase=self.erase)
+            out = mask_tile(grid, r0, c0, self.gs, get_cached(self.parts_ref), erase=self.erase)
             out_bytes.append(codecs.encode_tile(out, "f32"))
         t = batch.set_column(batch.schema.get_field_index("bytes"), "bytes", pa.array(out_bytes, pa.binary()))
         t = t.set_column(
@@ -190,7 +184,7 @@ class _ClipRasterActor:
         return t
 
 
-def clip_raster_to_polygon(tiles_ds, poly_table: pa.Table, scene_spec, erase: bool = False, concurrency=(1, 4)):
+def clip_raster_to_polygon(tiles_ds, poly_table: pa.Table, scene_spec, erase: bool = False):
     """maintain_dimensions clip (or erase) of a tiled scene vs polygons.
 
     Output tile table on the same grid; ``bytes`` re-encoded ``f32``
@@ -199,36 +193,5 @@ def clip_raster_to_polygon(tiles_ds, poly_table: pa.Table, scene_spec, erase: bo
     import ray
 
     parts = prepare_mask_parts(poly_table, scene_spec.grid_spec())
-    ref = ray.put(parts)
-    return tiles_ds.map_batches(
-        _ClipRasterActor,
-        fn_constructor_args=(ref, scene_spec, erase),
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=concurrency,
-    )
-
-
-def crop_grid_spec(poly_table: pa.Table, gs: GridSpec) -> GridSpec:
-    """The crop-mode output grid (clip_raster_to_polygon.rs:404-445):
-    input bbox contracted to the polygon layer bbox; rows/cols by ceil."""
-    vec_min_x = min(poly_table.column("x_min").to_pylist())
-    vec_max_x = max(poly_table.column("x_max").to_pylist())
-    vec_min_y = min(poly_table.column("y_min").to_pylist())
-    vec_max_y = max(poly_table.column("y_max").to_pylist())
-    min_x = max(gs.west, vec_min_x)
-    max_x = min(gs.east, vec_max_x)
-    min_y = max(gs.south, vec_min_y)
-    max_y = min(gs.north, vec_max_y)
-    rows = int(np.ceil((max_y - min_y) / gs.res_y))
-    columns = int(np.ceil((max_x - min_x) / gs.res_x))
-    return GridSpec(
-        west=min_x,
-        north=max_y,
-        res_x=gs.res_x,
-        res_y=gs.res_y,
-        rows=rows,
-        columns=columns,
-        nodata=gs.nodata,
-        epsg=gs.epsg,
-    )
+    fn = _ClipRasterFn(ray.put(parts), parts, scene_spec, erase)
+    return tiles_ds.map_batches(fn, batch_format="pyarrow", batch_size=32)

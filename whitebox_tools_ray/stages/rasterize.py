@@ -12,8 +12,12 @@ Reference semantics:
   ClipRasterToPolygon); later records overwrite (record order).
 
 Ray-Data design: geometry broadcasts; the tile table streams; each tile
-burns only the records whose bbox touches its window. The background is
-``background`` (default nodata).
+burns only the records whose bbox touches its window. Polygon rings
+broadcast as scanline runs over the whole scene (``geometry.ring_runs``,
+built once on the driver), and the fill runs as stateless ``map_batches``
+tasks that read them through the per-worker cache
+(``broadcast.get_cached``). The background is ``background`` (default
+nodata).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import pyarrow as pa
 
 from ..kernels import codecs, geometry
 from ..sources.vectors import part_slices, record_is_hole
+from .broadcast import get_cached
 
 
 def _burn_segment(grid: np.ndarray, gs, tile_r0: int, tile_c0: int, x0, y0, x1, y1, value: float):
@@ -105,7 +110,8 @@ def polygons_to_raster(
 ):
     """Cell-center polygon fill with the record's value; later records
     overwrite; holes restore the background (per-record two-phase like
-    ClipRasterToPolygon)."""
+    ClipRasterToPolygon). Each ring's runs span the whole scene: this tool
+    has no bbox window truncation."""
     import ray
 
     gs = spec.grid_spec()
@@ -119,7 +125,8 @@ def polygons_to_raster(
         val = float(cols[field][i]) if field else float(cols["record_id"][i])
         rings = []
         for p, (first, last) in enumerate(part_slices(parts, len(xs))):
-            rings.append((bool(holes[p]), xs[first : last + 1], ys[first : last + 1]))
+            runs = geometry.ring_runs(xs[first : last + 1], ys[first : last + 1], gs, 0, gs.rows, 0, gs.columns)
+            rings.append((bool(holes[p]), *runs))
         # non-holes first, then holes (the reference's two-phase order)
         rings.sort(key=lambda r: r[0])
         recs.append((val, rings, xs.min(), xs.max(), ys.min(), ys.max()))
@@ -127,32 +134,26 @@ def polygons_to_raster(
     bg = gs.nodata if background is None else background
     tpx = spec.tile_px
 
-    class Fill:
-        def __init__(self):
-            self.recs = ray.get(ref)
+    def fill(batch: pa.Table) -> pa.Table:
+        recs = get_cached(ref)
+        blobs = []
+        trows = batch["tile_row"].to_numpy(zero_copy_only=False)
+        tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
+        for i in range(batch.num_rows):
+            r0, c0 = int(trows[i]) * tpx, int(tcols[i]) * tpx
+            grid = np.full((tpx, tpx), bg, dtype=np.float64)
+            wx0 = gs.x_from_col(c0) - gs.res_x
+            wx1 = gs.x_from_col(c0 + tpx - 1) + gs.res_x
+            wy0 = gs.y_from_row(r0 + tpx - 1) - gs.res_y
+            wy1 = gs.y_from_row(r0) + gs.res_y
+            for val, rings, bx0, bx1, by0, by1 in recs:
+                if bx0 > wx1 or bx1 < wx0 or by0 > wy1 or by1 < wy0:
+                    continue
+                for is_hole, run_rows, run_ks in rings:
+                    inside = geometry.runs_mask(run_rows, run_ks, r0, r0 + tpx, c0, c0 + tpx)
+                    grid[inside] = bg if is_hole else val
+            blobs.append(codecs.encode_tile(grid, "f32"))
+        t = batch.set_column(batch.schema.get_field_index("bytes"), "bytes", pa.array(blobs, pa.binary()))
+        return t.set_column(t.schema.get_field_index("fmt"), "fmt", pa.array(["f32"] * t.num_rows))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            blobs = []
-            trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-            tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-            for i in range(batch.num_rows):
-                r0, c0 = int(trows[i]) * tpx, int(tcols[i]) * tpx
-                rows = np.arange(r0, r0 + tpx)
-                colsx = np.arange(c0, c0 + tpx)
-                ycent = gs.y_from_row(rows)
-                xcent = gs.x_from_col(colsx)
-                gx, gy = np.meshgrid(xcent, ycent)
-                grid = np.full((tpx, tpx), bg, dtype=np.float64)
-                wx0, wx1 = xcent[0] - gs.res_x, xcent[-1] + gs.res_x
-                wy0, wy1 = ycent[-1] - gs.res_y, ycent[0] + gs.res_y
-                for val, rings, bx0, bx1, by0, by1 in self.recs:
-                    if bx0 > wx1 or bx1 < wx0 or by0 > wy1 or by1 < wy0:
-                        continue
-                    for is_hole, rx, ry in rings:
-                        inside = geometry.points_in_poly(gx.ravel(), gy.ravel(), rx, ry).reshape(tpx, tpx)
-                        grid[inside] = bg if is_hole else val
-                blobs.append(codecs.encode_tile(grid, "f32"))
-            t = batch.set_column(batch.schema.get_field_index("bytes"), "bytes", pa.array(blobs, pa.binary()))
-            return t.set_column(t.schema.get_field_index("fmt"), "fmt", pa.array(["f32"] * t.num_rows))
-
-    return tiles_ds.map_batches(Fill, batch_format="pyarrow", batch_size=16, concurrency=(1, 4))
+    return tiles_ds.map_batches(fill, batch_format="pyarrow", batch_size=16)

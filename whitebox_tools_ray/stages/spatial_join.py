@@ -13,10 +13,11 @@ Clip, Point branch (/root/reference/src/tools/gis_analysis/clip.rs:292-363):
   (clip.rs:338-354).
 
 Ray-Data design (SURVEY.md §7.4): the polygon layer is the SMALL side →
-broadcast via ``ray.put`` once, read per actor in ``__init__``; the scan
-is vectorized over the point batch (loop over parts, NumPy over points).
-A quad-cell grid over the parts gives batch-level pruning: each actor
-keeps ``cell → part-index list`` so a batch only scans parts whose bbox
+broadcast via ``ray.put`` once, read by stateless tasks through the
+per-worker cache (``broadcast.get_cached``); the scan is vectorized over
+the point batch (loop over parts, NumPy over points). A quad-cell grid
+over the parts gives batch-level pruning: a broadcast
+``cell → part-index list`` lets a batch scan only parts whose bbox
 touches its points' cells — at 100 TB of points the per-batch work is
 O(local parts), not O(all parts). Erase (erase.rs) is the inverse keep
 condition on the same scan.
@@ -38,6 +39,7 @@ import pyarrow as pa
 
 from ..kernels import cells, geometry
 from ..sources.vectors import part_slices, record_is_hole
+from .broadcast import get_cached
 from .ordering import zip_with_order_index
 
 
@@ -132,21 +134,6 @@ def clip_kernel(
     return out
 
 
-# Per-worker-process cache for broadcast objects: stateless tasks get
-# actor-pool-style amortization (deserialize once per worker) without the
-# actor-churn cost of spinning a pool per stage invocation.
-_WORKER_CACHE: dict[str, object] = {}
-
-
-def _get_cached(ref):
-    import ray
-
-    key = ref.hex()
-    if key not in _WORKER_CACHE:
-        _WORKER_CACHE[key] = ray.get(ref)
-    return _WORKER_CACHE[key]
-
-
 class _ClipFn:
     """Stateless clip task body; broadcast parts + cell index fetched via
     the per-worker cache."""
@@ -160,8 +147,8 @@ class _ClipFn:
         self.y_col = y_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        parts = _get_cached(self.parts_ref)
-        cell_index = _get_cached(self.cell_index_ref)
+        parts = get_cached(self.parts_ref)
+        cell_index = get_cached(self.cell_index_ref)
         px = batch[self.x_col].to_numpy(zero_copy_only=False)
         py = batch[self.y_col].to_numpy(zero_copy_only=False)
         point_cells = cells.quad_cell(px, py, self.level)
