@@ -118,18 +118,18 @@ class TestOrdering:
         rng = np.random.RandomState(0)
         keys = rng.permutation(5000).astype(np.int64)
         ds = rd.from_arrow(pa.table({"k": keys}))
-        out = zip_with_order_index(ds, "k", index_col="idx", bucket_size=512).to_pandas()
+        out = zip_with_order_index(ds, "k", index_col="idx").to_pandas()
         out = out.sort_values("k")
         assert out["idx"].tolist() == list(range(1, 5001))
 
     def test_order_index_tied_keys(self, ray_session):
         # duplicate order keys (the synthetic lineitem has ~25% dup
-        # record_ids): the broadcast rank must still emit a permutation
-        # of 1..n, with tied keys taking consecutive ranks
+        # record_ids): the rank must still emit a permutation of 1..n,
+        # with tied keys taking consecutive ranks
         rng = np.random.RandomState(1)
         keys = rng.randint(0, 3000, size=5000).astype(np.int64)
         ds = rd.from_arrow(pa.table({"k": keys, "v": np.arange(5000.0)}))
-        out = zip_with_order_index(ds, "k", index_col="idx", strategy="auto").to_pandas()
+        out = zip_with_order_index(ds, "k", index_col="idx").to_pandas()
         assert sorted(out["idx"].tolist()) == list(range(1, 5001))
         out = out.sort_values("idx").reset_index(drop=True)
         # rank order must be non-decreasing in the key
@@ -140,18 +140,18 @@ class TestOrdering:
         )
 
     def test_order_index_tiebreak_col(self, ray_session):
-        # tied keys refined by a tiebreak column: rank follows (k, tb)
+        # tied keys refined by a tiebreak column: rank follows (k, tb),
+        # negative tiebreaks included (numeric order, not bit order)
         keys = np.repeat(np.arange(100, dtype=np.int64), 5)
         rng = np.random.RandomState(2)
-        tb = rng.permutation(500).astype(np.float64)
-        ds = rd.from_arrow(pa.table({"k": keys, "tb": tb}))
-        from whitebox_tools_ray.stages.ordering import _broadcast_strategy
-
-        out = _broadcast_strategy(ds.materialize(), "k", "idx", 1, "tb").to_pandas()
-        out = out.sort_values("idx").reset_index(drop=True)
-        expect = np.lexsort((tb, keys))
-        assert out["k"].tolist() == keys[expect].tolist()
-        assert out["tb"].tolist() == tb[expect].tolist()
+        for tb in (rng.permutation(500).astype(np.float64), rng.permutation(500) - 250.5):
+            ds = rd.from_arrow(pa.table({"k": keys, "tb": tb}))
+            out = zip_with_order_index(ds, "k", index_col="idx", tiebreak_col="tb").to_pandas()
+            out = out.sort_values("idx").reset_index(drop=True)
+            expect = np.lexsort((tb, keys))
+            assert out["idx"].tolist() == list(range(1, 501))
+            assert out["k"].tolist() == keys[expect].tolist()
+            assert out["tb"].tolist() == tb[expect].tolist()
 
 
 class TestExtractValues:

@@ -371,14 +371,15 @@ PENTAGON = [
 def q_clip_points_convex(sf_dir: str):
     """Clip-Point-branch parity on the synthetic layer vs a convex
     polygon — the full engine path (broadcast parts + quad-cell pruning
-    + winding kernel + sequential FID)."""
+    + winding kernel + sequential FID). ``y`` is returned so the gate
+    also checks the FID order of survivors sharing a record_id."""
     from ..sources.vectors import POLY_SCHEMA, make_polygon_record
     from ..stages.spatial_join import clip_points
 
     rec = make_polygon_record(1, [PENTAGON], "pentagon", 1)
     poly = pa.Table.from_pydict({k: [rec[k]] for k in POLY_SCHEMA.names}, schema=POLY_SCHEMA)
     out = clip_points(synth_points(sf_dir), poly, order_col="record_id")
-    return out.select_columns(["record_id", "FID"])
+    return out.select_columns(["record_id", "y", "FID"])
 
 
 def q_clip_points_convex_sql() -> str:
@@ -390,7 +391,7 @@ def q_clip_points_convex_sql() -> str:
         conds.append(f"(({x1!r} - {x0!r}) * (y - {y0!r}) - (x - {x0!r}) * ({y1!r} - {y0!r})) < 0")
     inside = " AND ".join(conds)
     return f"""
-        SELECT record_id, ROW_NUMBER() OVER (ORDER BY record_id) AS FID
+        SELECT record_id, y, ROW_NUMBER() OVER (ORDER BY record_id, y) AS FID
         FROM ({SYNTH_POINTS_SQL}) WHERE {inside}
     """
 
@@ -3854,9 +3855,9 @@ def q_shreve_magnitude_sql() -> str:
 def q_raster_to_points(sf_dir: str):
     """RasterToVectorPoints (data_tools/raster_to_vector_points.rs):
     non-zero non-nodata cells -> points with scan-order FID (row-major,
-    1-based — the distributed sort-based order index in
-    ``stages/ordering.py``). The gate maps the world x/y back to
-    row/col (exact inverse at cell centres) so the compare is integer;
+    1-based — the scan key ranked by ``stages/ordering.py``). The gate
+    maps the world x/y back to row/col (exact inverse at cell centres)
+    so the compare is integer;
     oracle: ROW_NUMBER() over the scan key on the analytic DEM."""
     from ..stages.raster_vector import raster_to_vector_points
 

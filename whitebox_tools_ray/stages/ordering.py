@@ -1,78 +1,158 @@
-"""Deterministic global row numbering (FID assignment) without a
-single-node bottleneck.
+"""Deterministic global row numbering (FID assignment) in scan order.
 
-The reference assigns FIDs by sequential scan order (clip.rs:338-354 —
-survivors renumbered 1..n in input order; raster_to_vector_points.rs:
-209-229 — row-major scan order). A distributed engine must reproduce
-that exactly without funnelling the dataset through one task. Two
-strategies:
+The reference numbers rows by a sequential scan: survivors 1..n in input
+order (clip.rs:338-354), points in row-major scan order
+(raster_to_vector_points.rs:209-229). ``zip_with_order_index`` ranks an
+int64 order key, refined by an optional content tiebreak column.
 
-- ``sort`` (default): ONE range-partitioned ``Dataset.sort`` on the
-  order key (Ray's best-optimized shuffle), materialized, then two
-  block-level passes: (a) per-block (min_key, row_count) — a tiny
-  table — cumulated driver-side into per-block offsets; (b) per-block
-  rank = offset + local position. Sorted blocks hold disjoint key
-  ranges, so block offsets are exact. The materialize pins only the
-  SURVIVOR set (already filtered), not the input.
-- ``groupby``: the original bucketed form (hash shuffle on
-  ``key // bucket_size``, per-bucket sort + prefix offsets) — no
-  materialization, for survivor sets too large to pin.
+Guarantee: ranks follow (key, tiebreak), the tiebreak compared in IEEE
+754 total order (-NaN < -inf < ... < -0.0 < +0.0 < ... < +inf < +NaN)
+or, for integers, as int64. Rows equal in both take consecutive ranks in
+an unspecified order; no other FID depends on block layout or arrival.
+
+One path: materialize once, take block refs and row counts from the
+ref-bundle metadata (no count pass), then per block stable-argsort the
+key, keep the permutation in the object store and return the sorted
+run. The row count picks the merge:
+
+- up to ``DRIVER_RANK_ROWS`` rows the driver merges the runs with one
+  stable argsort (timsort merges presorted runs in close to linear
+  time), re-sorts only the tied positions by (key, tiebreak) and ships
+  each block its rank slice; this avoids Ray's range sort, whose fixed
+  cost of about 2 s dwarfs such inputs.
+- above it a range sort on (key, tiebreak) gives each block an ordered
+  range, only each block's first and last pair reach the driver, and
+  offsets are cumulative row counts. Blocks whose ranges overlap out of
+  order raise rather than emit duplicate or skipped FIDs.
+
+A last task per block scatters its ranks through its permutation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+# Row count up to which the driver merges the key runs itself (8 bytes
+# per key, 16 with a tiebreak); larger inputs take the range sort.
+DRIVER_RANK_ROWS = 10_000_000
 
-def _sort_strategy(ds, order_col: str, index_col: str, start: int):
-    sorted_ds = ds.sort(order_col).materialize()
+# Total-order tiebreak column the range sort orders by; dropped again
+# before the result is returned.
+_TB = "__order_tiebreak"
 
-    def block_meta(batch: pa.Table) -> pa.Table:
-        key = batch[order_col].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"min_key": [int(key.min()) if len(key) else -1], "n": [len(key)]}
+
+def _total_order(column) -> np.ndarray:
+    """int64 keys that compare like an Arrow column's values: IEEE 754
+    total order for floats, int64 order for integers."""
+    values = column.to_numpy(zero_copy_only=False)
+    if values.dtype.kind != "f":
+        return values.astype(np.int64, copy=False)
+    b = values.astype(np.float64).view(np.int64)
+    return b ^ ((b >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _arrow(block) -> pa.Table:
+    return block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
+
+
+def _sort_block(block, order_col: str, tiebreak_col: str | None, ends_only: bool):
+    """Round 1: (local permutation, [key, tiebreak] in permuted order),
+    only the first and last entries when ``ends_only``."""
+    t = _arrow(block)
+    cols = [t[order_col].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)]
+    if tiebreak_col:
+        cols.append(_total_order(t[tiebreak_col]))
+    perm = np.argsort(cols[0], kind="stable")
+    pick = perm[[0, -1]] if ends_only else perm
+    return perm, [c[pick] for c in cols]
+
+
+def _assign(block, perm: np.ndarray, ranks, index_col: str) -> pa.Table:
+    """Round 2: row ``perm[j]`` takes ``ranks[j]``; an int ``ranks`` is
+    the first of consecutive ranks."""
+    t = _arrow(block)
+    if isinstance(ranks, int):
+        ranks = np.arange(ranks, ranks + t.num_rows, dtype=np.int64)
+    out = np.empty(t.num_rows, dtype=np.int64)
+    out[perm] = ranks
+    if _TB in t.column_names:
+        t = t.drop_columns([_TB])
+    return t.append_column(index_col, pa.array(out, pa.int64()))
+
+
+def _blocks(mat_ds) -> tuple[list, list[int]]:
+    """Non-empty block refs of a materialized Dataset and their row
+    counts, from metadata. Empty blocks are dropped: they can carry an
+    empty schema that would poison the result's schema union."""
+    refs, sizes = [], []
+    for bundle in mat_ds.iter_internal_ref_bundles():
+        for ref, meta in zip(bundle.block_refs, bundle.metadata):
+            if meta.num_rows is None:
+                raise ValueError("block metadata carries no row count")
+            if meta.num_rows:
+                refs.append(ref)
+                sizes.append(meta.num_rows)
+    return refs, sizes
+
+
+def _resort_ties(order: np.ndarray, keys: np.ndarray, tb_runs: list) -> None:
+    """Re-sort in place, by (key, tiebreak), the positions of ``order``
+    (``keys`` in that order) whose key is tied. The m tied positions sort
+    on one int64, group * m + tiebreak rank (< m**2 <= 10**14), at a
+    fraction of the cost of a two-key lexsort."""
+    eq = keys[1:] == keys[:-1]
+    tied = np.flatnonzero(np.r_[eq, False] | np.r_[False, eq])
+    sub = order[tied]
+    m = len(sub)
+    group = np.cumsum(np.r_[0, keys[tied[1:]] != keys[tied[:-1]]])
+    tb_rank = np.empty(m, dtype=np.int64)
+    tb_rank[np.argsort(np.concatenate(tb_runs)[sub])] = np.arange(m)
+    order[tied] = sub[np.argsort(group * m + tb_rank, kind="stable")]
+
+
+def _driver_ranks(sort_block, refs, order_col, tiebreak_col, start):
+    """Per-block permutations and rank slices from a driver-side merge.
+    Keys are dropped before the ranks are built: this merge sets the
+    driver's peak memory."""
+    import ray
+
+    out = [sort_block.remote(r, order_col, tiebreak_col, False) for r in refs]
+    runs = ray.get([run for _, run in out])
+    bounds = np.cumsum([0] + [len(run[0]) for run in runs])
+    keys = np.concatenate([run[0] for run in runs])
+    order = np.argsort(keys, kind="stable")
+    if tiebreak_col:
+        keys = keys[order]
+        _resort_ties(order, keys, [run[1] for run in runs])
+    del keys, runs
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(start, start + len(order), dtype=np.int64)
+    return [p for p, _ in out], [rank[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _range_ranks(sort_block, mat_ds, order_col, tiebreak_col, start):
+    """Block refs in key order, their permutations and first ranks, from
+    a range sort."""
+    import ray
+
+    if tiebreak_col:
+        mat_ds = mat_ds.map_batches(
+            lambda b: b.append_column(_TB, pa.array(_total_order(b[tiebreak_col]), pa.int64())),
+            batch_format="pyarrow",
         )
-
-    meta = sorted_ds.map_batches(block_meta, batch_size=None, batch_format="pyarrow").to_pandas()
-    meta = meta[meta["n"] > 0].sort_values("min_key")
-    offsets = dict(
-        zip(meta["min_key"].astype(np.int64), meta["n"].cumsum().shift(fill_value=0).astype(np.int64))
-    )
-
-    def assign(batch: pa.Table) -> pa.Table:
-        key = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(key) == 0:
-            return batch.append_column(index_col, pa.array([], pa.int64()))
-        off = offsets[int(key.min())]
-        order = np.argsort(key, kind="stable")
-        rank = np.empty(len(key), dtype=np.int64)
-        rank[order] = np.arange(len(key), dtype=np.int64)
-        return batch.append_column(index_col, pa.array(rank + off + start, pa.int64()))
-
-    return sorted_ds.map_batches(assign, batch_size=None, batch_format="pyarrow")
-
-
-def _groupby_strategy(ds, order_col: str, index_col: str, start: int, bucket_size: int):
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        key = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(key // bucket_size, pa.int64()))
-
-    with_bucket = ds.map_batches(add_bucket, batch_format="pyarrow")
-
-    counts = with_bucket.groupby("__bucket").count().to_pandas()
-    counts = counts.sort_values("__bucket")
-    offs = counts["count()"].cumsum().shift(fill_value=0).astype(np.int64)
-    offsets = dict(zip(counts["__bucket"].astype(np.int64), offs))
-
-    def number_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_col, kind="mergesort")
-        b = int(g["__bucket"].iloc[0])
-        g[index_col] = np.arange(len(g), dtype=np.int64) + offsets[b] + start
-        return g.drop(columns="__bucket")
-
-    return with_bucket.groupby("__bucket").map_groups(number_group, batch_format="pandas")
+    tb = _TB if tiebreak_col else None
+    refs, sizes = _blocks(mat_ds.sort([order_col] + ([tb] if tb else [])).materialize())
+    out = [sort_block.remote(r, order_col, tb, True) for r in refs]
+    ends = ray.get([e for _, e in out])
+    first = [tuple(int(c[0]) for c in e) for e in ends]
+    last = [tuple(int(c[1]) for c in e) for e in ends]
+    order = sorted(range(len(refs)), key=first.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if last[a] > first[b]:
+            raise RuntimeError(f"range sort left overlapping blocks: (key, tiebreak) {last[a]} > {first[b]}")
+    offsets = np.cumsum([start] + [sizes[i] for i in order])[:-1]
+    return [refs[i] for i in order], [out[i][0] for i in order], [int(o) for o in offsets]
 
 
 def zip_with_order_index(
@@ -80,114 +160,28 @@ def zip_with_order_index(
     order_col: str,
     index_col: str = "FID",
     start: int = 1,
-    bucket_size: int = 1 << 20,
-    strategy: str = "sort",
+    strategy: str = "auto",
     tiebreak_col: str | None = None,
 ):
-    """Append ``index_col`` = rank of ``order_col`` (1-based by default).
-
-    ``order_col`` must be int64-castable and unique (it defines the total
-    order). Result row order is whatever the strategy's shuffle produced
-    — the INDEX VALUES carry the scan order.
-
-    ``auto`` (default): when the survivor KEY COLUMN is small (< ~80 MB,
-    10M rows), pull just that column, sort driver-side, broadcast the
-    sorted array and assign rank = searchsorted — one parallel pass and
-    no shuffle (Ray's range-partitioned sort carries a ~2 s fixed cost
-    that dwarfs small inputs; measured 2.0 s for 1.4 M rows at 32 CPUs
-    vs 0.3 s for this path). Larger inputs use the sort strategy.
-    """
-    if strategy == "auto":
-        mat = ds.materialize()
-        n = mat.count()
-        if n <= 10_000_000:
-            out = _broadcast_strategy(mat, order_col, index_col, start, tiebreak_col)
-            if out is not None:
-                return out
-        return _sort_strategy(mat, order_col, index_col, start)
-    if strategy == "sort":
-        return _sort_strategy(ds, order_col, index_col, start)
-    if strategy == "groupby":
-        return _groupby_strategy(ds, order_col, index_col, start, bucket_size)
-    raise ValueError("strategy must be 'sort' or 'groupby'")
-
-
-def _block_refs(mat_ds):
-    """Ordered NON-EMPTY block refs of a materialized Dataset (data
-    stays in the object store; only refs + metadata come to the
-    driver). Empty blocks are dropped — they can carry an empty schema
-    that would poison the re-assembled dataset's schema union."""
-    refs = []
-    for bundle in mat_ds.iter_internal_ref_bundles():
-        for ref, meta in zip(bundle.block_refs, bundle.metadata):
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
-    return refs
-
-
-def _broadcast_strategy(mat_ds, order_col: str, index_col: str, start: int,
-                        tiebreak_col: str | None = None):
-    """Small-side exact ranks: driver sorts the key column only.
-
-    Key collection and rank assignment run as ONE raw Ray task per
-    already-materialized block (refs from ``iter_internal_ref_bundles``)
-    instead of two further Dataset executions — each extra execution
-    round was a measured ~0.2-0.4 s of fixed operator setup at this
-    input size, which dominated the FID overhead. Blocks never leave
-    the object store; the driver holds only the key column.
-
-    The driver computes the FULL rank array with a stable sort over the
-    keys in block-concatenation order (optionally refined by
-    ``tiebreak_col`` via lexsort) and ships each block its own slice —
-    no broadcast table, no worker-side searchsorted. Tied keys take
-    distinct consecutive ranks in block order; that is deterministic
-    for a given materialized block layout, and when tied rows are
-    full-row duplicates (the only case the reference's scan-order FID
-    can't distinguish either) every assignment yields the same row
-    multiset."""
+    """Append ``index_col`` = rank of (``order_col``, ``tiebreak_col``)
+    from ``start``, under the module's guarantee. ``order_col`` must be
+    int64-castable. The result's row order is unspecified; the index
+    values carry the scan order. ``strategy`` must be ``"auto"``."""
     import ray
     import ray.data as rd
 
-    cols = [order_col] + ([tiebreak_col] if tiebreak_col else [])
-    refs = _block_refs(mat_ds)
-    if not refs:  # all blocks empty — typed empty result
-        schema = mat_ds.schema()
+    if strategy != "auto":
+        raise ValueError(f"strategy must be 'auto' (one ordering path), got {strategy!r}")
+    mat = ds.materialize()
+    refs, sizes = _blocks(mat)
+    if not refs:  # all blocks empty: typed empty result
+        schema = mat.schema()
         fields = list(zip(schema.names, schema.types)) + [(index_col, pa.int64())]
-        empty = pa.table({n: pa.array([], type=t) for n, t in fields})
-        return rd.from_arrow(empty)
-
-    @ray.remote
-    def pull_keys(block):
-        t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-        if t.num_rows == 0:  # empty blocks may carry an empty schema
-            return {c: np.array([], dtype=np.int64) for c in cols}
-        return {c: t[c].to_numpy(zero_copy_only=False) for c in cols}
-
-    key_parts = ray.get([pull_keys.remote(r) for r in refs])
-    keys = np.concatenate([p[order_col] for p in key_parts]).astype(np.int64) \
-        if key_parts else np.array([], dtype=np.int64)
-    if tiebreak_col:
-        tb_all = np.concatenate([p[tiebreak_col] for p in key_parts]).astype(
-            np.float64).view(np.int64) if key_parts else np.array([], dtype=np.int64)
-        order = np.lexsort((tb_all, keys))  # stable: block order breaks remaining ties
+        return rd.from_arrow(pa.table({n: pa.array([], type=t) for n, t in fields}))
+    sort_block = ray.remote(num_returns=2)(_sort_block)
+    if sum(sizes) <= DRIVER_RANK_ROWS:
+        perms, ranks = _driver_ranks(sort_block, refs, order_col, tiebreak_col, start)
     else:
-        order = np.argsort(keys, kind="stable")
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = np.arange(len(keys), dtype=np.int64)
-
-    sizes = [len(p[order_col]) for p in key_parts]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-
-    @ray.remote
-    def assign_blk(block, rk):
-        t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-        if t.num_rows == 0:
-            return t.append_column(index_col, pa.array([], pa.int64()))
-        return t.append_column(index_col, pa.array(rk, pa.int64()))
-
-    return rd.from_arrow_refs(
-        [
-            assign_blk.remote(r, rank[bounds[i]: bounds[i + 1]] + start)
-            for i, r in enumerate(refs)
-        ]
-    )
+        refs, perms, ranks = _range_ranks(sort_block, mat, order_col, tiebreak_col, start)
+    assign = ray.remote(_assign)
+    return rd.from_arrow_refs([assign.remote(r, p, k, index_col) for r, p, k in zip(refs, perms, ranks)])

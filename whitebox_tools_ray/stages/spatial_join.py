@@ -172,15 +172,16 @@ def clip_points(
     order_col: str = "record_id",
     renumber_fid: bool = True,
     cell_level: int = 12,
-    concurrency: int | None = None,
     batch_size: int | None = None,
 ):
     """Clip (keep inside, clip.rs Point branch) or Erase (keep outside,
     erase.rs) a point Dataset against a broadcast polygon layer.
 
-    Returns the surviving rows; when ``renumber_fid`` the exact
-    sequential-scan FID (1..n in input order) is appended via the
-    distributed order-index (clip.rs:338-354 parity).
+    Returns the surviving rows; when ``renumber_fid`` the sequential-scan
+    FID (1..n in ``order_col`` order, clip.rs:338-354 parity) is appended
+    by ``ordering.zip_with_order_index``. Survivors that share an
+    ``order_col`` value are numbered in ``y_col`` order (IEEE 754 total
+    order), whatever the block layout.
     """
     import ray
 
@@ -198,11 +199,9 @@ def clip_points(
         **bs_kw,
     )
     if renumber_fid:
-        # auto: survivor sets under ~10M rows rank via the driver-sorted
-        # broadcast key array (no shuffle — Ray's range-partitioned sort
-        # costs a fixed ~2 s that anti-scales the join 8->32 CPUs);
-        # larger sets use the range-partitioned sort
-        out = zip_with_order_index(out, order_col, index_col="FID", start=1, strategy="auto")
+        # y breaks ties in order_col by content, so tied survivors get the
+        # same FIDs whatever order their blocks arrive in
+        out = zip_with_order_index(out, order_col, index_col="FID", start=1, tiebreak_col=y_col)
     return out
 
 

@@ -5,10 +5,10 @@ tests are two-phase GA patterns (per-batch partial sums → tiny driver
 combine). Rank statistics (KS, Wilcoxon, cumulative distribution) use
 a **distinct-value prefix scan**: groupby the exact value (one shuffle,
 one row per distinct value with partial counts), range-sort the
-distinct table, then cumulate per-block sums via driver-side offsets —
-the ``stages/ordering.py`` trick. Because the scanned table has UNIQUE
-keys, sorted blocks hold disjoint values and no tie group ever spans a
-block, which keeps every pass exact with no boundary cases.
+distinct table, then cumulate per-block sums via driver-side offsets.
+Because the scanned table has UNIQUE keys, sorted blocks hold disjoint
+values and no tie group ever spans a block, which keeps every pass
+exact with no boundary cases.
 
 - ``anova``            — Anova (anova.rs:414-434): one-way F =
   MS_between / MS_within from per-group (n, Σx, Σx²) partials.
@@ -239,8 +239,7 @@ def distinct_value_scan(ds, val_col: str, sum_cols: list[str]):
     per distinct value with columns ``val_col, <c>..., off_<c>...`` and
     ``totals`` maps each sum col to its grand total. Keys in the sorted
     distinct table are unique, so blocks hold disjoint values and the
-    per-block offset (keyed by block min value) is exact — the same
-    two-pass offsets pattern as ``ordering._sort_strategy``.
+    per-block offset (keyed by block min value) is exact.
     """
 
     def partial(batch: pa.Table) -> pa.Table:

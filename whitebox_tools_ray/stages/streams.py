@@ -960,7 +960,7 @@ def links_table_ds(stream_ds, pointer_ds, spec):
       2. run roots: every non-start cell (inflow==1) has a unique
          upstream run predecessor → pointer-doubling root resolution
          (``dedup.functional_roots``, O(log run length) rounds);
-      3. link ids = 1 + rank of start gid (sort-based order index,
+      3. link ids = 1 + rank of start gid (order index,
          ``ordering.zip_with_order_index`` — matches the reference's
          scan-order numbering);
       4. per-link length / ds_link by native groupby aggregates on the
@@ -1039,7 +1039,7 @@ def links_table_ds(stream_ds, pointer_ds, spec):
         batch_format="pyarrow",
     )
     # rank is 1-based (start=1 default) → link_id = rank directly
-    start_ids = zip_with_order_index(starts, "sgid", "rank", strategy="auto").map_batches(
+    start_ids = zip_with_order_index(starts, "sgid", "rank").map_batches(
         lambda b: pa.table({"root_k": b["sgid"], "link_id": b["rank"]}),
         batch_format="pyarrow",
     )
