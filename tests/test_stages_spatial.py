@@ -9,9 +9,10 @@ import ray.data as rd
 
 from whitebox_tools_ray.kernels import geometry
 from whitebox_tools_ray.sources import tiles as tsrc
-from whitebox_tools_ray.sources.vectors import fixture_points, fixture_polygons
+from whitebox_tools_ray.sources.vectors import POLY_SCHEMA, fixture_points, fixture_polygons, make_polygon_record
 from whitebox_tools_ray.stages.ordering import zip_with_order_index
 from whitebox_tools_ray.stages.spatial_join import (
+    clip_kernel,
     clip_points,
     clip_points_shuffle,
     extract_values_at_points,
@@ -111,6 +112,58 @@ class TestClipPoints:
         )
         got = clip_points(rd.from_arrow(pts), polys, renumber_fid=False).to_pandas()
         assert got.empty
+
+    def test_empty_layer(self, layers):
+        _, points = layers
+        empty = POLY_SCHEMA.empty_table()
+        assert oracle_clip(points, empty) == []
+        assert clip_points(rd.from_arrow(points), empty).count() == 0
+        got = clip_points(rd.from_arrow(points), empty, mode="erase").to_pandas().sort_values("record_id")
+        assert got["record_id"].tolist() == sorted(points.column("record_id").to_pylist())
+        assert got["FID"].tolist() == list(range(1, points.num_rows + 1))
+
+    def test_single_degenerate_part(self, layers):
+        _, points = layers
+        # a zero-area sliver: its ring doubles back on one line
+        rec = make_polygon_record(1, [[(100.0, 100.0), (600.0, 600.0), (100.0, 100.0)]], "line", 1)
+        line = pa.Table.from_pydict({k: [rec[k]] for k in POLY_SCHEMA.names}, schema=POLY_SCHEMA)
+        on_line = pa.table({"record_id": pa.array([1, 2], pa.int32()), "x": [300.0, 350.0], "y": [300.0, 340.0]})
+        for pts in (points, on_line):
+            expect = oracle_clip(pts, line)
+            got = clip_points(rd.from_arrow(pts), line, renumber_fid=False).take_all()
+            assert sorted(r["record_id"] for r in got) == expect
+            erased = clip_points(rd.from_arrow(pts), line, mode="erase", renumber_fid=False).take_all()
+            assert sorted(r["record_id"] for r in erased) == sorted(
+                set(pts.column("record_id").to_pylist()) - set(expect)
+            )
+
+    def test_nan_coordinates(self, layers):
+        polys, _ = layers
+        # (60, 470) is inside the donut shell; NaN in either coordinate is
+        # inside nothing
+        pts = pa.table(
+            {
+                "record_id": pa.array(np.arange(1, 5, dtype=np.int32)),
+                "x": pa.array([60.0, np.nan, 60.0, np.nan]),
+                "y": pa.array([470.0, 470.0, np.nan, np.nan]),
+            }
+        )
+        assert oracle_clip(pts, polys) == [1]
+        got = clip_points(rd.from_arrow(pts), polys).to_pandas()
+        assert got["record_id"].tolist() == [1] and got["FID"].tolist() == [1]
+        erased = clip_points(rd.from_arrow(pts), polys, mode="erase").to_pandas().sort_values("record_id")
+        assert erased["record_id"].tolist() == [2, 3, 4]
+        assert erased["FID"].tolist() == [1, 2, 3]
+
+    def test_kernel_nan_behaviour(self):
+        # the filter must reproduce this: the strict bbox test lets NaN
+        # through (every comparison is False), the ring test rejects it
+        parts = prepare_clip_parts(fixture_polygons())
+        p = parts[0]
+        nan = np.array([np.nan, 200.0, np.nan])
+        other = np.array([200.0, np.nan, np.nan])
+        assert geometry.points_in_box(nan, other, p.x_min, p.x_max, p.y_min, p.y_max).all()
+        assert not clip_kernel(nan, other, parts).any()
 
 
 class TestOrdering:

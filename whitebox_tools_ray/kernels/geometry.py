@@ -26,6 +26,9 @@ arithmetic order, same sign conventions, float64 throughout, no fused ops:
   (Raptor, VLDB 2019). ``ring_runs`` finds every (edge, row) crossing once
   per ring; ``runs_mask`` turns any sub-window's crossings into a mask
   with a row-wise parity suffix sum, with no per-cell geometry.
+- ``segment_cells``: every grid cell that a set of segments touches, the
+  cell widened by a margin; it marks the unresolved cells of the point
+  clip's label grid (``stages.spatial_join.build_label_grid``).
 
 All "many points vs one ring" kernels are vectorized over the points —
 the hot path inside ``map_batches``.
@@ -42,6 +45,30 @@ tested) and non-decreasing for downward ones (``< 0`` tested). Either
 way the test holds on a prefix of the row's columns, so one toggle column
 k per (edge, row) — found by bisection with the very same expression —
 reproduces the per-cell answer bit for bit.
+
+Why the label grid is exact, not approximate. The point clip's answer
+for one part is the strict bbox test and then ``points_in_poly``. Both
+can change value only across a bbox side, a ring edge, or (for a ring
+left open) the horizontal segment from an end vertex to the bbox's x_min
+side; in exact arithmetic both are constant on any box that none of
+those touches. ``segment_cells`` leaves a cell resolved only when none of
+them touches the cell widened by ``m = 1e-9*cell + 16*spacing(max|coord|)``.
+Three roundings have to fit inside ``m``: the point's cell lookup, a
+floor of ``(px - x0) / cw`` (a few ulps of the coordinates plus about
+``2**-52 * 256`` cells); ``segment_cells``' own strip and row bounds (of
+the same size); and ``is_left``. For a point in an edge's half-open y
+span, ``is_left`` is ``h * |y1 - y0|`` with ``h`` the point's horizontal
+distance to the edge, and its rounding error is below
+``6 * 2**-53 * frame * |y1 - y0|``, so its sign is right once ``h``
+exceeds about ``2e-13`` cells. The ``1e-9*cell`` term covers this with
+four orders to spare, and the ulp term the absolute rounding of
+coordinates near a large origin. So every point that looks up a resolved
+cell sits at least that far from anything that could flip its answer,
+the bbox tests and the computed ``is_left`` signs are those at the cell
+centre, and the cell label is the kernel's answer for the point. The
+grid's frame is the layer's bbox padded by ``m``, so a point whose lookup
+falls off the grid lies outside every part's bbox. Points whose lookup is
+not finite skip the grid.
 """
 
 from __future__ import annotations
@@ -69,6 +96,7 @@ __all__ = [
     "interior_point",
     "ring_runs",
     "runs_mask",
+    "segment_cells",
 ]
 
 
@@ -208,6 +236,52 @@ def runs_mask(rows: np.ndarray, ks: np.ndarray, r0: int, r1: int, c0: int, c1: i
     # cell col is toggled by every crossing with k > col: a suffix sum
     suffix = np.cumsum(hist.reshape(h, w + 1)[:, :0:-1], axis=1)[:, ::-1]
     return (suffix & 1).astype(bool)
+
+
+def segment_cells(x0, y0, x1, y1, gx: float, gy: float, cw: float, ch: float, nx: int, ny: int, margin: float) -> np.ndarray:
+    """Cells touched by any of the segments (x0, y0)-(x1, y1) (arrays).
+
+    The grid has ``nx`` x ``ny`` cells; cell (row j, col i) is the box
+    ``[gx + i*cw, gx + (i+1)*cw] x [gy + j*ch, gy + (j+1)*ch]``. Returns a
+    bool (ny, nx) array, True where the cell widened by ``margin`` on every
+    side touches a segment. Work is per (segment, column) strip: the
+    segment's y range inside the widened strip gives the rows, so the cost
+    follows the cells touched, not the segments' bboxes. Rounding in the
+    strip and row bounds is far below ``margin`` (see the module docstring).
+    """
+    x0, y0, x1, y1 = (np.asarray(a, dtype=np.float64) for a in (x0, y0, x1, y1))
+    out = np.zeros((ny, nx), dtype=bool)
+    xlo, xhi = np.minimum(x0, x1), np.maximum(x0, x1)
+    c_lo = np.floor((xlo - margin - gx) / cw)
+    c_hi = np.floor((xhi + margin - gx) / cw)
+    r_lo = np.floor((np.minimum(y0, y1) - margin - gy) / ch)
+    r_hi = np.floor((np.maximum(y0, y1) + margin - gy) / ch)
+    on = (c_hi >= 0) & (c_lo < nx) & (r_hi >= 0) & (r_lo < ny)
+    c_lo = np.clip(c_lo[on], 0, nx - 1).astype(np.int64)
+    c_hi = np.clip(c_hi[on], 0, nx - 1).astype(np.int64)
+    x0, y0, x1, y1, xlo, xhi = x0[on], y0[on], x1[on], y1[on], xlo[on], xhi[on]
+    # one entry per (segment, column)
+    counts = c_hi - c_lo + 1
+    seg = np.repeat(np.arange(len(counts)), counts)
+    col = c_lo[seg] + (np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts))
+    # the segment's x range inside the widened strip, then its y range there
+    xa = np.maximum(gx + col * cw - margin, xlo[seg])
+    xb = np.minimum(gx + (col + 1) * cw + margin, xhi[seg])
+    sx0, sy0, dx, dy = x0[seg], y0[seg], x1[seg] - x0[seg], y1[seg] - y0[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = np.clip((xa - sx0) / dx, 0.0, 1.0)
+        tb = np.clip((xb - sx0) / dx, 0.0, 1.0)
+    vertical = dx == 0.0
+    ya = np.where(vertical, sy0, sy0 + ta * dy)
+    yb = np.where(vertical, sy0 + dy, sy0 + tb * dy)
+    rr_lo = np.clip(np.floor((np.minimum(ya, yb) - margin - gy) / ch), 0, ny - 1).astype(np.int64)
+    rr_hi = np.clip(np.floor((np.maximum(ya, yb) + margin - gy) / ch), 0, ny - 1).astype(np.int64)
+    # one entry per (segment, column, row)
+    counts = rr_hi - rr_lo + 1
+    pair = np.repeat(np.arange(len(counts)), counts)
+    row = rr_lo[pair] + (np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts))
+    out[row, col[pair]] = True
+    return out
 
 
 def polygon_area(xs, ys) -> float:

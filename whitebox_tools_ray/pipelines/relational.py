@@ -370,7 +370,7 @@ PENTAGON = [
 
 def q_clip_points_convex(sf_dir: str):
     """Clip-Point-branch parity on the synthetic layer vs a convex
-    polygon — the full engine path (broadcast parts + quad-cell pruning
+    polygon — the full engine path (broadcast parts + label-grid lookup
     + winding kernel + sequential FID). ``y`` is returned so the gate
     also checks the FID order of survivors sharing a record_id."""
     from ..sources.vectors import POLY_SCHEMA, make_polygon_record

@@ -14,13 +14,15 @@ Clip, Point branch (/root/reference/src/tools/gis_analysis/clip.rs:292-363):
 
 Ray-Data design (SURVEY.md §7.4): the polygon layer is the SMALL side →
 broadcast via ``ray.put`` once, read by stateless tasks through the
-per-worker cache (``broadcast.get_cached``); the scan is vectorized over
-the point batch (loop over parts, NumPy over points). A quad-cell grid
-over the parts gives batch-level pruning: a broadcast
-``cell → part-index list`` lets a batch scan only parts whose bbox
-touches its points' cells — at 100 TB of points the per-batch work is
-O(local parts), not O(all parts). Erase (erase.rs) is the inverse keep
-condition on the same scan.
+per-worker cache (``broadcast.get_cached``). With the parts goes a
+256x256 label grid over the layer (Raptor, VLDB 2019: approximate the
+vector layer by a raster once, resolve most points by a lookup). A cell
+that no part edge or bbox side comes near carries the scan's answer at
+its centre, which holds for every point in the cell; a point there costs
+one ``floor`` lookup. Points in the few cells near an edge, and points
+with non-finite coordinates, run the exact scan (``clip_kernel``,
+vectorized: loop over parts, NumPy over points). Erase (erase.rs) is the
+inverse keep condition on the same answer.
 
 For polygon layers too large to broadcast, the same kernel runs after an
 explicit co-partition: explode parts per covering quad cell, hash-shuffle
@@ -134,31 +136,119 @@ def clip_kernel(
     return out
 
 
-class _ClipFn:
-    """Stateless clip task body; broadcast parts + cell index fetched via
-    the per-worker cache."""
+LABEL_GRID = 256  # label-grid cells per side
+OUTSIDE, INSIDE, UNRESOLVED = 0, 1, 2
 
-    def __init__(self, parts_ref, cell_index_ref, level: int, keep_inside: bool, x_col: str, y_col: str):
-        self.parts_ref = parts_ref
-        self.cell_index_ref = cell_index_ref
-        self.level = level
+
+@dataclass
+class LabelGrid:
+    """Cell labels over the union of the part bboxes, padded by a margin.
+
+    Cell (row j, col i) is ``[x0 + i*cw, x0 + (i+1)*cw] x [y0 + j*ch, ...]``
+    and ``labels[j + 1, i + 1]`` holds OUTSIDE, INSIDE or UNRESOLVED; the
+    border rows and columns are OUTSIDE. NaN cell sizes mean no grid: every
+    point runs ``clip_kernel``.
+    """
+
+    x0: float
+    y0: float
+    cw: float
+    ch: float
+    labels: np.ndarray  # int8, (LABEL_GRID + 2) square, OUTSIDE border
+
+
+def part_segments(parts: list[ClipPart]) -> tuple[np.ndarray, ...]:
+    """Every segment across which ``clip_kernel``'s answer can change:
+    ring edges and bbox sides (``points_in_box`` is strict). A ring whose
+    last vertex is not its first also adds the horizontal segments from
+    both end vertices to its bbox's x_min side: an open chain's crossing
+    parity flips across those too."""
+    segs = []
+    for p in parts:
+        xs, ys = p.xs, p.ys
+        sx = [xs[:-1], [p.x_min, p.x_max, p.x_max, p.x_min]]
+        sy = [ys[:-1], [p.y_min, p.y_min, p.y_max, p.y_max]]
+        ex = [xs[1:], [p.x_max, p.x_max, p.x_min, p.x_min]]
+        ey = [ys[1:], [p.y_min, p.y_max, p.y_max, p.y_min]]
+        if xs[0] != xs[-1] or ys[0] != ys[-1]:
+            sx.append([xs[0], xs[-1]])
+            sy.append([ys[0], ys[-1]])
+            ex.append([p.x_min, p.x_min])
+            ey.append([ys[0], ys[-1]])
+        segs.append([np.concatenate(c).astype(np.float64) for c in (sx, sy, ex, ey)])
+    return tuple(np.concatenate(c) for c in zip(*segs))
+
+
+def build_label_grid(parts: list[ClipPart]) -> LabelGrid:
+    """The LABEL_GRID x LABEL_GRID label grid of a clip layer (Raptor-style
+    raster approximation, VLDB 2019), exact for every point it resolves.
+
+    A cell is UNRESOLVED when a ``part_segments`` segment touches the cell
+    widened by ``1e-9*cell + 16*spacing(max|coord|)``; every other cell
+    takes ``clip_kernel``'s answer at its centre. The frame is padded by
+    the same margin, so a point that maps off the grid is outside every
+    part bbox. Why this is exact: ``kernels/geometry.py`` docstring.
+    """
+    g = LABEL_GRID
+    labels = np.zeros((g + 2, g + 2), dtype=np.int8)
+    no_grid = LabelGrid(0.0, 0.0, np.nan, np.nan, labels)
+    if not parts:
+        return no_grid
+    x0, y0, x1, y1 = part_segments(parts)
+    # the bbox sides start at every part's bbox corners; NaN propagates
+    lo_x, hi_x, lo_y, hi_y = x0.min(), x0.max(), y0.min(), y0.max()
+    with np.errstate(all="ignore"):
+        big = np.max(np.abs([lo_x, hi_x, lo_y, hi_y]))
+        margin = 1e-9 * max(hi_x - lo_x, hi_y - lo_y) / g + 16 * np.spacing(big)
+        gx, gy = lo_x - margin, lo_y - margin
+        cw, ch = (hi_x + margin - gx) / g, (hi_y + margin - gy) / g
+    if not (np.isfinite([gx, gy, cw, ch]).all() and cw > 0 and ch > 0):
+        return no_grid  # a non-finite coordinate, or a one-point layer at 0
+    touched = geometry.segment_cells(x0, y0, x1, y1, gx, gy, cw, ch, g, g, margin)
+    row, col = np.nonzero(~touched)
+    inside = clip_kernel(gx + (col + 0.5) * cw, gy + (row + 0.5) * ch, parts)
+    labels[1:-1, 1:-1] = UNRESOLVED
+    labels[row + 1, col + 1] = inside
+    return LabelGrid(gx, gy, cw, ch, labels)
+
+
+def clip_filter(px: np.ndarray, py: np.ndarray, parts: list[ClipPart], grid: LabelGrid) -> np.ndarray:
+    """``clip_kernel(px, py, parts)`` through the label grid: one lookup
+    per point; points in UNRESOLVED cells, and points whose cell
+    coordinates are not finite, run ``clip_kernel`` over all parts."""
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    side = LABEL_GRID + 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.floor((px - grid.x0) / grid.cw)
+        v = np.floor((py - grid.y0) / grid.ch)
+    ok = np.isfinite(u) & np.isfinite(v)
+    # off-grid cells clip onto the OUTSIDE border
+    for w in (u, v):
+        np.clip(w, -1, LABEL_GRID, out=w)
+        np.copyto(w, -1.0, where=~ok)
+    code = grid.labels.ravel()[(v.astype(np.intp) + 1) * side + (u.astype(np.intp) + 1)]
+    todo = ~ok | (code == UNRESOLVED)
+    out = code == INSIDE
+    out[todo] = clip_kernel(px[todo], py[todo], parts)
+    return out
+
+
+class _ClipFn:
+    """Stateless clip task body; the broadcast (parts, label grid) is
+    fetched through the per-worker cache."""
+
+    def __init__(self, layer_ref, keep_inside: bool, x_col: str, y_col: str):
+        self.layer_ref = layer_ref
         self.keep_inside = keep_inside
         self.x_col = x_col
         self.y_col = y_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        parts = get_cached(self.parts_ref)
-        cell_index = get_cached(self.cell_index_ref)
+        parts, grid = get_cached(self.layer_ref)
         px = batch[self.x_col].to_numpy(zero_copy_only=False)
         py = batch[self.y_col].to_numpy(zero_copy_only=False)
-        point_cells = cells.quad_cell(px, py, self.level)
-        out = np.zeros(len(px), dtype=bool)
-        for cid in np.unique(point_cells):
-            subset = cell_index.get(int(cid))
-            sel = point_cells == cid
-            if subset is None or len(subset) == 0:
-                continue
-            out[sel] = clip_kernel(px[sel], py[sel], parts, subset)
+        out = clip_filter(px, py, parts, grid)
         keep = out if self.keep_inside else ~out
         return batch.filter(pa.array(keep))
 
@@ -171,11 +261,15 @@ def clip_points(
     y_col: str = "y",
     order_col: str = "record_id",
     renumber_fid: bool = True,
-    cell_level: int = 12,
-    batch_size: int | None = None,
 ):
     """Clip (keep inside, clip.rs Point branch) or Erase (keep outside,
     erase.rs) a point Dataset against a broadcast polygon layer.
+
+    The driver flattens the layer and builds its label grid
+    (``build_label_grid``) once; both go out as one ``ray.put`` object.
+    Each task resolves most points with one grid lookup and runs the exact
+    ``clip_kernel`` only on the rest (``clip_filter``), so the result is
+    bit-equal to scanning every part for every point.
 
     Returns the surviving rows; when ``renumber_fid`` the sequential-scan
     FID (1..n in ``order_col`` order, clip.rs:338-354 parity) is appended
@@ -188,16 +282,9 @@ def clip_points(
     if mode not in ("clip", "erase"):
         raise ValueError("mode must be 'clip' or 'erase'")
     parts = prepare_clip_parts(poly_table)
-    cell_index = build_part_cell_index(parts, cell_level)
-    parts_ref = ray.put(parts)
-    index_ref = ray.put(cell_index)
-    fn = _ClipFn(parts_ref, index_ref, cell_level, mode == "clip", x_col, y_col)
-    bs_kw = {} if batch_size is None else {"batch_size": batch_size}
-    out = points_ds.map_batches(
-        fn,
-        batch_format="pyarrow",
-        **bs_kw,
-    )
+    layer_ref = ray.put((parts, build_label_grid(parts)))
+    fn = _ClipFn(layer_ref, mode == "clip", x_col, y_col)
+    out = points_ds.map_batches(fn, batch_format="pyarrow")
     if renumber_fid:
         # y breaks ties in order_col by content, so tied survivors get the
         # same FIDs whatever order their blocks arrive in
