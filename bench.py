@@ -152,15 +152,7 @@ def run_bench() -> dict:
         out_dir = f"{bench_root}/out_{os.getpid()}_{rep}"
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.time()
-        # read_blocks=None -> one block per band file, keeping the whole
-        # read->assign->decode->write band FUSED per task (2x less CPU
-        # than the auto-split path, measured at 32 CPUs)
-        rb = os.environ.get("BENCH_READ_BLOCKS")
-        res = run_tiling_pipeline(
-            tiles_path, out_dir, spec, num_bands=4,
-            read_blocks=int(rb) if rb else None,
-            bands_in_flight=int(os.environ.get("BENCH_BANDS_IN_FLIGHT", "3")),
-        )
+        res = run_tiling_pipeline(tiles_path, out_dir, spec, num_bands=4)
         wall = time.time() - t0
         tiling_runs.append(round(wall, 3))
         # track the unrounded minimum so the kept result dict always

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 
+import pyarrow.parquet as pq
 import pytest
 
 from whitebox_tools_ray.pipelines.flagship import run_tiling_pipeline, synthesize_tiles_parallel
@@ -51,6 +52,43 @@ class TestResume:
         assert m["bands_skipped"] == 1
         assert m["tiles"] == 8  # only the lost band recomputed
         assert os.path.isdir(os.path.join(out, "band0001"))
+
+    def test_lost_manifest_line_reruns_band_without_duplicates(self, tiny_scene, tmp_path):
+        spec, tiles_path = tiny_scene
+        out = str(tmp_path / "out_dup")
+        run_tiling_pipeline(tiles_path, out, spec, num_bands=2)
+        # crash between band 1's write and its manifest line: the band's
+        # files stay on disk, its line is gone
+        man = os.path.join(out, "MANIFEST.jsonl")
+        recs = [json.loads(l) for l in open(man)]
+        with open(man, "w") as f:
+            f.write("".join(json.dumps(r) + "\n" for r in recs if r["partition_id"] != "band0001"))
+        m = run_tiling_pipeline(tiles_path, out, spec, num_bands=2)
+        assert m["tiles"] == 8
+        assert pq.read_table(os.path.join(out, "band0001")).num_rows == 8
+        recs = [json.loads(l) for l in open(man)]
+        assert [r["rows_out"] for r in recs if r["partition_id"] == "band0001"] == [8]
+
+    @pytest.mark.parametrize("num_bands", [1, 4])
+    def test_band_count_must_match_input_layout(self, tiny_scene, tmp_path, num_bands):
+        spec, tiles_path = tiny_scene  # laid out as band=0/, band=1/
+        out = str(tmp_path / "out_bands")
+        with pytest.raises(ValueError, match="band="):
+            run_tiling_pipeline(tiles_path, out, spec, num_bands=num_bands)
+        assert not os.path.exists(out)
+
+    def test_content_hash_reproducible(self, tiny_scene, tmp_path):
+        spec, tiles_path = tiny_scene
+
+        def hashes(name):
+            out = str(tmp_path / name)
+            run_tiling_pipeline(tiles_path, out, spec, num_bands=2)
+            recs = [json.loads(l) for l in open(os.path.join(out, "MANIFEST.jsonl"))]
+            return {r["partition_id"]: r["content_hash"] for r in recs}
+
+        first = hashes("run1")
+        assert sorted(first) == ["band0000", "band0001"]
+        assert hashes("run2") == first
 
     def test_params_change_invalidates(self, tiny_scene, tmp_path):
         spec, tiles_path = tiny_scene

@@ -1,22 +1,25 @@
-"""The flagship pipeline: read tiles → decode/verify → assign keys →
-spatial join → partitioned parquet, checkpointed per partition.
+"""The tiling pipeline: read tiles → assign keys → decode/verify/re-encode
+→ parquet, checkpointed per band.
 
-This is the measured path of BASELINE.md: tiles/sec through the tiling
-stage and join-output rows/sec through the spatial-join stage, with
-per-partition manifest checkpointing INCLUDED in the measured time.
+This is the measured tiling path of BASELINE.md (tiles/sec), with the
+per-band manifest checkpointing INCLUDED in the measured time.
 
-Partitioning for resume: the tile table is processed in ``tile_row``
-bands (one partition = one band of tile rows ≈ one key range). Each band
-is a filtered parquet read (row-group pushdown on tile_row) → streamed
-pipeline → atomic output dir + manifest line. A rerun skips finished
-bands. At cluster scale each band is itself hundreds of blocks, so the
-driver loop adds no serialization — bands just bound the blast radius of
-a failure and give the resume grain.
+The input is laid out one directory per band of tile rows (``band=K/``,
+see ``synthesize_tiles_parallel``). Each input file is one stateless Ray
+task: read → assign → decode → write ``out_dir/bandNNNN/<input file
+name>`` → return its row count. Tasks share nothing but the broadcast
+``TileGrid``, so there is no cross-task coordination (Raptor's
+tile-partitioned shape). The driver submits every file of every band
+still to run, then waits; when a band's last file returns it appends the
+band's manifest line, whose ``wall_s`` runs from submit to that last
+file. Resume skips whole bands whose (band, params hash) is already in
+the manifest; a band without its line is cleared and rerun in full.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import time
 
 import numpy as np
@@ -27,32 +30,6 @@ from ..kernels.grid import TileGrid
 from ..sources import tiles as tsrc
 from ..stages.assign import DecodeVerifyReencode, make_assign_fn
 from ..state.manifest import Manifest, dir_content_hash
-
-
-def _patch_fsspec_http_probe():
-    """Make Ray's fsspec-HTTP filesystem probe thread-safe in this env.
-
-    ``fsspec.implementations.http`` raises ModuleNotFoundError (aiohttp
-    absent). Ray's ``_is_http_filesystem`` catches exactly that — but
-    when two THREADS construct datasets concurrently, the second import
-    attempt can observe the first's partially-initialized module and
-    raise a bare ImportError instead, which escapes. Wrap the probe to
-    treat any import failure as "not an HTTP filesystem"."""
-    try:
-        from ray.data.datasource import path_util
-
-        orig = path_util._is_http_filesystem
-
-        def safe(fs):
-            try:
-                return orig(fs)
-            except Exception:
-                return False
-
-        if getattr(path_util._is_http_filesystem, "__name__", "") != "safe":
-            path_util._is_http_filesystem = safe
-    except Exception:
-        pass
 
 
 def synthesize_tiles_parallel(spec: tsrc.SceneSpec, out_path: str, fmt: str = "f32", num_bands: int = 4,
@@ -105,10 +82,9 @@ def synthesize_tiles_parallel(spec: tsrc.SceneSpec, out_path: str, fmt: str = "f
         # per block (min_rows_per_file only merges, never splits), so
         # this is the only way to actually control the output file
         # count — and file count IS the downstream tiling pipeline's
-        # task granularity (it fuses one task per file). The previous
-        # range default yielded 16 files/band = 16 fused tasks, which
-        # at 32 CPUs x 2 bands in flight is exactly one task wave with
-        # zero straggler slack (measured: long 90%-idle stretches).
+        # task count (one task per file). The previous range default
+        # yielded 16 files/band, one task wave at 32 CPUs with zero
+        # straggler slack (measured: long 90%-idle stretches).
         n_blocks = max(1, -(-(ids_hi - ids_lo) // rows_per_file))
         ds = rd.range(ids_hi - ids_lo, override_num_blocks=n_blocks).map_batches(
             lambda t, off=ids_lo: synth(t.set_column(0, "id", pa.array(t["id"].to_numpy(zero_copy_only=False) + off))),
@@ -116,16 +92,24 @@ def synthesize_tiles_parallel(spec: tsrc.SceneSpec, out_path: str, fmt: str = "f
             batch_size=32,
         )
         # bound the file count: many tiny parquet files make every
-        # downstream read pay per-file metadata costs — and, because the
-        # tiling pipeline fuses read->assign->decode->write ONE TASK PER
-        # FILE, rows_per_file IS the pipeline's block granularity: the
-        # streaming executor's per-block driver cost is a measured
-        # anti-scaling term on one node (same total work at 64 vs 256
-        # blocks: 0.70 vs 0.43 efficiency 8->32 CPUs), so larger files
-        # amortize it
+        # downstream read pay per-file metadata costs, and each file is
+        # one tiling task whose submit/wait costs the driver
         ds.write_parquet(os.path.join(out_path, f"band={b}"),
                          min_rows_per_file=rows_per_file)
     return out_path
+
+
+def _tile_file(path: str, band: str, out_path: str, tile_grid: TileGrid, quad_level: int, hex_res: int,
+               decode: bool) -> int:
+    """Tile one input file into ``out_path``; returns its row count."""
+    t = pq.read_table(path)
+    # the hive partition column a ``band=K/`` directory read carries
+    t = t.append_column("band", pa.repeat(pa.scalar(band, pa.string()), t.num_rows))
+    t = make_assign_fn(tile_grid, quad_level, hex_res)(t)
+    if decode:
+        t = DecodeVerifyReencode("q16", False)(t)
+    pq.write_table(t, out_path)
+    return t.num_rows
 
 
 def run_tiling_pipeline(
@@ -137,13 +121,17 @@ def run_tiling_pipeline(
     hex_res: int = 7,
     decode: bool = True,
     resume: bool = True,
-    read_blocks: int | None = None,
-    bands_in_flight: int = 3,
 ) -> dict:
-    """Banded, checkpointed tiling stage. Returns metrics dict."""
-    import pyarrow.compute as pc
-    import ray.data as rd
+    """Banded, checkpointed tiling stage over a ``band=K/`` input layout.
+    Returns metrics dict."""
+    import ray
 
+    band_edges = np.linspace(0, spec.tiles_y, num_bands + 1).astype(int)
+    bands = [b for b in range(num_bands) if band_edges[b] < band_edges[b + 1]]
+    found = sorted(d for d in os.listdir(input_path) if d.startswith("band="))
+    if found != sorted(f"band={b}" for b in bands):
+        raise ValueError(f"{input_path} holds {found}, not the band=0..{num_bands - 1} layout "
+                         f"of num_bands={num_bands}")
     gs = spec.grid_spec()
     # honor the reference's 32767-output-tile cap (lidar_tile.rs:265-270)
     # by coarsening the assignment grid for large scenes: group k×k scene
@@ -172,95 +160,49 @@ def run_tiling_pipeline(
         },
     )
     done = manifest.completed() if resume else set()
-    band_edges = np.linspace(0, spec.tiles_y, num_bands + 1).astype(int)
-    skipped = 0
-    to_run: list[tuple[int, str, int, int]] = []
-    for b in range(num_bands):
-        pid = f"band{b:04d}"
-        lo, hi = int(band_edges[b]), int(band_edges[b + 1])
-        if lo == hi:
-            continue
-        if pid in done:
-            skipped += 1
-            continue
-        to_run.append((b, pid, lo, hi))
+    to_run = [b for b in bands if f"band{b:04d}" not in done]
 
-    import threading
-
-    _patch_fsspec_http_probe()
-    manifest_lock = threading.Lock()
-
-    def run_band(b: int, pid: str, lo: int, hi: int) -> int:
-        t0 = time.time()
-        band_dir = os.path.join(input_path, f"band={b}")
-        if os.path.isdir(band_dir):
-            # partition-pruned read: this band's files only. Default to ONE
-            # block per file: matching override_num_blocks to the file count
-            # keeps read->assign->decode->write FUSED into a single task
-            # (measured: auto-split breaks fusion and the decoded payloads
-            # round-trip through the object store — 2x the band's CPU and
-            # a large page-fault/TLB load at 32 CPUs)
-            if read_blocks is None:
-                n_files = sum(1 for f in os.listdir(band_dir) if f.endswith(".parquet"))
-                blocks = {"override_num_blocks": n_files} if n_files else {}
-            else:
-                blocks = {"override_num_blocks": read_blocks}
-            ds = rd.read_parquet(band_dir, **blocks)
-        else:
-            ds = rd.read_parquet(
-                input_path,
-                filter=(pc.field("tile_row") >= lo) & (pc.field("tile_row") < hi),
-                **({"override_num_blocks": read_blocks} if read_blocks else {}),
-            )
-        ds = ds.map_batches(make_assign_fn(tg, quad_level, hex_res), batch_format="pyarrow")
-        if decode:
-            # decode carries no per-actor state -> STATELESS task pool
-            # (elastic, no actor churn across bands). NO batch_size:
-            # block-sized batches are zero-copy — an explicit batch_size
-            # forces a rebatch that was measured at 2.3 s per band of
-            # pure slicing overhead at 32 CPUs
-            dec = DecodeVerifyReencode("q16", False)
-            ds = ds.map_batches(lambda b2: dec(b2), batch_format="pyarrow")
-        part_dir = os.path.join(out_dir, pid)
-        ds.write_parquet(part_dir)
-        rows = sum(
-            pq.read_metadata(os.path.join(part_dir, f)).num_rows
-            for f in os.listdir(part_dir)
-            if f.endswith(".parquet")
-        )
-        dt = time.time() - t0
-        with manifest_lock:
-            manifest.record(
-                pid,
-                (lo, hi),
-                rows_in=rows,
-                rows_out=rows,
-                wall_s=dt,
-                output_uri=part_dir,
-                content_hash=dir_content_hash(part_dir),
-            )
-        return rows
-
-    # THREE bands in flight: one streaming executor per band thread, the
-    # others overlap their reads/writes with the first's compute. On the
-    # 16-files-per-band layout 2-way was fastest (4-way pinned the
-    # driver at 24 s); re-measured on the round-5 128-files-per-band
-    # layout at 512×512×128, 3-way wins at BOTH CPU levels (32 CPUs:
-    # 11.2/12.0 s vs 13.8/17.7 s 2-way; 8 CPUs: 26.7/30.2 vs 28.2/32.3)
-    # — finer tasks leave straggler slack that a third executor fills
-    # without pinning the driver. Keeps the per-band resume grain.
     t_all = time.time()
-    total_tiles = 0
-    if to_run:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(len(to_run), bands_in_flight)) as ex:
-            for rows in ex.map(lambda args: run_band(*args), to_run):
-                total_tiles += rows
+    tile_file = ray.remote(_tile_file)
+    tg_ref = ray.put(tg)
+    band_of: dict = {}  # task ref -> band
+    left: dict[int, int] = {}  # band -> files still running
+    rows = dict.fromkeys(to_run, 0)
+    for b in to_run:
+        band_dir = os.path.join(input_path, f"band={b}")
+        part_dir = os.path.join(out_dir, f"band{b:04d}")
+        # a band without its manifest line may hold a crashed run's files
+        shutil.rmtree(part_dir, ignore_errors=True)
+        os.makedirs(part_dir)
+        files = sorted(f for f in os.listdir(band_dir) if f.endswith(".parquet"))
+        for f in files:
+            ref = tile_file.remote(os.path.join(band_dir, f), str(b), os.path.join(part_dir, f), tg_ref,
+                                   quad_level, hex_res, decode)
+            band_of[ref] = b
+        left[b] = len(files)
+    pending = list(band_of)
+    while pending:
+        ready, pending = ray.wait(pending)
+        b = band_of.pop(ready[0])
+        rows[b] += ray.get(ready[0])
+        left[b] -= 1
+        if left[b]:
+            continue
+        part_dir = os.path.join(out_dir, f"band{b:04d}")
+        manifest.record(
+            f"band{b:04d}",
+            (int(band_edges[b]), int(band_edges[b + 1])),
+            rows_in=rows[b],
+            rows_out=rows[b],
+            wall_s=time.time() - t_all,
+            output_uri=part_dir,
+            content_hash=dir_content_hash(part_dir),
+        )
     total_s = time.time() - t_all
+    total_tiles = sum(rows.values())
     return {
         "tiles": total_tiles,
         "wall_s": total_s,
         "tiles_per_s": total_tiles / total_s if total_s else 0.0,
-        "bands_skipped": skipped,
+        "bands_skipped": len(bands) - len(to_run),
     }

@@ -1,4 +1,4 @@
-"""Deterministic synthetic tile-table generator + readers.
+"""Deterministic synthetic tile-table generator + writer.
 
 Produces the input table of BASELINE.json ``input_hint`` shape:
 
@@ -16,9 +16,8 @@ grid (seed-fixed), so every tile of a scene is a window into ONE
 consistent raster. That makes whole-raster reference semantics (focal
 ops, flow accumulation, clip-raster) reproducible tile-by-tile.
 
-Storage: Parquet via ``ray.data``/pyarrow (the Lance package is not in
-this container; ``read_tiles``/``write_tiles`` gate on ``import lance``
-and fall back to Parquet with an identical schema).
+Storage: Parquet via pyarrow; ``write_tiles`` writes Lance instead when
+the ``lance`` package imports (identical schema).
 
 Grid frame mirrors the reference fixture DEM (testdata/DEM.dep:3-6):
 origin (664737.05, 4895782.59), res 90.0, nodata -32768.
@@ -184,20 +183,6 @@ def write_tiles(table: pa.Table, path: str) -> str:
     else:
         pq.write_table(table, path)
     return path
-
-
-def read_tiles_dataset(path: str, columns: list[str] | None = None):
-    """ray.data.Dataset over a tile table (Lance when available, else Parquet).
-
-    Column pruning is pushed to the read — callers that don't need pixel
-    bytes must pass ``columns`` without "bytes" so payloads never leave
-    storage.
-    """
-    import ray.data
-
-    if HAVE_LANCE and os.path.isdir(path):  # pragma: no cover
-        return ray.data.read_lance(path, columns=columns)
-    return ray.data.read_parquet(path, columns=columns)
 
 
 def assemble_scene(table: pa.Table, spec: SceneSpec) -> np.ndarray:

@@ -65,12 +65,12 @@ def make_assign_fn(tile_grid: TileGrid, quad_level: int = 12, hex_res: int = 7):
 
 
 class DecodeVerifyReencode:
-    """Actor-pool stage: decode pixels, verify/derive metrics, re-encode.
+    """Stateless per-batch callable: decode pixels, verify/derive metrics,
+    re-encode.
 
     The ConvertRasterFormat analog (data_tools/convert_raster_format.rs:
-    read → write). Holds nothing heavier than the codec dispatch, but runs
-    as a callable class so per-actor setup cost (none today, real decoders
-    later) is amortized — the pattern multimodal decode stages plug into.
+    read → write). Holds only its options (output format, strictness), so
+    any task can build one and call it on a table.
 
     Appends: ``px_min, px_max, px_mean: float64`` and (optionally)
     re-encoded ``bytes`` in ``out_fmt``. Skips rows whose fmt has no codec
