@@ -94,6 +94,28 @@ def all_query_names():
     return sorted(e.queries().keys())
 
 
+# gates with no SQL twin: checked by row count only
+ROWS_ONLY_GATES = {
+    "ann_lsh",
+    "image_decode",
+    "kmeans_clusters",
+    "lang_pred",
+    "minhash_pairs",
+    "pca_project",
+    "simhash_pairs",
+}
+
+
+def test_gate_tables_agree():
+    """A key missing from oracle_sql() silently demotes its gate to the
+    rows-only ``n >= 0`` check below; pin the rows-only set exactly."""
+    import __ray_entry__ as e
+
+    queries, sqls = set(e.queries()), set(e.oracle_sql())
+    assert sqls - queries == set(), "oracle_sql() keys with no query"
+    assert queries - sqls == ROWS_ONLY_GATES
+
+
 @pytest.mark.parametrize("name", all_query_names())
 def test_query_matches_oracle(entrymod, duck, name):
     q = entrymod.queries()[name]

@@ -120,19 +120,6 @@ class TestRasterOps:
         gs2 = codecs.decode_tile(bytes(s.iloc[0]["bytes"]), "f32")
         assert s.iloc[0]["nodata"] == -1.0 and gs2[0, 0] == np.float32(spec.nodata)
 
-    def test_integral_image_tiled_exact(self, ray_session):
-        from whitebox_tools_ray.stages.raster_ops import integral_image_tiled
-
-        spec = tsrc.SceneSpec(tiles_x=3, tiles_y=2, tile_px=8)
-        rng = np.random.RandomState(0)
-        full = rng.uniform(0, 10, (16, 24))
-        tiles = {tid: full[(tid // 3) * 8 : (tid // 3) * 8 + 8, (tid % 3) * 8 : (tid % 3) * 8 + 8] for tid in range(6)}
-        got = integral_image_tiled(tiles, spec)
-        whole = np.cumsum(np.cumsum(full, axis=0), axis=1)
-        for tid, g in got.items():
-            r0, c0 = (tid // 3) * 8, (tid % 3) * 8
-            np.testing.assert_allclose(g, whole[r0 : r0 + 8, c0 : c0 + 8], rtol=1e-12)
-
     def test_integral_image_ds_matches_whole(self, ray_session):
         import pyarrow as pa
 

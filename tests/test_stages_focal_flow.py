@@ -135,35 +135,6 @@ def whole_raster_d8(grid, spec):
     return fdir, accum
 
 
-class TestFlowAccumulation:
-    def test_tiled_equals_whole(self, scene):
-        spec, table, grid = scene
-        # engine pointer tiles
-        ptr = flow.d8_pointer_masked(rd.from_arrow(table), spec).to_pandas()
-        pointer_tiles = {
-            int(row["tile_row"]) * spec.tiles_x + int(row["tile_col"]): bytes(row["bytes"])
-            for _, row in ptr.iterrows()
-        }
-        got_tiles = flow.flow_accumulation(pointer_tiles, spec, num_workers=3)
-        got = np.full((spec.rows, spec.columns), spec.nodata)
-        for tid, g in got_tiles.items():
-            r0 = (tid // spec.tiles_x) * spec.tile_px
-            c0 = (tid % spec.tiles_x) * spec.tile_px
-            got[r0 : r0 + spec.tile_px, c0 : c0 + spec.tile_px] = g
-        fdir, expect = whole_raster_d8(grid, spec)
-        # pointer parity first
-        eng_dir = np.full((spec.rows, spec.columns), -2, dtype=np.int8)
-        for tid, blob in pointer_tiles.items():
-            g = codecs.decode_tile(blob, "i8").astype(np.int8)
-            r0 = (tid // spec.tiles_x) * spec.tile_px
-            c0 = (tid % spec.tiles_x) * spec.tile_px
-            eng_dir[r0 : r0 + spec.tile_px, c0 : c0 + spec.tile_px] = g
-        valid = grid != spec.nodata
-        np.testing.assert_array_equal(eng_dir[valid], fdir[valid])
-        # accumulation exact (integer counts)
-        np.testing.assert_array_equal(got[valid], expect[valid])
-
-
 class TestExtraFilters:
     def test_median_filter_matches_oracle(self, scene):
         spec, table, grid = scene
@@ -196,16 +167,21 @@ class TestExtraFilters:
 class TestFlowAccumulationDatasetNative:
     def test_ds_path_equals_whole(self, scene, ray_session):
         """Dataset-in → Dataset-out accumulation (flow_accumulation_ds):
-        same result as the whole-raster oracle, no driver pixel dicts."""
+        same pointers and accumulation as the whole-raster oracle, no
+        driver pixel dicts."""
         import tempfile
 
         spec, table, grid = scene
-        ptr_ds = flow.d8_pointer_masked(rd.from_arrow(table), spec)
+        ptr_ds = flow.d8_pointer_masked(rd.from_arrow(table), spec).materialize()
+        fdir, expect = whole_raster_d8(grid, spec)
+        valid = grid != spec.nodata
+        # pointer parity first
+        eng_dir = assemble_result(ptr_ds.to_pandas(), spec)
+        np.testing.assert_array_equal(eng_dir[valid], fdir[valid])
         out_dir = tempfile.mkdtemp(prefix="flowtest_", dir="/tmp")
         out_ds = flow.flow_accumulation_ds(ptr_ds, spec, num_workers=3, out_dir=out_dir)
         got = assemble_result(out_ds.to_pandas(), spec)
-        _fdir, expect = whole_raster_d8(grid, spec)
-        valid = grid != spec.nodata
+        # accumulation exact (integer counts)
         np.testing.assert_array_equal(got[valid], expect[valid])
 
 

@@ -90,50 +90,6 @@ class TestGridding:
         assert len(out) == 2
 
 
-class TestClump:
-    def test_matches_whole_raster(self, ray_session):
-        from whitebox_tools_ray.stages.cc import _local_labels, clump_small
-
-        spec = tsrc.SceneSpec(tiles_x=3, tiles_y=3, tile_px=8)
-        rng = np.random.RandomState(3)
-        # categorical raster with few values → components crossing tiles
-        cat = rng.randint(0, 3, (spec.rows, spec.columns)).astype(np.float64)
-        rows = {k: [] for k in tsrc.TILE_SCHEMA.names}
-        import pyarrow as pa
-
-        cols = {n: [] for n in ["tile_row", "tile_col", "bytes", "fmt"]}
-        for tr in range(spec.tiles_y):
-            for tc in range(spec.tiles_x):
-                g = cat[tr * 8 : tr * 8 + 8, tc * 8 : tc * 8 + 8]
-                cols["tile_row"].append(tr)
-                cols["tile_col"].append(tc)
-                cols["bytes"].append(codecs.encode_tile(g, "f32"))
-                cols["fmt"].append("f32")
-        t = pa.table(
-            {
-                "tile_row": pa.array(cols["tile_row"], pa.int32()),
-                "tile_col": pa.array(cols["tile_col"], pa.int32()),
-                "bytes": pa.array(cols["bytes"], pa.binary()),
-                "fmt": pa.array(cols["fmt"], pa.string()),
-            }
-        )
-        out_tiles, n_comp = clump_small(rd.from_arrow(t), spec, diag=True)
-        got = np.zeros_like(cat)
-        for tid, g in out_tiles.items():
-            r0 = (tid // 3) * 8
-            c0 = (tid % 3) * 8
-            got[r0 : r0 + 8, c0 : c0 + 8] = g
-        # whole-raster oracle with the same local-label routine
-        expect = _local_labels(cat, spec.nodata, True, False)
-        assert n_comp == expect.max()
-        # same partition structure (labels must be a bijection)
-        mapping = {}
-        for a, b in zip(got.ravel(), expect.ravel()):
-            assert mapping.setdefault(a, b) == b
-        # and the same discovery-order numbering → identical arrays
-        np.testing.assert_array_equal(got, expect.astype(np.float64))
-
-
 class TestStretch:
     def test_histogram_equalization_uniformizes(self, ray_session):
         from whitebox_tools_ray.stages.stretch import histogram_equalization

@@ -14,7 +14,6 @@ from whitebox_tools_ray.stages.ordering import zip_with_order_index
 from whitebox_tools_ray.stages.spatial_join import (
     clip_kernel,
     clip_points,
-    clip_points_shuffle,
     extract_values_at_points,
     prepare_clip_parts,
 )
@@ -90,12 +89,6 @@ class TestClipPoints:
         all_ids = set(points.column("record_id").to_pylist())
         assert set(kept["record_id"]) | set(erased["record_id"]) == all_ids
         assert set(kept["record_id"]) & set(erased["record_id"]) == set()
-
-    def test_shuffle_path_matches_broadcast(self, layers):
-        polys, points = layers
-        a = clip_points(rd.from_arrow(points), polys, renumber_fid=False).to_pandas()
-        b = clip_points_shuffle(rd.from_arrow(points), polys).to_pandas()
-        assert sorted(a["record_id"]) == sorted(b["record_id"])
 
     def test_boundary_points_follow_reference(self, layers):
         polys, _ = layers
@@ -236,31 +229,3 @@ class TestExtractValues:
         expect[ok] = scene[row[ok], col[ok]]
         assert got["record_id"].tolist() == list(range(1, n + 1))
         np.testing.assert_allclose(got["VALUE1"].to_numpy(), expect, rtol=0, atol=0)
-
-    def test_shuffle_variant_matches_broadcast(self, ray_session):
-        from whitebox_tools_ray.stages.spatial_join import extract_values_at_points_shuffle
-
-        spec = tsrc.SceneSpec(tiles_x=3, tiles_y=3, tile_px=16)
-        table = tsrc.generate_tiles(spec, fmt_cycle=("f32",))
-        gs = spec.grid_spec()
-        rng = np.random.RandomState(2)
-        n = 500
-        px = gs.west + rng.uniform(-0.1, 1.1, n) * (gs.east - gs.west)
-        py = gs.south + rng.uniform(-0.1, 1.1, n) * (gs.north - gs.south)
-        pts = pa.table(
-            {
-                "record_id": pa.array(np.arange(1, n + 1, dtype=np.int32)),
-                "x": pa.array(px),
-                "y": pa.array(py),
-            }
-        )
-        broadcast = (
-            extract_values_at_points(rd.from_arrow(table), pts, spec)
-            .to_pandas().sort_values("record_id").reset_index(drop=True)
-        )
-        shuffled = (
-            extract_values_at_points_shuffle(rd.from_arrow(table), rd.from_arrow(pts), spec)
-            .to_pandas().sort_values("record_id").reset_index(drop=True)
-        )
-        assert broadcast["record_id"].tolist() == shuffled["record_id"].tolist()
-        np.testing.assert_allclose(shuffled["VALUE1"].to_numpy(), broadcast["VALUE1"].to_numpy())

@@ -1,6 +1,6 @@
-"""Stream-network link extraction + orders on a hand-built D8 pattern.
-
-Pure-NumPy (no Ray session needed): the stage consumes dict-of-tiles."""
+"""Stream-network, distance, cost, fill and basin stages against
+whole-grid oracles: hand-built D8 patterns and link DAGs for the
+driver-side link walks, small tiled scenes for the Dataset forms."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ import pytest
 from whitebox_tools_ray.kernels import codecs
 from whitebox_tools_ray.sources.tiles import SceneSpec
 from whitebox_tools_ray.stages.streams import (
-    extract_streams_small,
     shreve_magnitude,
     stream_links_small,
     strahler_order,
@@ -74,19 +73,23 @@ class TestStreamLinks:
         assert mag[trunk["link_id"]] == 2
         assert all(mag[h["link_id"]] == 1 for h in heads)
 
-    def test_extract_streams_threshold(self):
-        # extract_streams_small.rs:254: STRICTLY above threshold; background is
+    def test_extract_streams_threshold(self, ray_session):
+        # extract_streams.rs:254: STRICTLY above threshold; background is
         # NODATA by default, 0 only under --zero_background
-        spec = SceneSpec(tiles_x=1, tiles_y=1, tile_px=4)
-        accum = {0: np.array([[1.0, 10.0], [50.0, spec.nodata]])}
-        out = extract_streams_small(accum, threshold=10.0, nodata=spec.nodata)
-        assert out[0][1, 0] == 1.0
-        assert out[0][0, 1] == spec.nodata  # == threshold -> NOT a stream
-        assert out[0][0, 0] == spec.nodata  # default background = nodata
-        assert out[0][1, 1] == spec.nodata
-        outz = extract_streams_small(accum, threshold=10.0, nodata=spec.nodata,
-                               zero_background=True)
-        assert outz[0][0, 0] == 0.0
+        from whitebox_tools_ray.stages.streams import extract_streams_ds
+
+        spec = SceneSpec(tiles_x=1, tiles_y=1, tile_px=2)
+        accum = np.array([[1.0, 10.0], [50.0, spec.nodata]])
+        out = _assemble_full(extract_streams_ds(_tiles_ds_from_full(accum, spec), spec, threshold=10.0), spec)
+        assert out[1, 0] == 1.0
+        assert out[0, 1] == spec.nodata  # == threshold -> NOT a stream
+        assert out[0, 0] == spec.nodata  # default background = nodata
+        assert out[1, 1] == spec.nodata
+        outz = _assemble_full(
+            extract_streams_ds(_tiles_ds_from_full(accum, spec), spec, threshold=10.0, zero_background=True),
+            spec,
+        )
+        np.testing.assert_array_equal(outz, [[0.0, 0.0], [1.0, spec.nodata]])
 
 
 class TestEuclideanDistance:
@@ -113,24 +116,6 @@ class TestEuclideanDistance:
         assert out[0, 0] == nod
         assert out[2, 2] == 0.0
         assert out[2, 4] == 2.0
-
-    def test_tiled_equals_whole(self):
-        from whitebox_tools_ray.stages.distance import euclidean_distance, euclidean_distance_tiled
-
-        spec = SceneSpec(tiles_x=2, tiles_y=2, tile_px=8)
-        rng = np.random.RandomState(2)
-        full = (rng.uniform(0, 1, (16, 16)) < 0.05).astype(float)
-        full[3, 12] = 1.0
-        tiles = {}
-        for tid in range(4):
-            r0, c0 = (tid // 2) * 8, (tid % 2) * 8
-            tiles[tid] = full[r0 : r0 + 8, c0 : c0 + 8]
-        out = euclidean_distance_tiled(tiles, spec)
-        whole = euclidean_distance(full, spec.nodata, spec.res)
-        for tid, g in out.items():
-            r0, c0 = (tid // 2) * 8, (tid % 2) * 8
-            np.testing.assert_allclose(g, whole[r0 : r0 + 8, c0 : c0 + 8])
-
 
 class TestBasins:
     def test_basins_and_watershed(self):
@@ -179,23 +164,13 @@ class TestFillDepressions:
         # cells on the drainage channel unchanged
         assert out[2, 3] == 8.0 and out[0, 3] == 8.0
 
-    def test_tiled_matches_global(self):
-        from whitebox_tools_ray.stages.fill import fill_depressions_tiled, priority_flood
-
+    def test_tiled_matches_global(self, ray_session):
         spec = SceneSpec(tiles_x=3, tiles_y=3, tile_px=8)
         rng = np.random.RandomState(11)
         for _ in range(3):
             full = rng.uniform(0, 100, (24, 24))
             full[5:15, 5:15] -= 60  # cross-tile depression
-            whole = priority_flood(full, spec.nodata)
-            tiles = {
-                tid: full[(tid // 3) * 8 : (tid // 3) * 8 + 8, (tid % 3) * 8 : (tid % 3) * 8 + 8]
-                for tid in range(9)
-            }
-            got = fill_depressions_tiled(tiles, spec)
-            for tid, g in got.items():
-                r0, c0 = (tid // 3) * 8, (tid % 3) * 8
-                np.testing.assert_allclose(g, whole[r0 : r0 + 8, c0 : c0 + 8])
+            _check_fill_ds(full, spec)
 
     def test_nodata_drains(self):
         from whitebox_tools_ray.stages.fill import priority_flood
@@ -210,22 +185,21 @@ class TestFillDepressions:
 
 
 class TestCostDistance:
-    def test_tiled_matches_global(self):
-        from whitebox_tools_ray.stages.cost import cost_distance, cost_distance_tiled
+    def test_tiled_matches_global(self, ray_session):
+        from whitebox_tools_ray.stages.cost import cost_distance, cost_distance_ds
 
         spec = SceneSpec(tiles_x=3, tiles_y=3, tile_px=8)
         rng = np.random.RandomState(5)
-        cost = rng.uniform(0.5, 5.0, (24, 24))
-        src = np.zeros((24, 24), dtype=np.int64)
-        src[2, 2] = 1
-        src[20, 21] = 2
-        whole, _bl, _al = cost_distance(cost, src, spec.nodata, spec.res)
-        ct = {tid: cost[(tid // 3) * 8 : (tid // 3) * 8 + 8, (tid % 3) * 8 : (tid % 3) * 8 + 8] for tid in range(9)}
-        st = {tid: src[(tid // 3) * 8 : (tid // 3) * 8 + 8, (tid % 3) * 8 : (tid % 3) * 8 + 8] for tid in range(9)}
-        got = cost_distance_tiled(ct, st, spec)
-        for tid, g in got.items():
-            r0, c0 = (tid // 3) * 8, (tid % 3) * 8
-            np.testing.assert_allclose(g, whole[r0 : r0 + 8, c0 : c0 + 8])
+        # the cost tiles travel as f32
+        cost = np.float32(rng.uniform(0.5, 5.0, (24, 24))).astype(np.float64)
+        src = np.zeros((24, 24))
+        src[2, 2] = 1.0
+        src[20, 21] = 2.0
+        whole, _bl, _al = cost_distance(cost, src.astype(np.int64), spec.nodata, spec.res)
+        got = _assemble_full(
+            cost_distance_ds(_tiles_ds_from_full(cost, spec),
+                             _tiles_ds_from_full(src, spec), spec, num_workers=2), spec)
+        np.testing.assert_allclose(got.astype(np.float32), whole.astype(np.float32), rtol=1e-5)
 
     def test_allocation_and_pathway(self):
         from whitebox_tools_ray.stages.cost import cost_distance, cost_pathway
@@ -245,11 +219,7 @@ class TestCostDistance:
 
 class TestDownslopeOps:
     def test_distance_and_elevation_to_stream(self):
-        from whitebox_tools_ray.stages.basins import (
-            downslope_distance_to_stream,
-            elevation_above_stream,
-            snap_pour_points,
-        )
+        from whitebox_tools_ray.stages.basins import downslope_distance_to_stream
 
         spec, ptr, stream = build_y_network()
         pointer_tiles = {0: codecs.encode_tile(ptr.astype(np.float64), "i8")}
@@ -264,101 +234,35 @@ class TestDownslopeOps:
         # a cell with dir -1 off-stream never reaches → nodata
         assert out[0, 0] == spec.nodata
 
-        dem = np.arange(64, dtype=np.float64).reshape(8, 8)
-        el = elevation_above_stream(pointer_tiles, {0: trunk}, {0: dem}, spec)[0]
-        assert el[3, 3] == 0.0
-        assert el[2, 2] == dem[2, 2] - dem[3, 3]
-
-        gs = spec.grid_spec()
-        # accum peak at (5,3): snapping a point near (5,1) within 3 cells
-        accum = np.zeros((8, 8))
-        accum[5, 3] = 99.0
-        pts = snap_pour_points(
-            [(float(gs.x_from_col(1)), float(gs.y_from_row(5)), 7)], {0: accum}, spec, 3 * gs.res_x
-        )
-        assert pts[0][0] == float(gs.x_from_col(3))
-        assert pts[0][2] == 7
-
 
 class TestFillTiledNodataHole:
-    def test_tiled_matches_global_with_interior_nodata(self):
+    def test_tiled_matches_global_with_interior_nodata(self, ray_session):
         """ADVICE r1: depressions beside interior nodata holes must drain
         in the tiled path exactly as in the whole-grid priority flood."""
-        from whitebox_tools_ray.stages.fill import fill_depressions_tiled, priority_flood
-
         spec = SceneSpec(tiles_x=3, tiles_y=3, tile_px=8)
         rng = np.random.RandomState(7)
         full = rng.uniform(50, 100, (24, 24))
         full[4:20, 4:20] -= 40  # big cross-tile depression
         full[10:13, 10:13] = spec.nodata  # interior hole inside the depression
         full[2, 2] = spec.nodata  # lone hole near a corner tile edge
-        whole = priority_flood(full, spec.nodata)
-        tiles = {
-            tid: full[(tid // 3) * 8 : (tid // 3) * 8 + 8, (tid % 3) * 8 : (tid % 3) * 8 + 8]
-            for tid in range(9)
-        }
-        got = fill_depressions_tiled(tiles, spec)
-        for tid, g in got.items():
-            r0, c0 = (tid // 3) * 8, (tid % 3) * 8
-            np.testing.assert_allclose(g, whole[r0 : r0 + 8, c0 : c0 + 8])
+        _check_fill_ds(full, spec)
 
-    def test_hole_straddling_tile_border(self):
-        from whitebox_tools_ray.stages.fill import fill_depressions_tiled, priority_flood
-
+    def test_hole_straddling_tile_border(self, ray_session):
         spec = SceneSpec(tiles_x=2, tiles_y=2, tile_px=8)
         full = np.full((16, 16), 90.0)
         full[4:12, 4:12] = 30.0  # depression across all four tiles
         full[7:9, 7:9] = spec.nodata  # hole exactly on the 4-tile corner
-        whole = priority_flood(full, spec.nodata)
-        tiles = {
-            tid: full[(tid // 2) * 8 : (tid // 2) * 8 + 8, (tid % 2) * 8 : (tid % 2) * 8 + 8]
-            for tid in range(4)
-        }
-        got = fill_depressions_tiled(tiles, spec)
-        for tid, g in got.items():
-            r0, c0 = (tid // 2) * 8, (tid % 2) * 8
-            np.testing.assert_allclose(g, whole[r0 : r0 + 8, c0 : c0 + 8])
+        _check_fill_ds(full, spec)
 
 
 class TestFillDatasetNative:
-    def _tiles_table(self, full, spec):
-        import pyarrow as pa
-        from whitebox_tools_ray.kernels import codecs
-        rows = {"tile_row": [], "tile_col": [], "bytes": [], "fmt": []}
-        t = spec.tile_px
-        for tr in range(spec.tiles_y):
-            for tc in range(spec.tiles_x):
-                rows["tile_row"].append(tr)
-                rows["tile_col"].append(tc)
-                rows["bytes"].append(codecs.encode_tile(full[tr*t:(tr+1)*t, tc*t:(tc+1)*t], "f32"))
-                rows["fmt"].append("f32")
-        return pa.table({"tile_row": pa.array(rows["tile_row"], pa.int32()),
-                         "tile_col": pa.array(rows["tile_col"], pa.int32()),
-                         "bytes": pa.array(rows["bytes"], pa.binary()),
-                         "fmt": pa.array(rows["fmt"], pa.string())})
-
     def test_ds_fill_matches_global(self, ray_session):
-        import ray.data as rd
-        import tempfile
-        from whitebox_tools_ray.stages.fill import fill_depressions_ds, priority_flood
-        from whitebox_tools_ray.kernels import codecs
-
         spec = SceneSpec(tiles_x=3, tiles_y=3, tile_px=8)
         rng = np.random.RandomState(23)
-        full = np.float32(rng.uniform(0, 100, (24, 24))).astype(np.float64)
+        full = rng.uniform(0, 100, (24, 24))
         full[5:15, 5:15] -= 60.0
         full[11, 11] = spec.nodata  # interior hole
-        whole = priority_flood(full, spec.nodata)
-        ds = rd.from_arrow(self._tiles_table(full, spec))
-        out = fill_depressions_ds(ds, spec, num_workers=3,
-                                  out_dir=tempfile.mkdtemp(prefix="fds_", dir="/tmp"))
-        got = np.full((24, 24), np.nan)
-        for _, row in out.to_pandas().iterrows():
-            g = codecs.decode_tile(bytes(row["bytes"]), row["fmt"])
-            r0, c0 = int(row["tile_row"]) * 8, int(row["tile_col"]) * 8
-            got[r0:r0+8, c0:c0+8] = g
-        valid = full != spec.nodata
-        np.testing.assert_allclose(got[valid], whole[valid], rtol=1e-6)
+        _check_fill_ds(full, spec)
 
 
 class TestTerminalResolutionDatasetNative:
@@ -479,6 +383,20 @@ def _tiles_ds_from_full(full, spec, fmt="f32"):
         "tile_col": pa.array(cols["tile_col"], pa.int32()),
         "bytes": pa.array(cols["bytes"], pa.binary()),
         "fmt": pa.array(cols["fmt"], pa.string())}))
+
+
+def _check_fill_ds(full, spec):
+    """fill_depressions_ds over ``full`` cut into tiles equals the
+    whole-grid priority flood, nodata cells included."""
+    import tempfile
+
+    from whitebox_tools_ray.stages.fill import fill_depressions_ds, priority_flood
+
+    full = np.float32(full).astype(np.float64)  # the tiles travel as f32
+    whole = priority_flood(full, spec.nodata)
+    out = fill_depressions_ds(_tiles_ds_from_full(full, spec), spec, num_workers=3,
+                              out_dir=tempfile.mkdtemp(prefix="fds_", dir="/tmp"))
+    np.testing.assert_array_equal(_assemble_full(out, spec), whole)
 
 
 def _assemble_full(out_ds, spec):
@@ -632,17 +550,11 @@ class TestStreamNetworkRemainder:
         assert trib[2] not in (trib[5], trib[3])
 
     def test_remove_short_and_rasterize(self):
-        from whitebox_tools_ray.stages.streams import (
-            rasterize_link_attr,
-            remove_short_streams,
-        )
+        from whitebox_tools_ray.stages.streams import remove_short_streams
 
         links = self._links()
         kept = {lk["link_id"] for lk in remove_short_streams(links, 8.0)}
         assert kept == {1, 3, 4, 5}  # head link 2 (len 4) dropped
-        grid = np.array([[1, 2], [0, 3]], dtype=np.float64)
-        out = rasterize_link_attr(grid, {1: 10.0, 2: 20.0, 3: 30.0}, -1.0)
-        np.testing.assert_array_equal(out, [[10.0, 20.0], [-1.0, 30.0]])
 
     def test_distance_to_outlet_and_farthest_head(self, ray_session):
         from whitebox_tools_ray.stages.streams import (
@@ -704,16 +616,6 @@ class TestStreamNetworkRemainder:
         f_grid = farthest_channel_head_small(stiles, ptiles, spec)
         f_ds = assemble(farthest_channel_head_ds(streams, ptr, spec, num_workers=2))
         np.testing.assert_allclose(f_ds, f_grid, rtol=1e-9, atol=1e-6)
-
-    def test_raster_streams_to_vector(self, ray_session):
-        from whitebox_tools_ray.stages.streams import raster_streams_to_vector
-
-        spec = SceneSpec(tiles_x=1, tiles_y=1, tile_px=4)
-        links = [{"link_id": 1, "cells": [(1, 0), (1, 1)], "length": spec.res, "ds_link": -1}]
-        recs = raster_streams_to_vector(np.zeros((4, 4)), links, spec)
-        assert len(recs) == 1 and recs[0]["record_id"] == 1
-        assert len(recs[0]["xs"]) == 2
-
 
 class TestBreachDepressions:
     def test_breach_properties(self):

@@ -271,10 +271,6 @@ def _cycle_polygon(he: _HalfEdges, cyc: np.ndarray) -> np.ndarray:
     return he.tail[cyc]
 
 
-def _cycle_area(he: _HalfEdges, cyc: np.ndarray) -> float:
-    return ring_signed_area(he.tail[cyc])
-
-
 def _remove_spikes(ring: np.ndarray, quantum: float) -> np.ndarray:
     """Drop immediate backtracks (u→v→u) produced by dangling edges."""
     changed = True

@@ -7,8 +7,6 @@ arithmetic order, same sign conventions, float64 throughout, no fused ops:
   /root/reference/src/algorithms/poly_ops.rs:22-72 (odd winding rule;
   boundary points count as OUTSIDE, poly_ops.rs:27).
 - ``polygon_area``: poly_area.rs:12 (abs shoelace / 2, open or closed ring).
-- ``signed_area2``: the raw shoelace sum (2*signed area) used by the
-  is_hole concave branch, geometry.rs:388-405.
 - ``polygon_perimeter``: poly_perimeter.rs:12.
 - ``is_hole``: geometry.rs:305-412 — Bourke's convex/concave method with
   the reference's exact part end-point formula (including the
@@ -83,7 +81,6 @@ __all__ = [
     "point_in_poly",
     "points_in_poly",
     "polygon_area",
-    "signed_area2",
     "polygon_perimeter",
     "is_hole_ring",
     "is_clockwise_order",
@@ -291,15 +288,6 @@ def polygon_area(xs, ys) -> float:
     a = float(np.sum(xs[:-1] * ys[1:] - xs[1:] * ys[:-1]))
     a += float(xs[-1] * ys[0] - xs[0] * ys[-1])
     return abs(a) / 2.0
-
-
-def signed_area2(xs, ys) -> float:
-    """Raw shoelace sum (= 2 * signed area); positive = counter-clockwise."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    a = float(np.sum(xs[:-1] * ys[1:] - xs[1:] * ys[:-1]))
-    a += float(xs[-1] * ys[0] - xs[0] * ys[-1])
-    return a
 
 
 def polygon_perimeter(xs, ys) -> float:

@@ -1,4 +1,4 @@
-"""Deterministic synthetic tile-table generator + writer.
+"""Deterministic synthetic tile-table generator.
 
 Produces the input table of BASELINE.json ``input_hint`` shape:
 
@@ -16,8 +16,9 @@ grid (seed-fixed), so every tile of a scene is a window into ONE
 consistent raster. That makes whole-raster reference semantics (focal
 ops, flow accumulation, clip-raster) reproducible tile-by-tile.
 
-Storage: Parquet via pyarrow; ``write_tiles`` writes Lance instead when
-the ``lance`` package imports (identical schema).
+Storage: this module only builds in-memory Arrow tables; callers write
+them as Parquet (``pipelines/flagship.synthesize_tiles_parallel``
+writes the tiling stage's ``band=K/`` input).
 
 Grid frame mirrors the reference fixture DEM (testdata/DEM.dep:3-6):
 origin (664737.05, 4895782.59), res 90.0, nodata -32768.
@@ -25,22 +26,13 @@ origin (664737.05, 4895782.59), res 90.0, nodata -32768.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..kernels import codecs, phash
 from ..kernels.grid import DEFAULT_NODATA, DEFAULT_RES, DEFAULT_WEST, DEFAULT_NORTH, GridSpec
-
-try:  # pragma: no cover - not present in this container
-    import lance  # noqa: F401
-
-    HAVE_LANCE = True
-except ImportError:
-    HAVE_LANCE = False
 
 TILE_SCHEMA = pa.schema(
     [
@@ -171,18 +163,6 @@ def generate_tiles(spec: SceneSpec, fmt_cycle: tuple[str, ...] = ("png", "f32", 
             idx += 1
     rows = [pa.array(cols[n], type=TILE_SCHEMA.field(n).type) for n in TILE_SCHEMA.names]
     return pa.Table.from_arrays(rows, schema=TILE_SCHEMA)
-
-
-def write_tiles(table: pa.Table, path: str) -> str:
-    """Write a tile table; Lance when available, else Parquet (same schema)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if HAVE_LANCE:  # pragma: no cover
-        import lance
-
-        lance.write_dataset(table, path)
-    else:
-        pq.write_table(table, path)
-    return path
 
 
 def assemble_scene(table: pa.Table, spec: SceneSpec) -> np.ndarray:

@@ -14,9 +14,10 @@ cell indexes its terminal directly; labels are a single gather.
 Distribution note: pointer doubling is exactly the BSP-friendly form —
 each doubling round is a gather that crosses tiles only through the
 boundary cells' ``next`` entries, so the tiled version exchanges
-per-tile (cell → next) tables for log(path) rounds. Here (single node)
-the doubling runs on the assembled pointer grid; the flow-accumulation
-actor machinery (stages/flow.py) is the template for the sharded form.
+per-tile (cell → next) tables for log(path) rounds. The whole-grid
+functions at the top run the doubling on the assembled pointer grid and
+serve as the tests' oracles; the registered ``*_ds`` forms below shard
+it (``TermShardDS``).
 """
 
 from __future__ import annotations
@@ -168,56 +169,6 @@ def downslope_distance_to_stream(pointer_tiles: dict[int, bytes], stream_tiles: 
                  (tid % spec.tiles_x) * tpx : (tid % spec.tiles_x) * tpx + tpx]
         for tid in pointer_tiles
     }
-
-
-def elevation_above_stream(pointer_tiles: dict[int, bytes], stream_tiles: dict[int, np.ndarray],
-                           dem_tiles: dict[int, np.ndarray], spec):
-    """ElevationAboveStream (hydro_analysis/elevation_above_stream.rs):
-    z(cell) − z(first stream cell downstream)."""
-    ptr = _pointer_mosaic(pointer_tiles, spec)
-    rows, cols = ptr.shape
-    tpx = spec.tile_px
-    stream = np.zeros((rows, cols), dtype=bool)
-    dem = np.full((rows, cols), spec.nodata)
-    for tid in pointer_tiles:
-        r0 = (tid // spec.tiles_x) * tpx
-        c0 = (tid % spec.tiles_x) * tpx
-        stream[r0 : r0 + tpx, c0 : c0 + tpx] = stream_tiles[tid] == 1.0
-        dem[r0 : r0 + tpx, c0 : c0 + tpx] = dem_tiles[tid]
-    _dist, reached, term = _doubling_to_targets(ptr, stream, np.zeros((rows, cols)))
-    zs = dem.ravel()[term.ravel()].reshape(rows, cols)
-    out = np.where(reached & (dem != spec.nodata), dem - zs, spec.nodata)
-    out[stream] = 0.0
-    out[ptr == -2] = spec.nodata
-    return {
-        tid: out[(tid // spec.tiles_x) * tpx : (tid // spec.tiles_x) * tpx + tpx,
-                 (tid % spec.tiles_x) * tpx : (tid % spec.tiles_x) * tpx + tpx]
-        for tid in pointer_tiles
-    }
-
-
-def snap_pour_points(points: list[tuple[float, float, int]], accum_tiles: dict[int, np.ndarray], spec,
-                     snap_dist: float):
-    """SnapPourPoints (hydro_analysis/snap_pour_points.rs): move each
-    pour point to the max-accumulation cell within ``snap_dist``."""
-    gs = spec.grid_spec()
-    tpx = spec.tile_px
-    accum = np.full((spec.rows, spec.columns), spec.nodata)
-    for tid, g in accum_tiles.items():
-        r0 = (tid // spec.tiles_x) * tpx
-        c0 = (tid % spec.tiles_x) * tpx
-        accum[r0 : r0 + tpx, c0 : c0 + tpx] = g
-    rad = int(np.floor(snap_dist / gs.res_x))
-    out = []
-    for x, y, pid in points:
-        r = int(gs.row_from_y(np.float64(y)))
-        c = int(gs.col_from_x(np.float64(x)))
-        r0, r1 = max(0, r - rad), min(spec.rows, r + rad + 1)
-        c0, c1 = max(0, c - rad), min(spec.columns, c + rad + 1)
-        win = accum[r0:r1, c0:c1]
-        br, bc = np.unravel_index(np.argmax(np.where(win == spec.nodata, -np.inf, win)), win.shape)
-        out.append((float(gs.x_from_col(c0 + bc)), float(gs.y_from_row(r0 + br)), pid))
-    return out
 
 
 # ---------------------------------------------------------------------------

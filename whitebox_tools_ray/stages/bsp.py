@@ -173,10 +173,6 @@ class ShardBase:
         return None
 
 
-def decode_row(batch: pa.Table, i: int) -> np.ndarray:
-    return codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-
-
 def _combine_store(spec, names: list[str], layers: dict, n_stores: int):
     """Shuffle-free zip: the FIRST layer's blocks stream through in
     place; every other layer pushes (tkey, layer_idx, bytes, fmt) once

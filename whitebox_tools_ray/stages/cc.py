@@ -80,120 +80,6 @@ def _local_labels(grid: np.ndarray, nodata: float, diag: bool, zero_background: 
     return remap[labels]
 
 
-def clump_small(tiles_ds, spec, diag: bool = True, zero_background: bool = False):
-    """SMALL-SCENE Clump parity reference. Returns (labels_by_tile dict,
-    n_components). Pulls every tile's pixel AND label payload to the
-    driver — use the registered Dataset form ``clump_ds`` for anything
-    beyond test scenes (guarded below).
-
-    Tile-local labels are offset by ``tid * tile_px**2`` (an upper bound
-    on per-tile label count) before the boundary merge.
-    """
-    tpx = spec.tile_px
-    nodata = spec.nodata
-
-    def local_pass(batch: pa.Table) -> pa.Table:
-        tids, blobs, lab_blobs, edges = [], [], [], []
-        trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-        tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-        for i in range(batch.num_rows):
-            grid = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tid = int(trows[i]) * spec.tiles_x + int(tcols[i])
-            lab = _local_labels(grid, nodata, diag, zero_background)
-            lab = np.where(lab > 0, lab + tid * (tpx * tpx), 0)
-            tids.append(tid)
-            blobs.append(codecs.encode_tile(grid, "f32"))
-            lab_blobs.append(codecs.encode_tile(lab.astype(np.float64), "f32"))
-        return pa.table(
-            {
-                "tile_id": pa.array(tids, pa.int64()),
-                "bytes": pa.array(blobs, pa.binary()),
-                "labels": pa.array(lab_blobs, pa.binary()),
-            }
-        )
-
-    if spec.rows * spec.columns > 64_000_000:
-        raise ValueError(
-            "clump_small materializes the whole scene driver-side; use the "
-            "registered Dataset form clump_ds for large scenes"
-        )
-    local = tiles_ds.map_batches(local_pass, batch_format="pyarrow", batch_size=8).to_pandas()
-
-    # boundary merge (driver-side union-find over edge equivalences; the
-    # edge set is O(perimeter), tiny relative to the raster)
-    grids = {int(r["tile_id"]): codecs.decode_tile(bytes(r["bytes"]), "f32") for _, r in local.iterrows()}
-    labels = {int(r["tile_id"]): codecs.decode_tile(bytes(r["labels"]), "f32").astype(np.int64) for _, r in local.iterrows()}
-
-    parent: dict[int, int] = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    def merge_edge(g_a, l_a, g_b, l_b, offs):
-        """same-value touching cells across an edge (with offsets for
-        diagonal connectivity)."""
-        for off in offs:
-            n = len(g_a)
-            ia = np.arange(n)
-            ib = ia + off
-            ok = (ib >= 0) & (ib < len(g_b))
-            ia, ib = ia[ok], ib[ok]
-            m = (g_a[ia] == g_b[ib]) & (l_a[ia] > 0) & (l_b[ib] > 0)
-            for a, b in zip(l_a[ia][m], l_b[ib][m]):
-                union(int(a), int(b))
-
-    offs = [0, -1, 1] if diag else [0]
-    for tid in grids:
-        tr, tc = tid // spec.tiles_x, tid % spec.tiles_x
-        right = tid + 1 if tc + 1 < spec.tiles_x else None
-        down = tid + spec.tiles_x if tr + 1 < spec.tiles_y else None
-        if right is not None:
-            merge_edge(grids[tid][:, -1], labels[tid][:, -1], grids[right][:, 0], labels[right][:, 0], offs)
-        if down is not None:
-            merge_edge(grids[tid][-1, :], labels[tid][-1, :], grids[down][0, :], labels[down][0, :], offs)
-        if diag and right is not None and down is not None:
-            dr = tid + spec.tiles_x + 1
-            if grids[tid][-1, -1] == grids[dr][0, 0] and labels[tid][-1, -1] > 0 and labels[dr][0, 0] > 0:
-                union(int(labels[tid][-1, -1]), int(labels[dr][0, 0]))
-        if diag and down is not None and tc > 0:
-            dl = tid + spec.tiles_x - 1
-            if grids[tid][-1, 0] == grids[dl][0, -1] and labels[tid][-1, 0] > 0 and labels[dl][0, -1] > 0:
-                union(int(labels[tid][-1, 0]), int(labels[dl][0, -1]))
-
-    # final numbering: 1..n by minimum global (row, col) of the component
-    # — the reference's discovery (row-major scan) order
-    first_pos: dict[int, int] = {}
-    for tid, lab in labels.items():
-        tr, tc = tid // spec.tiles_x, tid % spec.tiles_x
-        rr, cc = np.nonzero(lab > 0)
-        for r, c in zip(rr, cc):
-            root = find(int(lab[r, c]))
-            pos = (tr * tpx + r) * (spec.tiles_x * tpx) + tc * tpx + c
-            if root not in first_pos or pos < first_pos[root]:
-                first_pos[root] = pos
-    order = sorted(first_pos, key=lambda k: first_pos[k])
-    final = {root: i + 1 for i, root in enumerate(order)}
-    out = {}
-    for tid, lab in labels.items():
-        o = np.zeros_like(lab)
-        rr, cc = np.nonzero(lab > 0)
-        for r, c in zip(rr, cc):
-            o[r, c] = final[find(int(lab[r, c]))]
-        g = o.astype(np.float64)
-        g[labels[tid] == 0] = nodata
-        out[tid] = g
-    return out, len(final)
-
-
 # ---------------------------------------------------------------------------
 # Round-2 rework (VERDICT r1): vectorized local labels + Dataset-native
 # distributed merge — only O(perimeter) equivalence PAIRS ever reach the

@@ -94,89 +94,11 @@ def cost_pathway(backlink: np.ndarray, start: tuple[int, int]) -> list[tuple[int
     return path
 
 
-def cost_distance_tiled(
-    cost_tiles: dict[int, np.ndarray],
-    source_tiles: dict[int, np.ndarray],
-    spec,
-    max_rounds: int = 64,
-):
-    """Tiled accumulated cost via the from-above border iteration.
-
-    Returns tid → accum grid, equal to the global single-grid result."""
-    nodata = spec.nodata
-    res = spec.res
-    seed_costs = {tid: np.full(g.shape, np.inf) for tid, g in cost_tiles.items()}
-    est: dict[int, np.ndarray] = {}
-    for _round in range(max_rounds):
-        est = {}
-        for tid, cg in cost_tiles.items():
-            # +inf entries in seed_costs mean "no seed here" (isfinite gate
-            # inside cost_distance)
-            a, _bl, _al = cost_distance(
-                cg,
-                source_tiles[tid],
-                nodata,
-                res,
-                seed_costs=seed_costs[tid],
-                mark_unreached_inf=True,
-            )
-            est[tid] = a
-        changed = False
-        h = spec.tile_px
-        for tid, cg in cost_tiles.items():
-            tr, tc = tid // spec.tiles_x, tid % spec.tiles_x
-            diag = float(np.sqrt(2.0)) * res
-            # candidate entry cost for each border cell from each external
-            # neighbor cell: A_nb + (cost_nb + cost_here)/2 * d
-            new_sc = seed_costs[tid]
-            # per-cell loop over border cells (perimeter only)
-            for r, c in _border_cells(h, h):
-                best = np.inf
-                for i in range(8):
-                    nr, nc = r + int(DY8[i]), c + int(DX8[i])
-                    if 0 <= nr < h and 0 <= nc < h:
-                        continue  # internal neighbor
-                    gr = tr * h + nr
-                    gc = tc * h + nc
-                    n_tr, n_tc = gr // h, gc // h
-                    if not (0 <= n_tr < spec.tiles_y and 0 <= n_tc < spec.tiles_x):
-                        continue
-                    nb_tid = n_tr * spec.tiles_x + n_tc
-                    lr, lc = gr % h, gc % h
-                    a_nb = est[nb_tid][lr, lc]
-                    if not np.isfinite(a_nb):
-                        continue
-                    step = diag if (DY8[i] != 0 and DX8[i] != 0) else res
-                    cand = a_nb + (cost_tiles[nb_tid][lr, lc] + cg[r, c]) / 2.0 * step
-                    best = min(best, cand)
-                if best < new_sc[r, c] - 1e-9:
-                    new_sc[r, c] = best
-                    changed = True
-        if not changed:
-            break
-    out = {}
-    for tid, a in est.items():
-        a = a.copy()
-        a[~np.isfinite(a)] = nodata
-        a[cost_tiles[tid] == nodata] = nodata
-        out[tid] = a
-    return out
-
-
-def _border_cells(h: int, w: int):
-    for c in range(w):
-        yield 0, c
-        yield h - 1, c
-    for r in range(1, h - 1):
-        yield r, 0
-        yield r, w - 1
-
-
 # ---------------------------------------------------------------------------
 # Dataset-native path: (cost, sources) tile Datasets → shard actors → BSP
 # with 1-cell border frames carrying (accumulated-cost, cost) strips →
-# accumulated-cost tiles Dataset. Vectorized seed update (8 shifted ring
-# views) replaces the per-border-cell loop.
+# accumulated-cost tiles Dataset. The seed update is vectorized (8
+# shifted ring views).
 # ---------------------------------------------------------------------------
 
 

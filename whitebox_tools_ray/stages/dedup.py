@@ -66,17 +66,6 @@ def shingle_hashes_from_tokens(token_hashes: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def minhash_signature(shingle_hashes: np.ndarray, perms_a: np.ndarray, perms_b: np.ndarray) -> np.ndarray:
-    """num_perms minima of the multiply-shift family a*h+b (mod 2^64),
-    computed as ONE (perms × shingles) uint64 broadcast — no Python loop,
-    no object dtype."""
-    if len(shingle_hashes) == 0:
-        return np.full(len(perms_a), np.iinfo(np.uint64).max, dtype=np.uint64)
-    hs = shingle_hashes.astype(np.uint64)
-    m = perms_a[:, None].astype(np.uint64) * hs[None, :] + perms_b[:, None].astype(np.uint64)
-    return m.min(axis=1)
-
-
 def make_perms(num_perms: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.RandomState(seed)
     a = rng.randint(1, _MERSENNE, size=num_perms, dtype=np.int64).astype(np.uint64) | np.uint64(1)

@@ -10,11 +10,10 @@ corridors), the engine is exact; golden comparisons use brute-force
 nearest-target distance as the oracle.
 
 Tiled execution: the transform is separable, so a tile-row band needs
-only the column-pass results of its own columns — the engine runs the
-column pass per tile-column strip, exchanges the 1-D results, then the
-row pass per tile-row strip (two shuffles). ``euclidean_distance`` below
-is the per-strip kernel; ``euclidean_distance_tiled`` composes it over a
-dict-of-tiles scene.
+only the column-pass results of its own columns — ``euclidean_distance_ds``
+runs the column pass per tile-column strip, exchanges the 1-D results,
+then the row pass per tile-row strip (two shuffles). ``euclidean_distance``
+is the whole-grid form of the same two passes.
 """
 
 from __future__ import annotations
@@ -85,28 +84,6 @@ def euclidean_distance(grid: np.ndarray, nodata: float, res: float, target_nonze
     out = np.sqrt(d) * res
     out[grid == nodata] = nodata
     return out
-
-
-def euclidean_distance_tiled(tiles: dict[int, np.ndarray], spec, target_nonzero: bool = True):
-    """Scene-level exact EDT over a dict of tiles (tid → grid).
-
-    Separable composition: assemble per tile-COLUMN strips for the
-    column pass, exchange, per tile-ROW strips for the row pass. Single
-    machine here = assemble once; the strip decomposition is what the
-    distributed version shuffles.
-    """
-    tpx = spec.tile_px
-    full = np.full((spec.rows, spec.columns), spec.nodata)
-    for tid, g in tiles.items():
-        r0 = (tid // spec.tiles_x) * tpx
-        c0 = (tid % spec.tiles_x) * tpx
-        full[r0 : r0 + tpx, c0 : c0 + tpx] = g
-    out = euclidean_distance(full, spec.nodata, spec.res, target_nonzero)
-    return {
-        tid: out[(tid // spec.tiles_x) * tpx : (tid // spec.tiles_x) * tpx + tpx,
-                 (tid % spec.tiles_x) * tpx : (tid % spec.tiles_x) * tpx + tpx]
-        for tid in tiles
-    }
 
 
 def euclidean_distance_ds(tiles_ds, spec, target_nonzero: bool = True,

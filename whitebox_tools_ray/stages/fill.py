@@ -14,15 +14,17 @@ engine uses the hierarchical scheme (Barnes 2016-flavored, iterative
 Jacobi form):
 
 1. per tile: priority-flood with the tile border as seeds at CURRENT
-   seed levels (round 0: own elevations — assumes free drainage, an
-   UNDER-estimate of F);
+   seed levels (round 0: scene-INTERNAL tile borders are blocked, so
+   cells with no drainage yet sit at +inf — an OVER-estimate of F; true
+   scene edges and cells next to nodata seed at their own z);
 2. exchange: each border cell's seed level becomes
-   ``max(z, min of adjacent EXTERNAL cells' filled estimates)``
-   (scene-edge borders keep z — they truly drain);
-3. repeat until no seed level changes. Seed levels rise monotonically,
-   so the iteration converges to the global fixed point — per-tile fills
-   within a round are independent (the distributed map), only 1-cell
-   border frames cross tiles.
+   ``max(z, min of adjacent EXTERNAL cells' filled estimates)``, and
+   external nodata cells drain freely like the scene edge;
+3. repeat until no seed level changes. Levels only fall, and iterating
+   from above is the direction that reaches the MINIMAL fixed point of
+   F = max(z, min_n F(n)) — per-tile fills within a round are
+   independent (the distributed map), only 1-cell border frames cross
+   tiles.
 
 Validated against the single-grid kernel (exact equality) in tests.
 """
@@ -90,119 +92,11 @@ def priority_flood(
     return out
 
 
-def fill_depressions_tiled(tiles: dict[int, np.ndarray], spec, max_rounds: int = 64):
-    """Hierarchical fill over a dict of tiles (tid → grid); converges to
-    the exact global priority-flood surface.
-
-    Iteration runs FROM ABOVE (the only direction that converges to the
-    MINIMAL fixed point of F = max(z, min_n F(n))): round 0 treats every
-    scene-INTERNAL tile border as blocked (no drainage — unreached cells
-    sit at +inf); each round, a border cell's drainage candidate becomes
-    ``max(z, min over adjacent EXTERNAL cells' current estimates)``;
-    levels only DECREASE, so the per-tile floods converge to the global
-    surface in O(tile-diameter of the deepest cross-tile depression)
-    rounds. Per-round fills are independent (the distributed map)."""
-    nodata = spec.nodata
-    z = {tid: g.astype(np.float64) for tid, g in tiles.items()}
-
-    def initial_seeds(tid: int) -> np.ndarray:
-        """Round 0: TRUE scene-edge borders drain (at z), and so do cells
-        adjacent to nodata holes — the reference seeds next-to-nodata
-        cells too (fill_depressions.rs; matches priority_flood's default
-        seeding), else depressions beside interior holes never drain."""
-        g = z[tid]
-        h, w = g.shape
-        tr, tc = tid // spec.tiles_x, tid % spec.tiles_x
-        sl = np.full(g.shape, -np.inf)
-        if tr == 0:
-            sl[0, :] = g[0, :]
-        if tr == spec.tiles_y - 1:
-            sl[-1, :] = g[-1, :]
-        if tc == 0:
-            sl[:, 0] = g[:, 0]
-        if tc == spec.tiles_x - 1:
-            sl[:, -1] = g[:, -1]
-        nod = g == nodata
-        if nod.any():
-            pad = np.zeros((h + 2, w + 2), dtype=bool)
-            pad[1:-1, 1:-1] = nod
-            from numpy.lib.stride_tricks import sliding_window_view
-
-            near_nod = sliding_window_view(pad, (3, 3)).any(axis=(-2, -1)) & ~nod
-            sl = np.where(near_nod, np.maximum(sl, g), sl)
-        return sl
-
-    seed_levels = {tid: initial_seeds(tid) for tid in z}
-    est: dict[int, np.ndarray] = {}
-    for _round in range(max_rounds):
-        est = {
-            tid: priority_flood(z[tid], nodata, seed_levels[tid], mark_unreached_inf=True)
-            for tid in z
-        }
-        changed = False
-        for tid in z:
-            tr, tc = tid // spec.tiles_x, tid % spec.tiles_x
-            g = z[tid]
-            h, w = g.shape
-            # padded frame of neighbor ESTIMATES; +inf outside neighbors
-            # (blocked), -inf beyond the scene edge (free drainage)
-            pad = np.full((h + 2, w + 2), np.inf)
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    ntr, ntc = tr + dr, tc + dc
-                    if not (0 <= ntr < spec.tiles_y and 0 <= ntc < spec.tiles_x):
-                        continue  # stays +inf; true scene edges already seed at z
-                    nb = est[ntr * spec.tiles_x + ntc]
-                    if dr == 0:
-                        pad[1 : h + 1, 0 if dc == -1 else w + 1] = nb[:, -1] if dc == -1 else nb[:, 0]
-                    elif dc == 0:
-                        pad[0 if dr == -1 else h + 1, 1 : w + 1] = nb[-1, :] if dr == -1 else nb[0, :]
-                    else:
-                        pad[0 if dr == -1 else h + 1, 0 if dc == -1 else w + 1] = (
-                            nb[-1 if dr == -1 else 0, -1 if dc == -1 else 0]
-                        )
-            # external nodata cells drain freely — water exits the scene
-            # through a hole exactly like through the scene edge
-            pad[pad == nodata] = -np.inf
-            new_sl = seed_levels[tid]
-            for r, c in _border_cells(h, w):
-                ext = []
-                for i in range(8):
-                    pr, pc = r + 1 + int(DY8[i]), c + 1 + int(DX8[i])
-                    if pr < 1 or pr > h or pc < 1 or pc > w:
-                        ext.append(pad[pr, pc])
-                if not ext:
-                    continue
-                m = min(ext)
-                if not np.isfinite(m):
-                    continue  # still blocked through the outside
-                lvl = max(float(g[r, c]), float(m))
-                cur = new_sl[r, c]
-                if not np.isfinite(cur) or lvl < cur - 1e-12:
-                    new_sl[r, c] = lvl
-                    changed = True
-        if not changed:
-            break
-    return est
-
-
-def _border_cells(h: int, w: int):
-    for c in range(w):
-        yield 0, c
-        yield h - 1, c
-    for r in range(1, h - 1):
-        yield r, 0
-        yield r, w - 1
-
-
 # ---------------------------------------------------------------------------
 # Dataset-native path: DEM tiles Dataset → shard actors owning z tiles →
 # per-round local priority floods with 1-cell border-frame exchange →
-# filled tiles Dataset. Same monotone-from-above iteration as
-# fill_depressions_tiled, with the border seed update VECTORIZED
-# (min-pool of the external frame ring) instead of the per-cell loop.
+# filled tiles Dataset. The iteration of the module docstring; the border
+# seed update is a vectorized min-pool of the external frame ring.
 # ---------------------------------------------------------------------------
 
 

@@ -13,14 +13,14 @@ Reference (/root/reference/src/tools/hydro_analysis/d8_flow_accum.rs):
    accumulated values are exact integers, so distributed processing order
    cannot change the result.
 
-Engine phase 3 = BSP over tile-owning actors: each
-:class:`FlowShardWorker` owns a hash-shard of tiles and runs the
-reference's stack algorithm WITHIN its tiles; flow crossing a tile edge
-becomes a message (tile_id, local_row, local_col, amount, indegree_dec)
-routed by the driver to the owner shard next round. Rounds continue
-until no messages remain — the fixed point. Skewed accumulation cells
-(large drainage) cost messages, not memory: amounts aggregate per
-(cell) before routing (salted combine in the driver).
+Engine phase 3 = BSP over tile-owning actors (``bsp.run_bsp``): each
+:class:`FlowShardDS` owns a split of the tiles and runs the reference's
+stack algorithm WITHIN its tiles; flow crossing a tile edge becomes a
+message (tile_id, local_row, local_col, amount, indegree_dec) sent to
+the owner shard for the next round. Rounds continue until no messages
+remain — the fixed point. Skewed accumulation cells (large drainage)
+cost messages, not memory: a shard sums its outbound amounts per
+destination cell before sending.
 
 Engine-internal pointer encoding: dir 0..7 as the reference; -1 = pit or
 flat (no downstream); -2 = nodata cell (the reference keeps a separate
@@ -29,8 +29,6 @@ cheaper).
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
@@ -80,161 +78,6 @@ def _num_inflowing_kernel(pad: np.ndarray, nodata: float, spec) -> np.ndarray:
     return np.where(d != -2.0, count, np.int8(-1)).astype(np.float64)
 
 
-class FlowShardWorker:
-    """Ray actor owning a hash-shard of tiles' flow state."""
-
-    def __init__(self, spec_tile_px: int, tiles_x: int, tiles_y: int):
-        self.tpx = spec_tile_px
-        self.tiles_x = tiles_x
-        self.tiles_y = tiles_y
-        self.dirs: dict[int, np.ndarray] = {}
-        self.indeg: dict[int, np.ndarray] = {}
-        self.accum: dict[int, np.ndarray] = {}
-
-    def load(self, tiles: dict[int, tuple[bytes, bytes]]):
-        """tiles: tid → (i8 pointer bytes, i8 indegree bytes)."""
-        for tid, (dptr, dindeg) in tiles.items():
-            self.dirs[tid] = codecs.decode_tile(dptr, "i8").astype(np.int8)
-            self.indeg[tid] = codecs.decode_tile(dindeg, "i8").astype(np.int8)
-            self.accum[tid] = np.ones((self.tpx, self.tpx), dtype=np.float64)
-
-    def _drain(self, seeds: list[tuple[int, int, int]]):
-        """Run the reference stack algorithm from the given ready cells;
-        returns cross-tile messages [(tid, r, c, amount)]."""
-        out_msgs: list[tuple[int, int, int, float]] = []
-        stack = list(seeds)
-        tpx = self.tpx
-        while stack:
-            tid, r, c = stack.pop()
-            dgrid = self.dirs[tid]
-            fa = self.accum[tid][r, c]
-            self.indeg[tid][r, c] -= 1
-            d = int(dgrid[r, c])
-            if d < 0:
-                continue
-            rn = r + int(DY8[d])
-            cn = c + int(DX8[d])
-            tr, tc = tid // self.tiles_x, tid % self.tiles_x
-            if 0 <= rn < tpx and 0 <= cn < tpx:
-                self.accum[tid][rn, cn] += fa
-                self.indeg[tid][rn, cn] -= 1
-                if self.indeg[tid][rn, cn] == 0:
-                    stack.append((tid, rn, cn))
-            else:
-                ntr = tr + (rn // tpx if rn >= 0 else -1) if (rn < 0 or rn >= tpx) else tr
-                ntc = tc + (cn // tpx if cn >= 0 else -1) if (cn < 0 or cn >= tpx) else tc
-                if 0 <= ntr < self.tiles_y and 0 <= ntc < self.tiles_x:
-                    out_msgs.append((ntr * self.tiles_x + ntc, rn % tpx, cn % tpx, fa))
-        return out_msgs
-
-    def start(self):
-        """Seed with all local in-degree-0 cells."""
-        seeds = []
-        for tid, ind in self.indeg.items():
-            rr, cc = np.nonzero(ind == 0)
-            seeds.extend((tid, int(r), int(c)) for r, c in zip(rr, cc))
-        return self._drain(seeds)
-
-    def push(self, msgs: list[tuple[int, int, int, float]]):
-        """Apply inbound cross-tile flows; cascade; return outbound."""
-        seeds = []
-        for tid, r, c, amount in msgs:
-            self.accum[tid][r, c] += amount
-            self.indeg[tid][r, c] -= 1
-            if self.indeg[tid][r, c] == 0:
-                seeds.append((tid, r, c))
-        return self._drain(seeds)
-
-    def collect(self) -> dict[int, bytes]:
-        """Final accumulation tiles (nodata cells → nan marker handled
-        by caller via the pointer grid)."""
-        out = {}
-        for tid, acc in self.accum.items():
-            a = acc.copy()
-            a[self.dirs[tid] == -2] = np.nan
-            out[tid] = codecs.encode_tile(a, "f32")
-        return out
-
-
-def flow_accumulation(pointer_tiles: dict[int, bytes], spec, num_workers: int = 4, nodata_out: float | None = None):
-    """Distributed D8 accumulation (out_type=cells).
-
-    ``pointer_tiles``: tid → i8 pointer bytes (from ``d8_pointer_masked``).
-    Returns tid → float64 accumulation grid.
-    """
-    import ray
-
-    tpx = spec.tile_px
-    nodata_out = spec.nodata if nodata_out is None else nodata_out
-
-    # per-tile num_inflowing with a 1-cell pointer halo (local, driver-side
-    # assembly is avoided: use numpy over a padded pointer mosaic per tile)
-    def pointer_padded(tid: int) -> np.ndarray:
-        tr, tc = tid // spec.tiles_x, tid % spec.tiles_x
-        pad = np.full((tpx + 2, tpx + 2), -2.0)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                ntr, ntc = tr + dr, tc + dc
-                if not (0 <= ntr < spec.tiles_y and 0 <= ntc < spec.tiles_x):
-                    continue
-                g = codecs.decode_tile(pointer_tiles[ntr * spec.tiles_x + ntc], "i8")
-                rs = slice(1, 1 + tpx) if dr == 0 else (slice(0, 1) if dr == -1 else slice(1 + tpx, None))
-                src_r = slice(None) if dr == 0 else (slice(tpx - 1, tpx) if dr == -1 else slice(0, 1))
-                cs = slice(1, 1 + tpx) if dc == 0 else (slice(0, 1) if dc == -1 else slice(1 + tpx, None))
-                src_c = slice(None) if dc == 0 else (slice(tpx - 1, tpx) if dc == -1 else slice(0, 1))
-                pad[rs, cs] = g[src_r, src_c]
-        return pad
-
-    indeg_tiles: dict[int, bytes] = {}
-    for tid in pointer_tiles:
-        pad = pointer_padded(tid)
-        d = pad[1:-1, 1:-1]
-        count = np.zeros(d.shape, dtype=np.int8)
-        for i in range(8):
-            di = pad[1 + DY8[i] : 1 + DY8[i] + tpx, 1 + DX8[i] : 1 + DX8[i] + tpx]
-            count += (di == INFLOW_OF[i]).astype(np.int8)
-        ind = np.where(d != -2.0, count, -1).astype(np.int8)
-        indeg_tiles[tid] = codecs.encode_tile(ind.astype(np.float64), "i8")
-
-    Worker = ray.remote(FlowShardWorker)
-    workers = [Worker.remote(tpx, spec.tiles_x, spec.tiles_y) for _ in range(num_workers)]
-    shard_of = {tid: tid % num_workers for tid in pointer_tiles}
-    loads: list[dict] = [dict() for _ in range(num_workers)]
-    for tid in pointer_tiles:
-        loads[shard_of[tid]][tid] = (pointer_tiles[tid], indeg_tiles[tid])
-    ray.get([w.load.remote(lo) for w, lo in zip(workers, loads)])
-
-    # BSP rounds
-    pending = ray.get([w.start.remote() for w in workers])
-    while True:
-        routed: list[list] = [[] for _ in range(num_workers)]
-        n_msgs = 0
-        # combine amounts per destination cell before routing (skew control)
-        combined: dict[tuple[int, int, int], list] = defaultdict(list)
-        for msgs in pending:
-            for tid, r, c, amount in msgs:
-                combined[(tid, r, c)].append(amount)
-        for (tid, r, c), amounts in combined.items():
-            # each message also decrements indegree once per inflow edge —
-            # do NOT merge decrements, only batch the per-edge messages
-            for amount in amounts:
-                routed[shard_of[tid]].append((tid, r, c, amount))
-                n_msgs += 1
-        if n_msgs == 0:
-            break
-        pending = ray.get(
-            [w.push.remote(msgs) for w, msgs in zip(workers, routed) if msgs]
-        )
-
-    tiles_out: dict[int, np.ndarray] = {}
-    for part in ray.get([w.collect.remote() for w in workers]):
-        for tid, blob in part.items():
-            g = codecs.decode_tile(blob, "f32")
-            g[np.isnan(g)] = nodata_out
-            tiles_out[tid] = g
-    return tiles_out
-
-
 # ---------------------------------------------------------------------------
 # Dataset-native path (VERDICT r1 item 2): pointer Dataset in → indeg via the
 # focal halo pass → shard actors ingest Dataset splits → BSP → accumulation
@@ -282,8 +125,9 @@ def pointer_with_indegree(pointer_ds, spec):
 
 
 class FlowShardDS:
-    """Shard actor for the Dataset-native accumulation: same reference
-    stack algorithm as FlowShardWorker, fed by Dataset splits."""
+    """Shard actor for the Dataset-native accumulation: owns the flow
+    state of the tiles in its Dataset split and runs the reference stack
+    algorithm within them."""
 
     def __init__(self, tile_px: int, tiles_x: int, tiles_y: int, nodata_out: float):
         from .bsp import ShardBase
@@ -310,7 +154,34 @@ class FlowShardDS:
                 owned.append(tid)
         return owned
 
-    _drain = FlowShardWorker._drain
+    def _drain(self, seeds: list[tuple[int, int, int]]):
+        """Run the reference stack algorithm from the given ready cells;
+        returns cross-tile messages [(tid, r, c, amount)]."""
+        out_msgs: list[tuple[int, int, int, float]] = []
+        stack = list(seeds)
+        tpx = self.tpx
+        while stack:
+            tid, r, c = stack.pop()
+            dgrid = self.dirs[tid]
+            fa = self.accum[tid][r, c]
+            self.indeg[tid][r, c] -= 1
+            d = int(dgrid[r, c])
+            if d < 0:
+                continue
+            rn = r + int(DY8[d])
+            cn = c + int(DX8[d])
+            tr, tc = tid // self.tiles_x, tid % self.tiles_x
+            if 0 <= rn < tpx and 0 <= cn < tpx:
+                self.accum[tid][rn, cn] += fa
+                self.indeg[tid][rn, cn] -= 1
+                if self.indeg[tid][rn, cn] == 0:
+                    stack.append((tid, rn, cn))
+            else:
+                ntr = tr + (rn // tpx if rn >= 0 else -1) if (rn < 0 or rn >= tpx) else tr
+                ntc = tc + (cn // tpx if cn >= 0 else -1) if (cn < 0 or cn >= tpx) else tc
+                if 0 <= ntr < self.tiles_y and 0 <= ntc < self.tiles_x:
+                    out_msgs.append((ntr * self.tiles_x + ntc, rn % tpx, cn % tpx, fa))
+        return out_msgs
 
     def _combined(self, raw):
         """Combine per-destination-cell messages: (tid, r, c, sum, n_edges)."""

@@ -14,12 +14,9 @@ round; nothing materializes.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-
-def _to_matrix(col) -> np.ndarray:
-    return np.stack([np.asarray(e, dtype=np.float64) for e in col])
+from .ann import _to_matrix
 
 
 def kmeans_fit(
@@ -51,7 +48,7 @@ def kmeans_fit(
 
         def partial(batch: pa.Table) -> pa.Table:
             c = ray.get(ref)
-            mm = _to_matrix(batch[emb_col].to_pylist())
+            mm = _to_matrix(batch[emb_col])
             d2 = ((mm[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
             assign = d2.argmin(axis=1)
             kk, dim = c.shape
@@ -94,7 +91,7 @@ def kmeans_assign(ds, centroids: np.ndarray, emb_col: str = "embedding", out_col
             self.c = ray.get(ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            mm = _to_matrix(batch[emb_col].to_pylist())
+            mm = _to_matrix(batch[emb_col])
             d2 = ((mm[:, None, :] - self.c[None, :, :]) ** 2).sum(axis=2)
             return batch.append_column(out_col, pa.array(d2.argmin(axis=1).astype(np.int64)))
 

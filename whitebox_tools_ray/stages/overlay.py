@@ -17,8 +17,8 @@ Distribution shape: the subject layer streams through ``map_batches``;
 the overlay layer is broadcast ONCE via ``ray.put`` (polygon layers are
 the small side in the reference's workflows) with per-record bbox
 pruning. The per-record kernel is pure NumPy. For overlay layers too
-large to broadcast, co-partition both layers by quad-cell and run the
-same kernel per cell group (the SJ pattern used by clip_points) — the
+large to broadcast, ``overlay_copartition`` co-partitions both layers
+by quad-cell and runs the same kernel per cell group — the
 kernel is partition-agnostic because each subject record only ever needs
 the overlay records its bbox touches.
 """
@@ -212,7 +212,7 @@ def overlay_copartition(a_ds, b_ds, op: str, cell_size: float | None = None,
     B records whose bbox touches its bbox — with no ``ray.put`` of B
     and no driver materialization.
 
-    Shape (the clip_points SJ pattern, generalized to record pairs):
+    Shape (a co-partitioned spatial join over record pairs):
 
     1. both layers flat-map their (cell, id, bbox) cover — keys + 4
        floats only, geometry stays put;

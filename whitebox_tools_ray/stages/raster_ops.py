@@ -96,44 +96,6 @@ def raster_cell_assignment(tiles_ds, spec, what: str = "row"):
     return _per_tile(tiles_ds, fn)
 
 
-def integral_image_tiled(tiles: dict[int, np.ndarray], spec) -> dict[int, np.ndarray]:
-    """Exact scene-wide integral image (summed-area table) over tiles.
-
-    Two-phase: per-tile local prefix sums (the distributed map), then the
-    classic cross-tile offset exchange — each tile adds the row-sums of
-    tiles above, column-sums of tiles left, and the total of tiles
-    up-left (a prefix-combine over the TILE grid, O(tiles) driver work on
-    O(tile_px) vectors — the IT-lite pattern)."""
-    tpx = spec.tile_px
-    local = {tid: np.cumsum(np.cumsum(g, axis=0), axis=1) for tid, g in tiles.items()}
-    # per-tile totals / edge vectors
-    right_col = {tid: s[:, -1] for tid, s in local.items()}  # cumulative row sums within tile
-    bottom_row = {tid: s[-1, :] for tid, s in local.items()}
-    total = {tid: float(s[-1, -1]) for tid, s in local.items()}
-    out = {}
-    for tid, s in local.items():
-        tr, tc = tid // spec.tiles_x, tid % spec.tiles_x
-        res = s.astype(np.float64).copy()
-        # add column offsets from tiles strictly left in the same tile-row
-        left_sum = np.zeros(tpx)
-        for k in range(tc):
-            left_sum += right_col[tr * spec.tiles_x + k]
-        res += left_sum[:, None]
-        # add row offsets from tiles strictly above in the same tile-col
-        up_sum = np.zeros(tpx)
-        for k in range(tr):
-            up_sum += bottom_row[k * spec.tiles_x + tc]
-        res += up_sum[None, :]
-        # add totals of all tiles strictly up-left
-        ul = 0.0
-        for kr in range(tr):
-            for kc in range(tc):
-                ul += total[kr * spec.tiles_x + kc]
-        res += ul
-        out[tid] = res
-    return out
-
-
 def integral_image_ds(tiles_ds, spec):
     """Dataset-native IntegralImage (image_analysis/integral_image.rs) —
     exact scene-wide summed-area table over the tile table.

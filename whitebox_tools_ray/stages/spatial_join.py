@@ -24,11 +24,8 @@ with non-finite coordinates, run the exact scan (``clip_kernel``,
 vectorized: loop over parts, NumPy over points). Erase (erase.rs) is the
 inverse keep condition on the same answer.
 
-For polygon layers too large to broadcast, the same kernel runs after an
-explicit co-partition: explode parts per covering quad cell, hash-shuffle
-points by cell, per-cell ``map_groups`` — parts carry their global
-(record, part) index so last-wins order survives partitioning. That path
-is ``clip_points_shuffle``.
+The broadcast path is the only clip path: every task holds the whole
+flattened layer and its grid, so the layer must fit one worker's memory.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..kernels import cells, geometry
@@ -113,17 +109,11 @@ def build_part_cell_index(parts: list[ClipPart], level: int) -> dict[int, np.nda
     return {k: np.array(sorted(v), dtype=np.int64) for k, v in index.items()}
 
 
-def clip_kernel(
-    px: np.ndarray, py: np.ndarray, parts: list[ClipPart], part_subset: np.ndarray | None = None
-) -> np.ndarray:
-    """The exact Clip scan, vectorized over points (clip.rs:300-317).
-
-    ``part_subset`` (sorted global part indexes) restricts the scan; scan
-    ORDER is always ascending part_index so last-wins is preserved.
-    """
+def clip_kernel(px: np.ndarray, py: np.ndarray, parts: list[ClipPart]) -> np.ndarray:
+    """The exact Clip scan, vectorized over points (clip.rs:300-317):
+    parts in ascending part_index order, so the last matching part wins."""
     out = np.zeros(len(px), dtype=bool)
-    it = parts if part_subset is None else (parts[i] for i in part_subset)
-    for p in it:
+    for p in parts:
         cand = geometry.points_in_box(px, py, p.x_min, p.x_max, p.y_min, p.y_max)
         if not cand.any():
             continue
@@ -292,78 +282,6 @@ def clip_points(
     return out
 
 
-def clip_points_shuffle(
-    points_ds,
-    poly_table: pa.Table,
-    mode: str = "clip",
-    x_col: str = "x",
-    y_col: str = "y",
-    cell_level: int = 10,
-):
-    """Co-partitioned variant for polygon layers too big to broadcast.
-
-    Parts are exploded to (cell_id, part payload) rows; points get
-    cell_id; both sides hash-shuffle on cell_id and the per-cell kernel
-    runs in ``map_groups``. Parts keep their global part_index so the
-    last-wins scan order is preserved inside every cell. Points in cells
-    with no parts short-circuit (clip: dropped, erase: kept) without
-    entering the shuffle (semi-join pre-filter on the broadcast cell-key
-    SET — only candidate points shuffle).
-    """
-    import ray
-
-    parts = prepare_clip_parts(poly_table)
-    cell_index = build_part_cell_index(parts, cell_level)
-    keep_inside = mode == "clip"
-
-    cell_key_ref = ray.put(np.array(sorted(cell_index.keys()), dtype=np.int64))
-    parts_ref = ray.put(parts)
-    index_ref = ray.put(cell_index)
-
-    def add_cell(batch: pa.Table) -> pa.Table:
-        px = batch[x_col].to_numpy(zero_copy_only=False)
-        py = batch[y_col].to_numpy(zero_copy_only=False)
-        cid = cells.quad_cell(px, py, cell_level)
-        return batch.append_column("__cell", pa.array(cid, pa.int64()))
-
-    with_cell = points_ds.map_batches(add_cell, batch_format="pyarrow")
-
-    class SplitByCandidacy:
-        def __init__(self):
-            self.cell_keys = ray.get(cell_key_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cid = batch["__cell"].to_numpy(zero_copy_only=False)
-            cand = np.isin(cid, self.cell_keys, assume_unique=False)
-            return batch.filter(pa.array(cand))
-
-    # candidates shuffle; non-candidates resolve immediately
-    candidates = with_cell.map_batches(SplitByCandidacy, batch_format="pyarrow", concurrency=(1, 2))
-
-    class NonCandidates:
-        def __init__(self):
-            self.cell_keys = ray.get(cell_key_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cid = batch["__cell"].to_numpy(zero_copy_only=False)
-            noncand = ~np.isin(cid, self.cell_keys, assume_unique=False)
-            return batch.filter(pa.array(noncand))
-
-    def per_cell(g: pd.DataFrame) -> pd.DataFrame:
-        cid = int(g["__cell"].iloc[0])
-        subset = cell_index.get(cid)
-        px = g[x_col].to_numpy()
-        py = g[y_col].to_numpy()
-        inside = clip_kernel(px, py, parts, subset) if subset is not None else np.zeros(len(g), bool)
-        return g[inside] if keep_inside else g[~inside]
-
-    joined = candidates.groupby("__cell").map_groups(per_cell, batch_format="pandas")
-    if not keep_inside:
-        outside = with_cell.map_batches(NonCandidates, batch_format="pyarrow", concurrency=(1, 2))
-        joined = joined.union(outside)
-    return joined.drop_columns(["__cell"])
-
-
 class _ExtractValuesActor:
     """tile_id → point lookup gather (extract_raster_values_at_points.rs:243-258).
 
@@ -413,7 +331,6 @@ def extract_values_at_points(
     scene_spec,
     x_col: str = "x",
     y_col: str = "y",
-    concurrency: int | None = None,
 ):
     """Per point: (row, col) by the floor rule (raster/mod.rs:635-641),
     gather the cell value; out-of-grid points get the nodata sentinel
@@ -449,7 +366,7 @@ def extract_values_at_points(
         fn_constructor_args=(ref, scene_spec.tiles_x),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=concurrency or (1, 4),
+        concurrency=(1, 4),
     )
     # out-of-grid points → nodata rows, emitted driver-side (tiny)
     import ray.data as rd
@@ -463,92 +380,6 @@ def extract_values_at_points(
     if missing.num_rows:
         found = found.union(rd.from_arrow(missing))
     return found
-
-
-def extract_values_at_points_shuffle(
-    tiles_ds,
-    points_ds,
-    scene_spec,
-    x_col: str = "x",
-    y_col: str = "y",
-):
-    """Shuffle variant of ExtractRasterValuesAtPoints for LARGE point
-    tables (VERDICT r1): points co-partition with tiles on tile_id via
-    one keyed groupby — neither side is broadcast, both stream. Per tile
-    group: decode once, vectorized gather for all its points.
-
-    Prefer the broadcast variant when points ≪ tiles; this one when the
-    point table rivals or exceeds the tile table (the common case for
-    training-data pipelines sampling every image)."""
-    import pandas as pd
-
-    from ..kernels import codecs
-
-    gs = scene_spec.grid_spec()
-    tpx = scene_spec.tile_px
-    tiles_x = scene_spec.tiles_x
-    nodata = gs.nodata
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        px = batch[x_col].to_numpy(zero_copy_only=False)
-        py = batch[y_col].to_numpy(zero_copy_only=False)
-        rid = batch["record_id"].to_numpy(zero_copy_only=False)
-        col = gs.col_from_x(px)
-        row = gs.row_from_y(py)
-        in_grid = (row >= 0) & (row < gs.rows) & (col >= 0) & (col < gs.columns)
-        tid = np.where(in_grid, (row // tpx) * tiles_x + (col // tpx), -1)
-        return pa.table(
-            {
-                "tkey": pa.array(tid.astype(np.int64)),
-                "role": pa.array(np.ones(len(rid), dtype=np.int8)),
-                "record_id": pa.array(rid.astype(np.int32), pa.int32()),
-                "r": pa.array(np.where(in_grid, row % tpx, 0).astype(np.int32), pa.int32()),
-                "c": pa.array(np.where(in_grid, col % tpx, 0).astype(np.int32), pa.int32()),
-                "bytes": pa.array([b""] * len(rid), pa.binary()),
-                "fmt": pa.array([""] * len(rid), pa.string()),
-            }
-        )
-
-    def tag_tiles(batch: pa.Table) -> pa.Table:
-        tid = (
-            batch["tile_row"].to_numpy(zero_copy_only=False).astype(np.int64) * tiles_x
-            + batch["tile_col"].to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        n = len(tid)
-        return pa.table(
-            {
-                "tkey": pa.array(tid),
-                "role": pa.array(np.zeros(n, dtype=np.int8)),
-                "record_id": pa.array(np.zeros(n, dtype=np.int32), pa.int32()),
-                "r": pa.array(np.zeros(n, dtype=np.int32), pa.int32()),
-                "c": pa.array(np.zeros(n, dtype=np.int32), pa.int32()),
-                "bytes": batch["bytes"],
-                "fmt": batch["fmt"],
-            }
-        )
-
-    u = tiles_ds.map_batches(tag_tiles, batch_format="pyarrow").union(
-        points_ds.map_batches(tag_points, batch_format="pyarrow")
-    )
-
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
-        tkey = int(g["tkey"].iloc[0])
-        pts = g[g["role"] == 1]
-        if len(pts) == 0:
-            return pd.DataFrame({"record_id": pd.Series([], dtype="int32"),
-                                 "VALUE1": pd.Series([], dtype="float64")})
-        if tkey < 0:  # out-of-grid points
-            return pd.DataFrame({"record_id": pts["record_id"].astype("int32"),
-                                 "VALUE1": np.full(len(pts), nodata)})
-        tiles = g[g["role"] == 0]
-        if len(tiles) == 0:
-            return pd.DataFrame({"record_id": pts["record_id"].astype("int32"),
-                                 "VALUE1": np.full(len(pts), nodata)})
-        grid = codecs.decode_tile(bytes(tiles["bytes"].iloc[0]), tiles["fmt"].iloc[0])
-        vals = grid[pts["r"].to_numpy(), pts["c"].to_numpy()]
-        return pd.DataFrame({"record_id": pts["record_id"].astype("int32"), "VALUE1": vals})
-
-    return u.groupby("tkey").map_groups(gather, batch_format="pandas")
 
 
 def knn_join(
@@ -567,9 +398,8 @@ def knn_join(
     point, its k nearest right points (id + distance).
 
     The right side broadcasts ONCE with a per-worker FRS index built in
-    the actor constructor; left streams. For right sides too large to
-    broadcast, co-partition both sides by quad cell with neighbor-cell
-    duplication (the SJ pattern of clip_points_shuffle)."""
+    the actor constructor; left streams, so the right side must fit one
+    worker's memory."""
     import ray
 
     from ..kernels.frs import FixedRadiusSearch2D

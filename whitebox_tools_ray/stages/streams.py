@@ -5,10 +5,10 @@ consume a streams raster (cells above an accumulation threshold) + a D8
 pointer raster, extract the LINK GRAPH (junction-to-junction segments),
 then traverse it. The reference walks whole-raster arrays; the engine:
 
-1. ``extract_streams_small`` — threshold the accumulation tiles (**M**,
+1. ``extract_streams_ds`` — threshold the accumulation tiles (**M**,
    extract_streams.rs:254: ``accum > threshold`` strictly; background
    NODATA unless --zero_background);
-2. ``stream_links_small`` — build the link table: per stream cell follow the
+2. ``stream_links_ds`` — build the link table: per stream cell follow the
    pointer; junctions = stream cells with ≥2 inflowing stream neighbors
    or outlets. Link identification (stream_link_id.rs) assigns each
    junction-free run one id. The link TABLE is tiny relative to the
@@ -18,8 +18,9 @@ then traverse it. The reference walks whole-raster arrays; the engine:
 3. ``strahler_order`` / ``shreve_magnitude`` — classic orders on the
    link DAG (strahler_order.rs / shreve_magnitude.rs semantics).
 
-Operates on the dict-of-tiles form produced by ``flow_accumulation``
-(tid → grid) plus pointer tiles — the same contract the flow stage uses.
+The registered forms take tile Datasets (``*_ds``). The ``*_small``
+functions are whole-scene, driver-side forms over dict-of-tiles inputs
+(tid → grid, plus i8 pointer tiles); tests use them as oracles.
 """
 
 from __future__ import annotations
@@ -45,19 +46,6 @@ def _guard_small(n_cells: int, fn: str) -> None:
             "(extract_streams_ds / stream_links_ds / distance_to_outlet_ds / "
             "farthest_channel_head_ds) for large scenes."
         )
-
-
-def extract_streams_small(accum_tiles: dict[int, np.ndarray], threshold: float, nodata: float,
-                          zero_background: bool = False):
-    """Stream mask per tile: 1.0 where accumulation STRICTLY exceeds the
-    threshold (extract_streams.rs:254: ``z > fa_threshold``); background
-    NODATA unless ``zero_background``."""
-    bg = 0.0 if zero_background else nodata
-    out = {}
-    for tid, g in accum_tiles.items():
-        s = np.where(g == nodata, nodata, np.where(g > threshold, 1.0, bg))
-        out[tid] = s
-    return out
 
 
 def _mosaic(tiles: dict[int, np.ndarray], spec) -> np.ndarray:
@@ -678,40 +666,6 @@ def max_branch_length(links: list[dict]) -> dict[int, float]:
     channel path THROUGH each link (updist + own length)."""
     updist = upstream_channel_distance(links)
     return {lk["link_id"]: updist[lk["link_id"]] + lk["length"] for lk in links}
-
-
-def rasterize_link_attr(link_grid: np.ndarray, attr: dict[int, float], nodata: float) -> np.ndarray:
-    """Paint a per-link attribute back onto the link-id grid (the
-    reference's standard output form for all ordering tools)."""
-    out = np.full(link_grid.shape, nodata)
-    m = link_grid > 0
-    if m.any():
-        ids = link_grid[m].astype(np.int64)
-        keys = np.array(sorted(attr), dtype=np.int64)
-        vals = np.array([attr[k] for k in keys], dtype=np.float64)
-        out[m] = vals[np.searchsorted(keys, ids)]
-    return out
-
-
-def raster_streams_to_vector(link_grid: np.ndarray, links: list[dict], spec):
-    """RasterStreamsToVector (raster_streams_to_vector.rs): each link's
-    cell run becomes a polyline through the cell centers, FID = link id."""
-    gs = spec.grid_spec()
-    recs = []
-    for lk in links:
-        xs = [float(gs.x_from_col(c)) for _r, c in lk["cells"]]
-        ys = [float(gs.y_from_row(r)) for r, _c in lk["cells"]]
-        recs.append(
-            {
-                "record_id": lk["link_id"],
-                "parts": [0],
-                "xs": xs,
-                "ys": ys,
-                "ds_link": lk["ds_link"],
-                "length": lk["length"],
-            }
-        )
-    return recs
 
 
 # ---------------------------------------------------------------------------
