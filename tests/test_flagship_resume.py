@@ -3,11 +3,17 @@
 import json
 import os
 import shutil
+import struct
+import zlib
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from whitebox_tools_ray.kernels import codecs
 from whitebox_tools_ray.pipelines.flagship import run_tiling_pipeline, synthesize_tiles_parallel
+from whitebox_tools_ray.stages.assign import DecodeVerifyReencode
 from whitebox_tools_ray.sources.tiles import SceneSpec
 from whitebox_tools_ray.state.manifest import Manifest
 
@@ -104,3 +110,89 @@ class TestResume:
         with open(man.path, "a") as f:
             f.write('{"partition_id": "p1", "key_ra')  # crash mid-write
         assert man.completed() == {"p0"}
+
+
+MANIFEST_KEYS = {"partition_id", "key_range", "rows_in", "rows_out", "wall_s", "output_uri", "content_hash",
+                 "params_hash", "metrics", "ts"}
+CLEAN = {"undecodable": 0, "reencode_psnr_failed": 0}
+
+
+def _records(out):
+    path = os.path.join(out, "MANIFEST.jsonl")
+    if not os.path.exists(path):  # a failed run may finish no band
+        return {}
+    with open(path) as f:
+        return {r["partition_id"]: r for r in map(json.loads, f)}
+
+
+def _tamper(tiles_path, tmp_path, edit):
+    """Copy of the tile input whose band=1 first file has ``edit``
+    applied to its first row's (bytes, fmt); returns (path, file name,
+    edited table)."""
+    path = str(tmp_path / "tiles")
+    shutil.copytree(tiles_path, path)
+    band = os.path.join(path, "band=1")
+    name = sorted(f for f in os.listdir(band) if f.endswith(".parquet"))[0]
+    t = pq.read_table(os.path.join(band, name))
+    blobs, fmts = t["bytes"].to_pylist(), t["fmt"].to_pylist()
+    blobs[0], fmts[0] = edit(blobs[0], fmts[0])
+    t = t.set_column(t.schema.get_field_index("bytes"), "bytes", pa.array(blobs, pa.binary()))
+    t = t.set_column(t.schema.get_field_index("fmt"), "fmt", pa.array(fmts, pa.string()))
+    pq.write_table(t, os.path.join(band, name))
+    return path, name, t
+
+
+class TestManifestMetrics:
+    def test_manifest_schema(self, tiny_scene, tmp_path):
+        spec, tiles_path = tiny_scene
+        out = str(tmp_path / "out")
+        run_tiling_pipeline(tiles_path, out, spec, num_bands=2)
+        recs = _records(out)
+        assert sorted(recs) == ["band0000", "band0001"]
+        for r in recs.values():
+            assert set(r) == MANIFEST_KEYS
+            assert r["metrics"] == CLEAN
+            assert isinstance(r["key_range"], list) and len(r["key_range"]) == 2
+            assert r["rows_in"] == r["rows_out"] == 8
+            assert isinstance(r["wall_s"], float) and isinstance(r["ts"], float)
+            assert all(isinstance(r[k], str) and r[k] for k in ("output_uri", "content_hash", "params_hash"))
+
+    def test_nan_tile_kept_and_counted(self, tiny_scene, tmp_path):
+        spec, tiles_path = tiny_scene
+
+        def nan_tile(blob, fmt):
+            g = codecs.decode_tile(blob, fmt)
+            g[0, 0] = np.nan
+            return codecs.encode_tile(g, "f32"), "f32"
+
+        path, name, src = _tamper(tiles_path, tmp_path, nan_tile)
+        with pytest.raises(ValueError, match="below 40"):
+            DecodeVerifyReencode("q16", strict=True)(src)
+        out = str(tmp_path / "out")
+        assert run_tiling_pipeline(path, out, spec, num_bands=2)["tiles"] == 16
+        recs = _records(out)
+        assert recs["band0000"]["metrics"] == CLEAN
+        assert recs["band0001"]["metrics"] == {"undecodable": 0, "reencode_psnr_failed": 1}
+        got = pq.read_table(os.path.join(out, "band0001", name))
+        assert got["bytes"][0].as_py() == src["bytes"][0].as_py()
+        assert got["fmt"].to_pylist() == ["f32"] + ["q16"] * (got.num_rows - 1)
+
+    def test_corrupt_idat_fails_the_run(self, tiny_scene, tmp_path):
+        spec, tiles_path = tiny_scene
+
+        def flip_idat_byte(blob, fmt):
+            png = bytearray(codecs.encode_tile(codecs.decode_tile(blob, fmt), "png"))
+            (ln,) = struct.unpack(">I", png[49:53])  # IDAT follows the 16-byte header, signature, IHDR
+            assert png[53:57] == b"IDAT"
+            png[57 + ln // 2] ^= 0xFF
+            return bytes(png), "png"
+
+        path, name, src = _tamper(tiles_path, tmp_path, flip_idat_byte)
+        for strict in (True, False):
+            with pytest.raises(zlib.error):
+                DecodeVerifyReencode("q16", strict)(src)
+        out = str(tmp_path / "out")
+        with pytest.raises(zlib.error):
+            run_tiling_pipeline(path, out, spec, num_bands=2)
+        assert not os.path.exists(os.path.join(out, "band0001", name))
+        assert "band0001" not in _records(out)

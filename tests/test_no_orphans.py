@@ -19,7 +19,6 @@ ALLOWED = {
     "api.tool_parameters": "a tool's JSON parameter schema",
     "kernels.cells.quad_parent": "quad cell id one level up",
     "kernels.cells.hex_cell_center": "hex cell centre from axial coordinates",
-    "kernels.codecs.psnr": "codec round-trip quality metric",
     "kernels.geometry.is_clockwise_order": "ring orientation (is_clockwise_order.rs)",
     "kernels.geometry.poly_is_convex": "ring convexity test",
     "kernels.geometry.interior_point": "a point guaranteed inside a ring",

@@ -18,6 +18,11 @@ engine carries its own minimal codecs, NumPy + zlib only:
   decode; use for photographic-texture tiles, never for exact-parity
   goldens.
 
+The block forms (:func:`block_shape`, :func:`decode_block`,
+:func:`q16_encode_block`) run a chunk of same-shape payloads straight
+from an Arrow binary column's data buffer, bit-equal to the per-tile
+:func:`decode_tile` / :func:`encode_tile`, which stay as their oracles.
+
 Semantics note: decoded pixel grids keep the reference's nodata SENTINEL
 convention (compare ``!=``, never Arrow validity masks) — see
 /root/reference/src/raster/mod.rs:364-412 and SURVEY.md §1.6.
@@ -30,7 +35,10 @@ import zlib
 
 import numpy as np
 
-__all__ = ["encode_tile", "decode_tile", "png_encode", "png_decode", "psnr"]
+__all__ = [
+    "encode_tile", "decode_tile", "png_encode", "png_decode", "psnr",
+    "block_shape", "decode_block", "q16_encode_block",
+]
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
@@ -71,48 +79,55 @@ def png_encode(img: np.ndarray) -> bytes:
 
 
 def _unfilter(scan: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
-    """Reverse PNG scanline filters 0-4. ``scan`` is (h, 1+stride) uint8."""
+    """Reverse PNG scanline filters 0-4. ``scan`` is (h, 1+stride) uint8.
+
+    None, Sub and Up are whole-row NumPy ops (uint8 arithmetic wraps
+    mod 256 as the spec's does); Average and Paeth keep a per-byte loop."""
     ftypes = scan[:, 0]
     if not ftypes.any():  # all filter 0 (what png_encode writes) — no-op
         return np.ascontiguousarray(scan[:, 1:])
     out = np.zeros((h, stride), dtype=np.uint8)
+    prev = np.zeros(stride, np.uint8)
     for r in range(h):
         ftype = int(scan[r, 0])
-        line = scan[r, 1:].astype(np.int32)
-        prev = out[r - 1].astype(np.int32) if r > 0 else np.zeros(stride, np.int32)
+        line = scan[r, 1:]
         if ftype == 0:
-            out[r] = line.astype(np.uint8)
+            out[r] = line
+        elif ftype == 1:  # Sub: a running sum per byte lane of the pixel
+            out[r] = np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).reshape(-1)
         elif ftype == 2:  # Up
-            out[r] = ((line + prev) & 0xFF).astype(np.uint8)
-        elif ftype in (1, 3, 4):  # Sub / Average / Paeth need left-to-right scan
+            out[r] = line + prev
+        elif ftype in (3, 4):  # Average / Paeth need a left-to-right scan
+            line32 = line.astype(np.int32)
+            prev32 = prev.astype(np.int32)
             cur = np.zeros(stride, np.int32)
             for i in range(stride):
                 a = cur[i - bpp] if i >= bpp else 0
-                b = prev[i]
-                c = prev[i - bpp] if i >= bpp else 0
-                if ftype == 1:
-                    cur[i] = (line[i] + a) & 0xFF
-                elif ftype == 3:
-                    cur[i] = (line[i] + (a + b) // 2) & 0xFF
+                b = prev32[i]
+                if ftype == 3:
+                    cur[i] = (line32[i] + (a + b) // 2) & 0xFF
                 else:
+                    c = prev32[i - bpp] if i >= bpp else 0
                     p = a + b - c
                     pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
                     pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                    cur[i] = (line[i] + pred) & 0xFF
-            out[r] = cur.astype(np.uint8)
+                    cur[i] = (line32[i] + pred) & 0xFF
+            out[r] = cur
         else:
             raise ValueError(f"bad PNG filter type {ftype}")
+        prev = out[r]
     return out
 
 
-def png_decode(data: bytes) -> np.ndarray:
-    """Decode the subset of PNG produced by :func:`png_encode` (plus any
-    filter types and non-interlaced gray/RGB images)."""
+def _png_scanlines(data) -> tuple[int, int, int, int, bytes]:
+    """Parse a non-interlaced gray/RGB PNG from any bytes-like object:
+    (h, w, bit_depth, channels, inflated filtered scanlines)."""
+    data = memoryview(data)
     if data[:8] != _PNG_SIG:
         raise ValueError("not a PNG")
     pos = 8
     w = h = bit_depth = color_type = None
-    idat = bytearray()
+    idat = []
     while pos < len(data):
         (ln,) = struct.unpack(">I", data[pos : pos + 4])
         tag = data[pos + 4 : pos + 8]
@@ -123,7 +138,7 @@ def png_decode(data: bytes) -> np.ndarray:
             if interlace:
                 raise ValueError("interlaced PNG unsupported")
         elif tag == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif tag == b"IEND":
             break
     if color_type == 0:
@@ -132,9 +147,16 @@ def png_decode(data: bytes) -> np.ndarray:
         channels = 3
     else:
         raise ValueError(f"unsupported color type {color_type}")
+    size = h * (1 + w * channels * bit_depth // 8)  # inflated size: a filter byte per scanline
+    return h, w, bit_depth, channels, zlib.decompress(b"".join(idat), bufsize=size)
+
+
+def png_decode(data: bytes) -> np.ndarray:
+    """Decode the subset of PNG produced by :func:`png_encode` (plus any
+    filter types and non-interlaced gray/RGB images)."""
+    h, w, bit_depth, channels, raw = _png_scanlines(data)
     bpp = channels * (bit_depth // 8)
     stride = w * bpp
-    raw = zlib.decompress(bytes(idat))
     scan = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + stride)
     flat = _unfilter(scan, h, stride, bpp)
     if bit_depth == 8:
@@ -251,15 +273,118 @@ def decode_tile(data: bytes, fmt: str) -> np.ndarray:
     raise ValueError(f"unknown tile format {fmt!r}")
 
 
-def psnr(ref: np.ndarray, test: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB over the ref grid's dynamic range."""
+# --- block codecs: runs of same-shape payloads straight from an Arrow
+# binary column's data buffer, one float64 (k, h, w) block at a time ---
+
+# fmt -> (header bytes, pixel dtype) of the uncompressed payloads
+_RAW = {"f32": (8, "<f4"), "f64": (8, "<f8"), "q16": (24, "<u2")}
+
+
+def block_shape(payload, fmt: str) -> tuple[int, int] | None:
+    """(h, w) of a tile payload that :func:`decode_block` stacks, read
+    from its header alone; None for one only :func:`decode_tile` reads
+    (jpeg, zlib-compressed legacy f32/q16, PNG other than 16-bit gray,
+    unknown fmt, a truncated header)."""
+    n = len(payload)
+    if fmt in _RAW:
+        hdr, dtype = _RAW[fmt]
+        if n < hdr:
+            return None
+        h, w = struct.unpack_from("<II", payload)
+        return (h, w) if n == hdr + h * w * np.dtype(dtype).itemsize else None
+    if fmt == "i8":
+        return struct.unpack_from("<II", payload) if n >= 8 else None
+    if fmt == "png":
+        # (lo, scale) side header, signature, then IHDR, which the PNG
+        # spec requires first
+        if n < 45 or bytes(payload[16:24]) != _PNG_SIG or bytes(payload[28:32]) != b"IHDR":
+            return None
+        w, h, bit_depth, color_type, _comp, _filt, interlace = struct.unpack_from(">IIBBBBB", payload, 32)
+        return (h, w) if (bit_depth, color_type, interlace) == (16, 0, 0) else None
+    return None
+
+
+def decode_block(data: np.ndarray, offsets: np.ndarray, fmt: str, shape: tuple[int, int]) -> np.ndarray:
+    """Decode payloads ``data[offsets[j]:offsets[j + 1]]`` of one ``fmt``
+    whose :func:`block_shape` is ``shape`` into a (k, h, w) float64
+    block, bit-equal to stacking :func:`decode_tile` of each.
+
+    ``data`` is a uint8 buffer holding the payloads back to back, as an
+    Arrow binary column's data buffer does. Uncompressed formats are one
+    strided view of it; PNG inflates tile by tile, then unfilters,
+    byte-swaps and scales the whole block; i8 goes through
+    :func:`decode_tile`."""
+    k = len(offsets) - 1
+    if fmt in _RAW:
+        hdr, dtype = _RAW[fmt]
+        # equal-length payloads back to back: one (k, payload) matrix
+        rows = data[offsets[0] : offsets[-1]].reshape(k, -1)
+        block = rows[:, hdr:].view(dtype).astype(np.float64).reshape(k, *shape)
+        if fmt == "q16":
+            lo, scale = np.ascontiguousarray(rows[:, 8:24]).view("<f8").T
+            block *= scale[:, None, None]
+            block += lo[:, None, None]
+        return block
+    if fmt == "png":
+        h, w = shape
+        scan = np.empty((k, h, 1 + 2 * w), np.uint8)
+        lo_scale = np.empty((k, 2))
+        for j in range(k):
+            payload = data[offsets[j] : offsets[j + 1]]
+            lo_scale[j] = struct.unpack_from("<dd", payload)
+            scan[j] = np.frombuffer(_png_scanlines(payload[16:])[4], np.uint8).reshape(h, 1 + 2 * w)
+        for j in np.flatnonzero(scan[:, :, 0].any(axis=1)):
+            scan[j, :, 1:] = _unfilter(scan[j], h, 2 * w, 2)
+        block = scan[:, :, 1:].view(">u2").astype(np.float64)
+        block *= lo_scale[:, 1, None, None]
+        block += lo_scale[:, 0, None, None]
+        return block
+    block = np.empty((k, *shape))
+    for j in range(k):
+        block[j] = decode_tile(data[offsets[j] : offsets[j + 1]].tobytes(), fmt)
+    return block
+
+
+def q16_encode_block(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_tile` to ``q16`` over a (k, h, w) float64 block whose
+    tiles have minima ``lo`` and maxima ``hi``.
+
+    Returns the payloads as a (k, 24 + 2hw) uint8 matrix, row j
+    byte-equal to ``encode_tile(block[j], "q16")``, and the (k, h, w)
+    grids they decode to. Non-finite pixels quantize to arbitrary
+    values, which the decoded grids expose."""
+    k, h, w = block.shape
+    with np.errstate(invalid="ignore"):
+        scale = np.where(hi > lo, (hi - lo) / 65535.0, 1.0)
+        q = block - lo[:, None, None]
+        q /= scale[:, None, None]
+        q = np.round(q, out=q).astype("<u2")
+    head = np.empty(k, dtype=[("h", "<u4"), ("w", "<u4"), ("lo", "<f8"), ("scale", "<f8")])
+    head["h"], head["w"], head["lo"], head["scale"] = h, w, lo, scale
+    out = np.empty((k, 24 + 2 * h * w), np.uint8)
+    out[:, :24] = head.view(np.uint8).reshape(k, 24)
+    out[:, 24:] = q.reshape(k, -1).view(np.uint8)
+    back = q.astype(np.float64)
+    back *= scale[:, None, None]
+    back += lo[:, None, None]
+    return out, back
+
+
+def psnr(ref: np.ndarray, test: np.ndarray):
+    """Peak signal-to-noise ratio in dB over the ref grid's dynamic range.
+    Reduces over the last two axes, so a (k, h, w) stack of grids gives
+    one value per grid. NaN when either grid holds a NaN."""
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
-    mse = float(np.mean((ref - test) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    peak = float(np.max(ref) - np.min(ref)) or 1.0
-    return 10.0 * np.log10(peak * peak / mse)
+    axes = (-2, -1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        err = ref - test
+        err *= err
+        mse = np.mean(err, axis=axes)
+        peak = np.max(ref, axis=axes) - np.min(ref, axis=axes)
+        peak = np.where(peak == 0.0, 1.0, peak)
+        db = 10.0 * np.log10(peak * peak / mse)
+    return float(db) if db.ndim == 0 else db
 
 
 def tile_row_table(tr: int, tc: int, blob: bytes, fmt: str, **extra):

@@ -7,13 +7,25 @@ per-band manifest checkpointing INCLUDED in the measured time.
 The input is laid out one directory per band of tile rows (``band=K/``,
 see ``synthesize_tiles_parallel``). Each input file is one stateless Ray
 task: read → assign → decode → write ``out_dir/bandNNNN/<input file
-name>`` → return its row count. Tasks share nothing but the broadcast
-``TileGrid``, so there is no cross-task coordination (Raptor's
-tile-partitioned shape). The driver submits every file of every band
-still to run, then waits; when a band's last file returns it appends the
-band's manifest line, whose ``wall_s`` runs from submit to that last
-file. Resume skips whole bands whose (band, params hash) is already in
-the manifest; a band without its line is cleared and rerun in full.
+name>`` → return its row count and the decode stage's verify counts.
+Tasks share nothing but the broadcast ``TileGrid``, so there is no
+cross-task coordination (Raptor's tile-partitioned shape). The driver
+submits every file of every band still to run, then waits; when a band's
+last file returns it appends the band's manifest line, whose ``wall_s``
+runs from submit to that last file. Resume skips whole bands whose
+(band, params hash) is already in the manifest; a band without its line
+is cleared and rerun in full.
+
+A band's manifest ``metrics`` are its files' verify counts summed
+(``DecodeVerifyReencode.counts``, both 0 when ``decode`` is off):
+
+- ``undecodable``: tiles whose codec is not implemented (a non-baseline
+  jpeg), written with their input payload and NaN ``px_*``;
+- ``reencode_psnr_failed``: tiles whose q16 re-encode decodes back below
+  40 dB PSNR (NaN or inf pixels), written with their input payload.
+
+Corrupt payloads fail the run instead: the task raises before it writes
+its file, and the band gets no manifest line.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import os
 import shutil
 import time
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -100,16 +113,18 @@ def synthesize_tiles_parallel(spec: tsrc.SceneSpec, out_path: str, fmt: str = "f
 
 
 def _tile_file(path: str, band: str, out_path: str, tile_grid: TileGrid, quad_level: int, hex_res: int,
-               decode: bool) -> int:
-    """Tile one input file into ``out_path``; returns its row count."""
+               decode: bool) -> tuple[int, dict]:
+    """Tile one input file into ``out_path``; returns its row count and
+    the decode stage's verify counts."""
+    dec = DecodeVerifyReencode("q16", False)
     t = pq.read_table(path)
     # the hive partition column a ``band=K/`` directory read carries
     t = t.append_column("band", pa.repeat(pa.scalar(band, pa.string()), t.num_rows))
     t = make_assign_fn(tile_grid, quad_level, hex_res)(t)
     if decode:
-        t = DecodeVerifyReencode("q16", False)(t)
+        t = dec(t)
     pq.write_table(t, out_path)
-    return t.num_rows
+    return t.num_rows, dec.counts
 
 
 def run_tiling_pipeline(
@@ -168,6 +183,7 @@ def run_tiling_pipeline(
     band_of: dict = {}  # task ref -> band
     left: dict[int, int] = {}  # band -> files still running
     rows = dict.fromkeys(to_run, 0)
+    metrics = {b: Counter() for b in to_run}
     for b in to_run:
         band_dir = os.path.join(input_path, f"band={b}")
         part_dir = os.path.join(out_dir, f"band{b:04d}")
@@ -184,7 +200,9 @@ def run_tiling_pipeline(
     while pending:
         ready, pending = ray.wait(pending)
         b = band_of.pop(ready[0])
-        rows[b] += ray.get(ready[0])
+        n, counts = ray.get(ready[0])
+        rows[b] += n
+        metrics[b].update(counts)
         left[b] -= 1
         if left[b]:
             continue
@@ -197,6 +215,7 @@ def run_tiling_pipeline(
             wall_s=time.time() - t_all,
             output_uri=part_dir,
             content_hash=dir_content_hash(part_dir),
+            metrics=dict(metrics[b]),
         )
     total_s = time.time() - t_all
     total_tiles = sum(rows.values())

@@ -4458,17 +4458,17 @@ def q_kmeans_1iter(sf_dir: str, k: int = 4):
     same streamed partial-sum shape as stages/kmeans.kmeans_fit."""
     import ray
 
+    from ..stages.ann import _to_matrix
+
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    seed_rows = (
-        ds.sort("vec_id").limit(k).to_pandas()
-    )
+    seed_rows = ds.sort("vec_id").limit(k).take_batch(k, batch_format="pyarrow")
     cids = seed_rows["vec_id"].to_numpy()
-    cent = np.stack([np.asarray(e, dtype=np.float64) for e in seed_rows["embedding"]])
+    cent = _to_matrix(seed_rows["embedding"])
     ref = ray.put((cids, cent))
 
     def partial(batch: pa.Table) -> pa.Table:
         ids, c = ray.get(ref)
-        m = np.stack([np.asarray(e, dtype=np.float64) for e in batch["embedding"].to_pylist()])
+        m = _to_matrix(batch["embedding"])
         d2 = ((m[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
         kk, dim = c.shape

@@ -4,7 +4,10 @@ per-partition lineage + metrics").
 A run writes one JSON line per FINISHED partition:
 
     {"partition_id", "key_range", "rows_in", "rows_out", "wall_s",
-     "output_uri", "content_hash", "params_hash", "ts"}
+     "output_uri", "content_hash", "params_hash", "metrics", "ts"}
+
+``metrics`` is the writer's per-partition operator counts (``{}`` when
+it passes none).
 
 The line is appended atomically (write temp + append + fsync) AFTER the
 partition's output directory is complete, so a crashed run never records
