@@ -12,7 +12,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from whitebox_tools_ray.kernels import codecs
-from whitebox_tools_ray.pipelines.flagship import run_tiling_pipeline, synthesize_tiles_parallel
+from whitebox_tools_ray.pipelines.flagship import LAYER_CPU, run_tiling_pipeline, synthesize_tiles_parallel
 from whitebox_tools_ray.stages.assign import DecodeVerifyReencode
 from whitebox_tools_ray.sources.tiles import SceneSpec
 from whitebox_tools_ray.state.manifest import Manifest
@@ -115,6 +115,16 @@ class TestResume:
 MANIFEST_KEYS = {"partition_id", "key_range", "rows_in", "rows_out", "wall_s", "output_uri", "content_hash",
                  "params_hash", "metrics", "ts"}
 CLEAN = {"undecodable": 0, "reencode_psnr_failed": 0}
+METRICS_KEYS = {"undecodable", "reencode_psnr_failed", "read_cpu_s", "assign_cpu_s", "decode_cpu_s", "write_cpu_s"}
+
+
+def _counts(metrics):
+    """The verify counts of a manifest ``metrics`` after checking its key
+    set and that each per-layer CPU time is a non-negative float."""
+    assert set(metrics) == METRICS_KEYS and set(LAYER_CPU) < METRICS_KEYS
+    for k in LAYER_CPU:
+        assert isinstance(metrics[k], float) and metrics[k] >= 0.0, (k, metrics[k])
+    return {k: metrics[k] for k in CLEAN}
 
 
 def _records(out):
@@ -151,7 +161,7 @@ class TestManifestMetrics:
         assert sorted(recs) == ["band0000", "band0001"]
         for r in recs.values():
             assert set(r) == MANIFEST_KEYS
-            assert r["metrics"] == CLEAN
+            assert _counts(r["metrics"]) == CLEAN
             assert isinstance(r["key_range"], list) and len(r["key_range"]) == 2
             assert r["rows_in"] == r["rows_out"] == 8
             assert isinstance(r["wall_s"], float) and isinstance(r["ts"], float)
@@ -171,8 +181,8 @@ class TestManifestMetrics:
         out = str(tmp_path / "out")
         assert run_tiling_pipeline(path, out, spec, num_bands=2)["tiles"] == 16
         recs = _records(out)
-        assert recs["band0000"]["metrics"] == CLEAN
-        assert recs["band0001"]["metrics"] == {"undecodable": 0, "reencode_psnr_failed": 1}
+        assert _counts(recs["band0000"]["metrics"]) == CLEAN
+        assert _counts(recs["band0001"]["metrics"]) == {"undecodable": 0, "reencode_psnr_failed": 1}
         got = pq.read_table(os.path.join(out, "band0001", name))
         assert got["bytes"][0].as_py() == src["bytes"][0].as_py()
         assert got["fmt"].to_pylist() == ["f32"] + ["q16"] * (got.num_rows - 1)

@@ -1,11 +1,16 @@
 """Block decode stage (``stages/assign.DecodeVerifyReencode``) against a
-per-tile oracle built from ``codecs.decode_tile``/``encode_tile``, and the
-vectorized PNG unfilter against the scalar loop it replaced.
+per-tile oracle built from ``codecs.decode_tile``/``encode_tile``, the PNG
+unfilter against the NumPy-scalar loops it replaced, and the libdeflate
+inflate path against its ``zlib.decompress`` fallback.
 
 Hypothesis runs derandomized, so the suite stays reproducible."""
 
+import ctypes.util
 import struct
+import sys
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
@@ -51,9 +56,33 @@ def unfilter_scalar(scan, h, stride, bpp):
     return out
 
 
-def png_filtered(img: np.ndarray, ftypes) -> bytes:
+def unfilter_row_numpy(ftype, line, prev, bpp):
+    """Reverse one Average (3) or Paeth (4) scanline with the per-byte
+    loop over NumPy scalars that ``codecs._unfilter`` ran before
+    ``_unfilter_row`` (the oracle)."""
+    line32 = line.astype(np.int32)
+    prev32 = prev.astype(np.int32)
+    stride = len(line)
+    cur = np.zeros(stride, np.int32)
+    for i in range(stride):
+        a = cur[i - bpp] if i >= bpp else 0
+        b = prev32[i]
+        if ftype == 3:
+            cur[i] = (line32[i] + (a + b) // 2) & 0xFF
+        else:
+            c = prev32[i - bpp] if i >= bpp else 0
+            p = a + b - c
+            pa_, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            pred = a if (pa_ <= pb and pa_ <= pc) else (b if pb <= pc else c)
+            cur[i] = (line32[i] + pred) & 0xFF
+    return cur.astype(np.uint8)
+
+
+def png_filtered(img: np.ndarray, ftypes, level: int = -1, parts: int = 1, cut=None) -> bytes:
     """16-bit gray PNG of ``img`` with scanline r written under filter
-    ``ftypes[r]`` (the encoder side of the spec's filters)."""
+    ``ftypes[r]`` (the encoder side of the spec's filters), compressed at
+    zlib ``level`` and split into ``parts`` IDAT chunks; ``cut`` edits the
+    filtered scanline bytes before they are compressed."""
     h, w = img.shape
     raw = img.astype(">u2").view(np.uint8).reshape(h, 2 * w).astype(np.int32)
     bpp = 2
@@ -78,9 +107,11 @@ def png_filtered(img: np.ndarray, ftypes) -> bytes:
             pred = np.where((pa_ <= pb) & (pa_ <= pc), left, np.where(pb <= pc, prev, upleft))
         scan.append(f)
         scan += ((line - pred) & 0xFF).astype(np.uint8).tobytes()
+    stream = zlib.compress(bytes(scan) if cut is None else cut(bytes(scan)), level)
+    bounds = np.linspace(0, len(stream), parts + 1).astype(int)
+    idat = b"".join(codecs._chunk(b"IDAT", stream[a:b]) for a, b in zip(bounds, bounds[1:]))
     ihdr = struct.pack(">IIBBBBB", w, h, 16, 0, 0, 0, 0)
-    return (codecs._PNG_SIG + codecs._chunk(b"IHDR", ihdr) + codecs._chunk(b"IDAT", zlib.compress(bytes(scan)))
-            + codecs._chunk(b"IEND", b""))
+    return codecs._PNG_SIG + codecs._chunk(b"IHDR", ihdr) + idat + codecs._chunk(b"IEND", b"")
 
 
 def oracle(batch: pa.Table, out_fmt) -> pa.Table:
@@ -213,8 +244,155 @@ class TestUnfilter:
         scan[0, 0], scan[1, 0] = 1, 1  # Sub on the first row and after it
         assert np.array_equal(codecs._unfilter(scan, h, w * bpp, bpp), unfilter_scalar(scan, h, w * bpp, bpp))
 
+    @pytest.mark.parametrize("bpp", [1, 2, 3, 6])
+    @pytest.mark.parametrize("ftype", [3, 4])
+    def test_average_and_paeth_match_scalar_loop(self, ftype, bpp):
+        rng = np.random.default_rng(10 * ftype + bpp)
+        for w in (1, 2, 17):
+            h = 6
+            scan = rng.integers(0, 256, (h, 1 + w * bpp), dtype=np.uint8)
+            scan[:, 0] = ftype
+            scan[3, 0] = rng.integers(0, 3)  # a row of another type in between
+            assert np.array_equal(codecs._unfilter(scan, h, w * bpp, bpp), unfilter_scalar(scan, h, w * bpp, bpp))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ftype=st.sampled_from([3, 4]), bpp=st.integers(1, 8), data=st.data())
+    def test_unfilter_row_matches_numpy_scalar_loop(self, ftype, bpp, data):
+        n = data.draw(st.integers(0, 40))
+        byte_rows = st.binary(min_size=n, max_size=n)
+        line, prev = data.draw(byte_rows), data.draw(byte_rows)
+        got = codecs._unfilter_row(ftype, line, prev, bpp)
+        want = unfilter_row_numpy(ftype, np.frombuffer(line, np.uint8), np.frombuffer(prev, np.uint8), bpp)
+        assert bytes(got) == want.tobytes()
+
     def test_bad_filter_type(self):
         scan = np.zeros((2, 5), np.uint8)
         scan[1, 0] = 5
         with pytest.raises(ValueError, match="bad PNG filter type 5"):
             codecs._unfilter(scan, 2, 4, 2)
+
+
+def without_libdeflate(fn, *args):
+    """``fn(*args)`` with the libdeflate loader forced to None, so every
+    stream inflates through the ``zlib.decompress`` fallback."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codecs, "_libdeflate", lambda: None)
+        return fn(*args)
+
+
+@pytest.fixture(params=["libdeflate", "zlib"])
+def inflate_path(request, monkeypatch):
+    if request.param == "zlib":
+        monkeypatch.setattr(codecs, "_libdeflate", lambda: None)
+    return request.param
+
+
+def png_tile(img, ftypes, lo=-5.0, scale=0.25, **kw) -> bytes:
+    """``png`` tile payload of a uint16 image: (lo, scale) header + PNG."""
+    return struct.pack("<dd", lo, scale) + png_filtered(img, ftypes, **kw)
+
+
+def block_of(payloads):
+    """(data, offsets) of payloads back to back, as ``decode_block`` takes."""
+    data = np.frombuffer(b"".join(payloads), np.uint8)
+    return data, np.cumsum([0] + [len(p) for p in payloads])
+
+
+class TestInflate:
+    def test_libdeflate_loads_where_installed(self, monkeypatch):
+        """Fails when the system has libdeflate but ``codecs`` does not
+        decode through it: a broken load or ctypes signature would
+        otherwise fall back to zlib silently and lose the speed-up."""
+        if ctypes.util.find_library("deflate") is None:
+            pytest.skip("no system libdeflate")
+        assert codecs._libdeflate() is not None
+
+        def no_zlib(*args, **kwargs):
+            raise AssertionError("inflated through the zlib.decompress fallback")
+
+        monkeypatch.setattr(codecs.zlib, "decompress", no_zlib)
+        img = np.arange(6 * 7, dtype=np.uint16).reshape(6, 7) * 1500
+        assert np.array_equal(codecs.png_decode(png_filtered(img, [0, 1, 2, 3, 4, 0], parts=2)), img)
+
+    @SET
+    @given(seed=st.integers(0, 2**31 - 1), shape=st.sampled_from([(1, 1), (3, 5), (16, 16), (40, 33)]),
+           level=st.integers(0, 9), parts=st.integers(1, 4), k=st.integers(1, 4), smooth=st.booleans())
+    def test_libdeflate_and_zlib_fallback_agree(self, seed, shape, level, parts, k, smooth):
+        rng = np.random.default_rng(seed)
+        imgs, payloads = [], []
+        for _ in range(k):
+            if smooth:  # compresses, so the level matters
+                img = np.cumsum(rng.integers(0, 40, shape), axis=1).astype(np.uint16)
+            else:
+                img = rng.integers(0, 65536, shape, dtype=np.uint16)
+            imgs.append(img)
+            payloads.append(png_tile(img, rng.integers(0, 5, shape[0]), level=level, parts=parts))
+        data, offsets = block_of(payloads)
+        got = codecs.decode_block(data, offsets, "png", shape)
+        assert got.tobytes() == without_libdeflate(codecs.decode_block, data, offsets, "png", shape).tobytes()
+        assert got.tobytes() == np.stack([img * 0.25 - 5.0 for img in imgs]).tobytes()
+        for img, p in zip(imgs, payloads):
+            assert np.array_equal(codecs.png_decode(p[16:]), img)
+            assert np.array_equal(without_libdeflate(codecs.png_decode, p[16:]), img)
+
+    @staticmethod
+    def _decoders(payload, shape):
+        data, offsets = block_of([payload])
+        return [lambda: codecs.png_decode(payload[16:]), lambda: codecs.decode_block(data, offsets, "png", shape)]
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_flipped_idat_byte_raises_zlib_error(self, inflate_path, parts):
+        img = np.arange(16 * 16, dtype=np.uint16).reshape(16, 16) * 37
+        payload = bytearray(png_tile(img, [2] * 16, parts=parts))
+        (ln,) = struct.unpack(">I", payload[49:53])
+        assert payload[53:57] == b"IDAT"
+        payload[57 + ln // 2] ^= 0xFF
+        for decode in self._decoders(bytes(payload), (16, 16)):
+            with pytest.raises(zlib.error):
+                decode()
+
+    def test_cut_stream_raises_zlib_error(self, inflate_path):
+        img = np.arange(16 * 16, dtype=np.uint16).reshape(16, 16) * 37
+        png = png_filtered(img, [0] * 16)
+        (ln,) = struct.unpack(">I", png[33:37])
+        assert png[37:41] == b"IDAT"
+        cut = png[:33] + codecs._chunk(b"IDAT", png[41 : 41 + ln - 6]) + codecs._chunk(b"IEND", b"")
+        for decode in self._decoders(struct.pack("<dd", 0.0, 1.0) + cut, (16, 16)):
+            with pytest.raises(zlib.error):
+                decode()
+
+    @pytest.mark.parametrize("edit", [lambda s: s[:-33], lambda s: s[:-1], lambda s: s + s[-33:], lambda s: s + b"\0"],
+                             ids=["row_short", "byte_short", "row_over", "byte_over"])
+    def test_wrong_inflated_size_raises_value_error(self, inflate_path, edit):
+        img = np.arange(16 * 16, dtype=np.uint16).reshape(16, 16) * 37
+        payload = png_tile(img, [0] * 16, cut=edit)
+        for decode in self._decoders(payload, (16, 16)):
+            with pytest.raises(ValueError):
+                decode()
+
+    def test_threads_decode_as_one(self):
+        rng = np.random.default_rng(7)
+        shape = (24, 24)
+        payloads = [png_tile(rng.integers(0, 65536, shape, dtype=np.uint16), rng.integers(0, 5, 24))
+                    for _ in range(12)]
+        data, offsets = block_of(payloads)
+        want = codecs.decode_block(data, offsets, "png", shape).tobytes()
+        used = set()  # (thread id, decompressor address)
+
+        def run():
+            out = [codecs.decode_block(data, offsets, "png", shape).tobytes() for _ in range(5)]
+            d = getattr(codecs._THREAD, "decompressor", None)
+            used.add((threading.get_ident(), d and d.ptr))
+            return out
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as ex:
+                results = [f.result(timeout=120) for f in [ex.submit(run) for _ in range(16)]]
+        finally:
+            sys.setswitchinterval(old)
+        assert all(r == want for out in results for r in out)
+        if codecs._libdeflate() is not None:  # one decompressor per thread, none shared
+            ptrs = {ptr for _tid, ptr in used}
+            assert None not in ptrs and len(ptrs) == len({tid for tid, _ptr in used})

@@ -16,13 +16,21 @@ runs from submit to that last file. Resume skips whole bands whose
 (band, params hash) is already in the manifest; a band without its line
 is cleared and rerun in full.
 
-A band's manifest ``metrics`` are its files' verify counts summed
-(``DecodeVerifyReencode.counts``, both 0 when ``decode`` is off):
+A band's manifest ``metrics`` are its files' figures summed: the verify
+counts (``DecodeVerifyReencode.counts``, both 0 when ``decode`` is off)
 
 - ``undecodable``: tiles whose codec is not implemented (a non-baseline
   jpeg), written with their input payload and NaN ``px_*``;
 - ``reencode_psnr_failed``: tiles whose q16 re-encode decodes back below
-  40 dB PSNR (NaN or inf pixels), written with their input payload.
+  40 dB PSNR (NaN or inf pixels), written with their input payload;
+
+and the CPU seconds (``time.process_time()`` of the task's worker
+process, so Arrow's reader and writer threads count) of each layer:
+
+- ``read_cpu_s``: read the input file and append ``band``;
+- ``assign_cpu_s``: the assignment keys;
+- ``decode_cpu_s``: decode → verify → re-encode (about 0 when off);
+- ``write_cpu_s``: write the output file.
 
 Corrupt payloads fail the run instead: the task raises before it writes
 its file, and the band gets no manifest line.
@@ -112,19 +120,33 @@ def synthesize_tiles_parallel(spec: tsrc.SceneSpec, out_path: str, fmt: str = "f
     return out_path
 
 
+# manifest ``metrics`` keys of each file task's per-layer process CPU-s
+LAYER_CPU = ("read_cpu_s", "assign_cpu_s", "decode_cpu_s", "write_cpu_s")
+
+
 def _tile_file(path: str, band: str, out_path: str, tile_grid: TileGrid, quad_level: int, hex_res: int,
                decode: bool) -> tuple[int, dict]:
     """Tile one input file into ``out_path``; returns its row count and
-    the decode stage's verify counts."""
+    the decode stage's verify counts with the process CPU seconds of
+    each layer."""
     dec = DecodeVerifyReencode("q16", False)
+    cpu = [time.process_time()]
     t = pq.read_table(path)
     # the hive partition column a ``band=K/`` directory read carries
     t = t.append_column("band", pa.repeat(pa.scalar(band, pa.string()), t.num_rows))
+    cpu.append(time.process_time())
     t = make_assign_fn(tile_grid, quad_level, hex_res)(t)
+    cpu.append(time.process_time())
     if decode:
         t = dec(t)
-    pq.write_table(t, out_path)
-    return t.num_rows, dec.counts
+    cpu.append(time.process_time())
+    # ``bytes`` holds distinct raw payloads: a dictionary is abandoned
+    # past its 1 MiB page and Snappy saves ~0.03%, so write it plain
+    pq.write_table(t, out_path, use_dictionary=[c for c in t.column_names if c != "bytes"],
+                   compression={c: "none" if c == "bytes" else "snappy" for c in t.column_names})
+    cpu.append(time.process_time())
+    layers = dict(zip(LAYER_CPU, np.diff(cpu).tolist()))
+    return t.num_rows, {**dec.counts, **layers}
 
 
 def run_tiling_pipeline(

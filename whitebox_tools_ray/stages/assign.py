@@ -110,6 +110,19 @@ class DecodeVerifyReencode:
     and the verify run over each chunk; the output column is one
     ``BinaryArray`` built from the concatenated payloads.
 
+    Passes over a 16-bit PNG chunk, each one whole-chunk NumPy op:
+
+    - decode: inflate each tile's IDAT into the chunk's scanline buffer
+      (libdeflate, see :mod:`~whitebox_tools_ray.kernels.codecs`),
+      unfilter the tiles that use filters, then scale the big-endian u16
+      pixels straight into the float64 block and add each tile's offset;
+    - stats: min, max and mean per tile;
+    - q16 encode: subtract, divide, round and cast to u16, then scale the
+      u16 grid straight into the float64 grid it decodes back to;
+    - verify: PSNR of that grid against the block, with the peak taken
+      from the stats (``max - min``) and the squared error summed in one
+      ``einsum`` pass.
+
     Verify: each re-encoded tile must decode back to at least
     ``MIN_PSNR_DB`` PSNR against its decoded pixels. That catches NaN or
     inf pixels, which q16 otherwise quantizes to garbage. A failing tile
@@ -202,7 +215,7 @@ class DecodeVerifyReencode:
         else:
             enc = [np.frombuffer(codecs.encode_tile(g, self.out_fmt), np.uint8) for g in block]
             back = np.stack([codecs.decode_tile(e.tobytes(), self.out_fmt) for e in enc])
-        db = codecs.psnr(block, back)
+        db = codecs.psnr(block, back, hi - lo)
         ok = db >= MIN_PSNR_DB
         if self.strict and not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
