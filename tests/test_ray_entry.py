@@ -2,6 +2,8 @@
 against its oracle_sql() twin in DuckDB — row count, schema (column
 names), and values after the driver's sort-columns-by-name convention."""
 
+import inspect
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -26,6 +28,12 @@ def entrymod(ray_session):
     import __ray_entry__ as e
 
     return e
+
+
+@pytest.fixture(scope="module")
+def gates(entrymod):
+    """(queries(), oracle_sql()), built once: each call builds every SQL twin."""
+    return entrymod.queries(), entrymod.oracle_sql()
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +124,33 @@ def test_gate_tables_agree():
     assert queries - sqls == ROWS_ONLY_GATES
 
 
+def test_gate_names_unique():
+    """A dict literal drops a repeated key without a word; the table keeps it."""
+    import __ray_entry__ as e
+
+    names = [name for name, _, _ in e._gates()]
+    dupes = {n for n in names if names.count(n) > 1}
+    assert not dupes, dupes
+
+
+def test_gate_signatures():
+    """Every gate query takes only ``sf_dir`` and every SQL builder takes
+    nothing, so a value both sides must agree on lives in one constant."""
+    import __ray_entry__ as e
+    from whitebox_tools_ray.pipelines import relational as R
+
+    for name, q, _ in e._gates():
+        assert list(inspect.signature(q).parameters) == ["sf_dir"], name
+    for fname, fn in vars(R).items():
+        if fname.startswith("q_") and fname.endswith("_sql") and callable(fn):
+            assert not inspect.signature(fn).parameters, fname
+
+
 @pytest.mark.parametrize("name", all_query_names())
-def test_query_matches_oracle(entrymod, duck, name):
-    q = entrymod.queries()[name]
-    sql = entrymod.oracle_sql().get(name)
+def test_query_matches_oracle(gates, duck, name):
+    queries, sqls = gates
+    q = queries[name]
+    sql = sqls.get(name)
     ray_out = q(SF_DIR)
     if sql is None:
         # rows-only check (driver's weaker gate for non-SQL-expressible ops)

@@ -1,9 +1,14 @@
 """Query builders over the driver's TPC-H-ish parquet tables.
 
-Every function here takes ``sf_dir`` and returns a Ray Dataset / pandas
-DataFrame, and has an exact DuckDB-SQL twin in ``__ray_entry__.oracle_sql``
-— column names AND value rounding must match on both sides (the driver
-hashes values after sorting columns by name).
+Each gate query ``q_<name>(sf_dir)`` returns a Ray Dataset / pandas
+DataFrame. Its exact DuckDB-SQL twin is a ``Q_<NAME>_SQL`` string or a
+``q_<name>_sql()`` builder, and one row of the gate table in
+``__ray_entry__.py`` pairs the two (seven gates have no twin and are
+checked by row count only). Column names AND value rounding must match
+on both sides (the driver hashes values after sorting columns by name).
+Queries take nothing but ``sf_dir`` and builders take nothing: a value
+both sides must agree on (a cell level, a threshold, a window size) is
+one module constant that both read.
 
 The synthetic point layer used by the spatial queries is derived
 DETERMINISTICALLY from lineitem with int64 arithmetic so the oracle can
@@ -30,6 +35,32 @@ SYNTH_POINTS_SQL = """
            l_quantity AS value
     FROM lineitem
 """
+
+# Values a gate query and its SQL twin must agree on; both read the constant.
+CELL_BINNING_LEVEL = 18  # cell_binning
+TILE_WIDTH = 125.0  # tile_assign
+SESSION_GAP_S = 1800  # session_windows
+NEAR_DUP_MIN_COSINE = 0.455  # near_dup_cosine
+FRAME_EVERY_N = 10  # frame_sample
+SAMPLE_FRACTION = 0.1  # random_sample
+SAMPLE_SEED = 7  # random_sample
+WINDOW_SIZE_S = 3600  # sliding_window
+WINDOW_HOP_S = 900  # sliding_window
+HEX_RES = 9  # hex_binning
+NUM_QUANTILES = 5  # quantiles
+TOPK_PER_GROUP = 2  # topk_per_group
+HYPSOMETRIC_BINS = 100  # hypsometric
+PCA_COV_DIMS = 6  # pca_cov
+KMEANS_K = 4  # kmeans_1iter
+JACCARD_K = 3  # jaccard_pairs (word shingle length)
+JACCARD_MIN = 0.5  # jaccard_pairs
+GAUSSIAN_SIGMA = 0.75  # gaussian_filter
+OPENING_RADIUS = 1  # opening_morph
+STREAM_THRESHOLD = 25.0  # strahler_order, farthest_channel_head (acc >)
+RELATIVE_AZIMUTH = 45.0  # relative_aspect
+PLANE_BASE = 10.0  # create_plane
+PLANE_SLOPE_DEG = 2.0  # create_plane
+PLANE_ASPECT_DEG = 135.0  # create_plane
 
 
 def read(sf_dir: str, table: str, columns=None, **read_kwargs):
@@ -279,26 +310,26 @@ Q_MINMAX_STRETCH_SQL = """
 # --- spatial queries over the synthetic point layer ---
 
 
-def q_cell_binning(sf_dir: str, level: int = 18):
+def q_cell_binning(sf_dir: str):
     """Quad-cell binning counts (hex/H3-binning analog, SQL-oracle-able).
 
     Level 18 → 64-unit cells → ~256 distinct cells over the point frame
     (level 9 put every point in ONE 32 768-unit cell — a vacuous gate)."""
     from ..stages.zonal import cell_binning
 
-    return cell_binning(synth_points(sf_dir), "x", "y", kind="quad", level=level)
+    return cell_binning(synth_points(sf_dir), "x", "y", kind="quad", level=CELL_BINNING_LEVEL)
 
 
-def q_cell_binning_sql(level: int = 18) -> str:
+def q_cell_binning_sql() -> str:
     from ..kernels.cells import quad_cell_sql
 
     return f"""
-        SELECT {quad_cell_sql('x', 'y', level)} AS cell, COUNT(*) AS n
+        SELECT {quad_cell_sql('x', 'y', CELL_BINNING_LEVEL)} AS cell, COUNT(*) AS n
         FROM ({SYNTH_POINTS_SQL}) GROUP BY 1
     """
 
 
-def q_tile_assign(sf_dir: str, width: float = 125.0):
+def q_tile_assign(sf_dir: str):
     """LidarTile-rule tile assignment + per-tile counts
     (lidar_tile.rs:257-281 parity in SQL).
 
@@ -325,7 +356,7 @@ def q_tile_assign(sf_dir: str, width: float = 125.0):
         Min("mnx", alias_name="mnx"), Max("mxx", alias_name="mxx"),
         Min("mny", alias_name="mny"), Max("mxy", alias_name="mxy"),
     )
-    tg = TileGrid.from_extent(ext["mnx"], ext["mxx"], ext["mny"], ext["mxy"], width, width)
+    tg = TileGrid.from_extent(ext["mnx"], ext["mxx"], ext["mny"], ext["mxy"], TILE_WIDTH, TILE_WIDTH)
 
     def assign_count(batch: pa.Table) -> pa.Table:
         row, col, tid = tg.assign(
@@ -343,15 +374,15 @@ def q_tile_assign(sf_dir: str, width: float = 125.0):
     )
 
 
-def q_tile_assign_sql(width: float = 125.0) -> str:
+def q_tile_assign_sql() -> str:
     return f"""
         WITH pts AS ({SYNTH_POINTS_SQL}),
-        ext AS (SELECT FLOOR(MIN(x) / {width}) AS sxg, CEIL(MAX(x) / {width}) AS exg,
-                       FLOOR(MIN(y) / {width}) AS syg, CEIL(MAX(y) / {width}) AS eyg
+        ext AS (SELECT FLOOR(MIN(x) / {TILE_WIDTH}) AS sxg, CEIL(MAX(x) / {TILE_WIDTH}) AS exg,
+                       FLOOR(MIN(y) / {TILE_WIDTH}) AS syg, CEIL(MAX(y) / {TILE_WIDTH}) AS eyg
                 FROM pts)
-        SELECT (CAST(FLOOR(y / {width} - syg) AS BIGINT)
+        SELECT (CAST(FLOOR(y / {TILE_WIDTH} - syg) AS BIGINT)
                 * CAST(ABS(exg - sxg) AS BIGINT)
-                + CAST(FLOOR(x / {width} - sxg) AS BIGINT)) AS tile_id,
+                + CAST(FLOOR(x / {TILE_WIDTH} - sxg) AS BIGINT)) AS tile_id,
                COUNT(*) AS n
         FROM pts, ext GROUP BY 1
     """
@@ -543,19 +574,19 @@ Q_LANG_DISTRIBUTION_SQL = """
 # --- dedup / text / window / multimodal / clustering queries ---
 
 
-def q_session_windows(sf_dir: str, gap_s: int = 1800):
+def q_session_windows(sf_dir: str):
     """Gap-based sessionization per user (windows.session)."""
     from ..stages.windows import session
 
     ds = read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    return session(ds, "user_id", "ts", "value", gap_s=gap_s)
+    return session(ds, "user_id", "ts", "value", gap_s=SESSION_GAP_S)
 
 
-def q_session_windows_sql(gap_s: int = 1800) -> str:
+def q_session_windows_sql() -> str:
     return f"""
         WITH e AS (
             SELECT user_id, epoch_us(ts) AS tus, value,
-                   CASE WHEN epoch_us(ts) - LAG(epoch_us(ts)) OVER w > {gap_s} * 1000000
+                   CASE WHEN epoch_us(ts) - LAG(epoch_us(ts)) OVER w > {SESSION_GAP_S} * 1000000
                              OR LAG(epoch_us(ts)) OVER w IS NULL
                         THEN 1 ELSE 0 END AS new_s
             FROM events
@@ -608,26 +639,26 @@ Q_TOKEN_COUNT_SQL = """
 """
 
 
-def q_near_dup_cosine(sf_dir: str, threshold: float = 0.455):
+def q_near_dup_cosine(sf_dir: str):
     """Embedding-cosine near-dup pairs (dedup.embedding_near_dup)."""
     from ..stages.dedup import embedding_near_dup
 
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return embedding_near_dup(ds, threshold=threshold)
+    return embedding_near_dup(ds, threshold=NEAR_DUP_MIN_COSINE)
 
 
-def q_near_dup_cosine_sql(threshold: float = 0.455) -> str:
+def q_near_dup_cosine_sql() -> str:
     return f"""
         SELECT a.vec_id AS id_a, b.vec_id AS id_b,
                ROUND(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
                                             CAST(b.embedding AS DOUBLE[])), 6) AS cosine
         FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
         WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                     CAST(b.embedding AS DOUBLE[])) >= {threshold}
+                                     CAST(b.embedding AS DOUBLE[])) >= {NEAR_DUP_MIN_COSINE}
     """
 
 
-def q_frame_sample(sf_dir: str, every_n: int = 10):
+def q_frame_sample(sf_dir: str):
     """Video frame-sampling PLUMBING check: a deterministic fake video
     table derived from documents (video_id=doc_id, n_frames from
     n_chars); emitted (video_id, frame_idx) rows are SQL-checkable even
@@ -650,14 +681,14 @@ def q_frame_sample(sf_dir: str, every_n: int = 10):
             }
         )
 
-    frames = sample_frames(ds.map_batches(to_videos, batch_format="pyarrow"), every_n=every_n)
+    frames = sample_frames(ds.map_batches(to_videos, batch_format="pyarrow"), every_n=FRAME_EVERY_N)
     return frames.select_columns(["video_id", "frame_idx"])
 
 
-def q_frame_sample_sql(every_n: int = 10) -> str:
+def q_frame_sample_sql() -> str:
     return f"""
         SELECT CAST(doc_id AS VARCHAR) AS video_id,
-               UNNEST(generate_series(0, CAST(n_chars % 100 + 10 AS INT) - 1, {every_n})) AS frame_idx
+               UNNEST(generate_series(0, CAST(n_chars % 100 + 10 AS INT) - 1, {FRAME_EVERY_N})) AS frame_idx
         FROM documents
     """
 
@@ -683,7 +714,7 @@ def q_simhash_pairs(sf_dir: str):
     return simhash_dedup(ds, hamming_t=3)
 
 
-def q_kmeans_clusters(sf_dir: str, k: int = 4):
+def q_kmeans_clusters(sf_dir: str):
     """K-means over embeddings (stages.kmeans): deterministic seed;
     returns cluster sizes (rows-only check)."""
     from ray.data.aggregate import Count
@@ -691,7 +722,7 @@ def q_kmeans_clusters(sf_dir: str, k: int = 4):
     from ..stages.kmeans import kmeans_assign, kmeans_fit
 
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    centroids, _it, _inertia = kmeans_fit(ds, k=k, max_iter=8, seed=42)
+    centroids, _it, _inertia = kmeans_fit(ds, k=4, max_iter=8, seed=42)
     return (
         kmeans_assign(ds, centroids)
         .groupby("cluster")
@@ -817,22 +848,22 @@ Q_KAPPA_SQL = """
 """
 
 
-def q_random_sample(sf_dir: str, fraction: float = 0.1, seed: int = 7):
+def q_random_sample(sf_dir: str):
     """Seeded deterministic Bernoulli sample (RandomSample analog)."""
     from ..stages.stats2 import random_sample
 
     ds = read(sf_dir, "orders", columns=["o_orderkey"])
-    return random_sample(ds, fraction, seed=seed, id_col="o_orderkey")
+    return random_sample(ds, SAMPLE_FRACTION, seed=SAMPLE_SEED, id_col="o_orderkey")
 
 
-def q_random_sample_sql(fraction: float = 0.1, seed: int = 7) -> str:
+def q_random_sample_sql() -> str:
     return f"""
         SELECT o_orderkey FROM orders
-        WHERE (((o_orderkey + {seed}) * 2654435761) % 2147483648) / 2147483648.0 < {fraction}
+        WHERE (((o_orderkey + {SAMPLE_SEED}) * 2654435761) % 2147483648) / 2147483648.0 < {SAMPLE_FRACTION}
     """
 
 
-def q_trend_surface(sf_dir: str, order: int = 1):
+def q_trend_surface(sf_dir: str):
     """TrendSurface order 1: z = b0 + b1·x + b2·y — the distributed
     normal-equation partials vs a Cramer's-rule SQL twin. Predictions
     ROUND(…,2): the 3×3 normal system on 0-1000-scale coordinates is
@@ -840,35 +871,35 @@ def q_trend_surface(sf_dir: str, order: int = 1):
     from ..stages.stats2 import trend_surface
 
     pts = synth_points(sf_dir)
-    coefs, predict = trend_surface(pts, "x", "y", "value", order=order)
+    coefs, predict = trend_surface(pts, "x", "y", "value", order=1)
     out = predict(synth_points(sf_dir), out_col="trend").select_columns(["record_id", "trend"])
     return round_cols(out, {"trend": 2})
 
 
-def q_pca_project(sf_dir: str, n_components: int = 3):
+def q_pca_project(sf_dir: str):
     """PCA projection of the embedding table (rows-only check)."""
     from ..stages.stats2 import pca
 
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    comps, ratio, project = pca(ds, n_components=n_components)
+    comps, ratio, project = pca(ds, n_components=3)
     out = project(read(sf_dir, "embeddings", columns=["vec_id", "embedding"])).to_pandas()
     out["pc1"] = np.round([abs(p[0]) for p in out["pc"]], 4)  # sign of eigvec is arbitrary
     return out[["vec_id", "pc1"]]
 
 
-def q_sliding_window(sf_dir: str, size_s: int = 3600, hop_s: int = 900):
+def q_sliding_window(sf_dir: str):
     """Sliding (hopping) window counts per user (windows.sliding)."""
     from ..stages.windows import sliding
 
     ds = read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    out = sliding(ds, "user_id", "ts", "value", size_s=size_s, hop_s=hop_s)
+    out = sliding(ds, "user_id", "ts", "value", size_s=WINDOW_SIZE_S, hop_s=WINDOW_HOP_S)
     return round_cols(out, {"total": 6})
 
 
-def q_sliding_window_sql(size_s: int = 3600, hop_s: int = 900) -> str:
-    n = size_s // hop_s
-    hop_us = hop_s * 1_000_000  # precomputed 64-bit literals (3600*1000000
-    size_us = size_s * 1_000_000  # overflows DuckDB INT32 inline math)
+def q_sliding_window_sql() -> str:
+    n = WINDOW_SIZE_S // WINDOW_HOP_S
+    hop_us = WINDOW_HOP_S * 1_000_000  # precomputed 64-bit literals (3600*1000000
+    size_us = WINDOW_SIZE_S * 1_000_000  # overflows DuckDB INT32 inline math)
     return f"""
         SELECT user_id,
                (CAST(FLOOR(epoch_us(ts) / {hop_us}) AS BIGINT) - k) * {hop_us} AS wstart_us,
@@ -879,14 +910,14 @@ def q_sliding_window_sql(size_s: int = 3600, hop_s: int = 900) -> str:
     """
 
 
-def q_hex_binning(sf_dir: str, res: int = 9):
+def q_hex_binning(sf_dir: str):
     """Planar hex-cell binning counts (VectorHexBinning analog). The
     cube-rounding assignment has a full SQL twin (ROUND_EVEN + the two
     CASE fixes, q_hex_binning_sql) — bit-exact incl. the pack_hex
     int64 layout."""
     from ..stages.zonal import cell_binning
 
-    return cell_binning(synth_points(sf_dir), "x", "y", kind="hex", level=res)
+    return cell_binning(synth_points(sf_dir), "x", "y", kind="hex", level=HEX_RES)
 
 
 def q_polygon_metrics(sf_dir: str):
@@ -1083,7 +1114,7 @@ def q_erase_points_convex_sql() -> str:
     """
 
 
-def q_quantiles(sf_dir: str, num_quantiles: int = 5):
+def q_quantiles(sf_dir: str):
     """Quantiles (quantiles.rs GA→M): classes of l_extendedprice.
 
     The cut points are np.quantile(linear) — DuckDB's quantile_cont is
@@ -1094,12 +1125,12 @@ def q_quantiles(sf_dir: str, num_quantiles: int = 5):
     from ..stages.stats import quantiles
 
     ds = read(sf_dir, "lineitem", columns=["l_extendedprice"])
-    out = quantiles(ds, "l_extendedprice", num_quantiles=num_quantiles, out_col="q")
+    out = quantiles(ds, "l_extendedprice", num_quantiles=NUM_QUANTILES, out_col="q")
     return out.groupby("q").aggregate(Count(alias_name="n"))
 
 
-def q_quantiles_sql(num_quantiles: int = 5) -> str:
-    qs = [i / num_quantiles for i in range(1, num_quantiles)]
+def q_quantiles_sql() -> str:
+    qs = [i / NUM_QUANTILES for i in range(1, NUM_QUANTILES)]
     cuts = ", ".join(
         f"(SELECT quantile_cont(l_extendedprice, {q}) FROM lineitem) AS c{i}"
         for i, q in enumerate(qs)
@@ -1131,7 +1162,7 @@ Q_SEMI_JOIN_SQL = """
 """
 
 
-def q_topk_per_group(sf_dir: str, k: int = 2):
+def q_topk_per_group(sf_dir: str):
     """Per-group top-k (groupby.map_groups): the k most expensive orders
     per market segment — the grouped-rank operator family."""
     from ..stages.joins import hash_join_bucketed
@@ -1141,20 +1172,20 @@ def q_topk_per_group(sf_dir: str, k: int = 2):
     joined = hash_join_bucketed(orders, cust, key="o_custkey", right_key="c_custkey", how="inner", num_buckets=None)
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, False]).head(k)
+        g = g.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, False]).head(TOPK_PER_GROUP)
         return g[["c_mktsegment", "o_orderkey", "o_totalprice"]]
 
     return joined.groupby("c_mktsegment").map_groups(topk, batch_format="pandas")
 
 
-def q_topk_per_group_sql(k: int = 2) -> str:
+def q_topk_per_group_sql() -> str:
     return f"""
         SELECT c_mktsegment, o_orderkey, o_totalprice FROM (
             SELECT c_mktsegment, o_orderkey, o_totalprice,
                    ROW_NUMBER() OVER (PARTITION BY c_mktsegment
                                       ORDER BY o_totalprice DESC, o_orderkey DESC) AS rn
             FROM orders JOIN customer ON o_custkey = c_custkey
-        ) WHERE rn <= {k}
+        ) WHERE rn <= {TOPK_PER_GROUP}
     """
 
 
@@ -1415,7 +1446,7 @@ Q_POLYGONIZE_GRID_SQL = """
 # ---------------------------------------------------------------------------
 
 
-def q_knn_join(sf_dir: str, k: int = 1):
+def q_knn_join(sf_dir: str):
     """KNearestJoin: nearest part-derived point for each supplier-derived
     point (FRS index, broadcast right side)."""
     import ray.data as rd
@@ -1444,7 +1475,7 @@ def q_knn_join(sf_dir: str, k: int = 1):
         )
 
     left = sup.map_batches(derive, batch_format="pyarrow")
-    out = knn_join(left, right, k=k)
+    out = knn_join(left, right, k=1)
 
     def project(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1474,28 +1505,28 @@ Q_KNN_JOIN_SQL = """
 """
 
 
-def q_hypsometric(sf_dir: str, bins: int = 100):
+def q_hypsometric(sf_dir: str):
     """HypsometricAnalysis gate: cumulative area-above-elevation over the
     events.value column, reported per histogram-bin index (integer bin
     keys dodge the rational-rounding trap)."""
     from ..stages.stats import histogram
 
     ds = read(sf_dir, "events", columns=["value"])
-    edges, counts = histogram(ds, "value", bins=bins)
+    edges, counts = histogram(ds, "value", bins=HYPSOMETRIC_BINS)
     n = counts.sum()
     above = np.cumsum(counts[::-1])[::-1]
     return pd.DataFrame(
-        {"bin": np.arange(bins, dtype=np.int64), "rel_area": above / max(n, 1)}
+        {"bin": np.arange(HYPSOMETRIC_BINS, dtype=np.int64), "rel_area": above / max(n, 1)}
     )
 
 
-def q_hypsometric_sql(bins: int = 100) -> str:
+def q_hypsometric_sql() -> str:
     return f"""
     WITH p AS (SELECT MIN(value) AS lo, MAX(value) AS hi, COUNT(*) AS n FROM events),
-         b AS (SELECT unnest(generate_series(0, {bins - 1})) AS bin)
+         b AS (SELECT unnest(generate_series(0, {HYPSOMETRIC_BINS - 1})) AS bin)
     SELECT CAST(b.bin AS BIGINT) AS bin,
            CAST((SELECT COUNT(*) FROM events e, p
-                 WHERE e.value >= p.lo + b.bin * ((p.hi - p.lo) / {bins}.0)) AS DOUBLE)
+                 WHERE e.value >= p.lo + b.bin * ((p.hi - p.lo) / {HYPSOMETRIC_BINS}.0)) AS DOUBLE)
              / (SELECT n FROM p) AS rel_area
     FROM b
     """
@@ -2772,11 +2803,11 @@ def q_idw_grid_sql() -> str:
     """
 
 
-def q_hex_binning_sql(res: int = 9) -> str:
+def q_hex_binning_sql() -> str:
     """SQL twin of the planar hex assignment: cube rounding spelled out
     with ROUND_EVEN (numpy's half-even) + the two CASE fixes, then the
     pack_hex int64 layout. size = 65536/2^res."""
-    size = 65536.0 / (2.0 ** res)
+    size = 65536.0 / (2.0 ** HEX_RES)
     return f"""
     WITH pts AS (
         SELECT ((l_orderkey * 7919 + l_linenumber * 104729) % 1000000) / 1000.0 AS x,
@@ -2800,7 +2831,7 @@ def q_hex_binning_sql(res: int = 9) -> str:
                CASE WHEN NOT (dx > dy AND dx > dz) AND dz > dy THEN -rx - ry ELSE rz END AS r
         FROM fx
     )
-    SELECT CAST(({res} * 281474976710656) + (CAST(q AS BIGINT) + 8388608) * 16777216
+    SELECT CAST(({HEX_RES} * 281474976710656) + (CAST(q AS BIGINT) + 8388608) * 16777216
                 + (CAST(r AS BIGINT) + 8388608) AS BIGINT) AS cell,
            CAST(COUNT(*) AS BIGINT) AS n
     FROM cube
@@ -3103,9 +3134,6 @@ def q_ann_ivf(sf_dir: str):
     return out.reset_index(drop=True)
 
 
-def q_ann_ivf_sql() -> str:
-    return q_ann_topk_sql()
-
 def q_shp_round_trip(sf_dir: str):
     """Shapefile ingest gate: the deterministic synth points stream
     through the pure-python .shp/.dbf writer (shapefile/mod.rs parity:
@@ -3259,10 +3287,6 @@ def q_grid_convert_round_trip(sf_dir: str):
     )
     shutil.rmtree(out_dir, ignore_errors=True)
     return pd.DataFrame([out])
-
-
-def q_grid_convert_round_trip_sql() -> str:
-    return q_geotiff_round_trip_sql()
 
 
 def q_image_decode(sf_dir: str):
@@ -4409,8 +4433,8 @@ def q_avg_flowpath_slope_sql() -> str:
     """
 
 
-def q_pca_cov(sf_dir: str, dims: int = 6):
-    """Covariance matrix (first ``dims`` embedding dims, long form) via
+def q_pca_cov(sf_dir: str):
+    """Covariance matrix (first ``PCA_COV_DIMS`` embedding dims, long form) via
     the PCA partial-pack pass (stats2.pca's covariance phase,
     math_stat_analysis/principal_component_analysis.rs) — the oracle
     side of the otherwise rows-only pca_project gate."""
@@ -4420,7 +4444,7 @@ def q_pca_cov(sf_dir: str, dims: int = 6):
 
     def partial(batch: pa.Table) -> pa.Table:
         m = np.stack(
-            [np.asarray(e[:dims], dtype=np.float64) for e in batch["embedding"].to_pylist()]
+            [np.asarray(e[:PCA_COV_DIMS], dtype=np.float64) for e in batch["embedding"].to_pylist()]
         )
         pack = np.concatenate(([float(len(m))], m.sum(axis=0), (m.T @ m).ravel()))
         return pa.table({"pack": pa.array([pack.tolist()], pa.list_(pa.float64()))})
@@ -4428,27 +4452,27 @@ def q_pca_cov(sf_dir: str, dims: int = 6):
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
     tot = np.sum(np.stack(parts["pack"].to_numpy()), axis=0)
     n = float(tot[0])
-    mean = tot[1 : 1 + dims] / n
-    ss = tot[1 + dims :].reshape(dims, dims)
+    mean = tot[1 : 1 + PCA_COV_DIMS] / n
+    ss = tot[1 + PCA_COV_DIMS :].reshape(PCA_COV_DIMS, PCA_COV_DIMS)
     cov = ss / n - np.outer(mean, mean)
-    ii, jj = np.meshgrid(np.arange(dims), np.arange(dims), indexing="ij")
+    ii, jj = np.meshgrid(np.arange(PCA_COV_DIMS), np.arange(PCA_COV_DIMS), indexing="ij")
     return pd.DataFrame(
         {"i": ii.ravel().astype(np.int64), "j": jj.ravel().astype(np.int64),
          "cov": np.round(cov.ravel(), 9)}
     )
 
 
-def q_pca_cov_sql(dims: int = 6) -> str:
+def q_pca_cov_sql() -> str:
     selects = "\n    UNION ALL ".join(
         f"SELECT {i}::BIGINT AS i, {j}::BIGINT AS j, "
         f"ROUND(COVAR_POP(embedding[{i + 1}]::DOUBLE, embedding[{j + 1}]::DOUBLE), 9) AS cov "
         f"FROM embeddings"
-        for i in range(dims) for j in range(dims)
+        for i in range(PCA_COV_DIMS) for j in range(PCA_COV_DIMS)
     )
     return selects + " ORDER BY i, j"
 
 
-def q_kmeans_1iter(sf_dir: str, k: int = 4):
+def q_kmeans_1iter(sf_dir: str):
     """One deterministic Lloyd iteration (k_means_clustering.rs assign +
     centroid-update round): init = the k embeddings with smallest
     vec_id, assignment = argmin squared distance (ties → lowest
@@ -4461,7 +4485,7 @@ def q_kmeans_1iter(sf_dir: str, k: int = 4):
     from ..stages.ann import _to_matrix
 
     ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    seed_rows = ds.sort("vec_id").limit(k).take_batch(k, batch_format="pyarrow")
+    seed_rows = ds.sort("vec_id").limit(KMEANS_K).take_batch(KMEANS_K, batch_format="pyarrow")
     cids = seed_rows["vec_id"].to_numpy()
     cent = _to_matrix(seed_rows["embedding"])
     ref = ray.put((cids, cent))
@@ -4499,11 +4523,11 @@ def q_kmeans_1iter(sf_dir: str, k: int = 4):
     ).sort_values("cluster").reset_index(drop=True)
 
 
-def q_kmeans_1iter_sql(k: int = 4, dim: int = 64) -> str:
-    msum = " + ".join(f"AVG(embedding[{d + 1}]::DOUBLE)" for d in range(dim))
+def q_kmeans_1iter_sql() -> str:
+    msum = " + ".join(f"AVG(embedding[{d + 1}]::DOUBLE)" for d in range(64))
     return f"""
     WITH cent AS (
-        SELECT vec_id AS cid, embedding AS ce FROM embeddings ORDER BY vec_id LIMIT {k}
+        SELECT vec_id AS cid, embedding AS ce FROM embeddings ORDER BY vec_id LIMIT {KMEANS_K}
     ),
     a AS (
         SELECT e.vec_id, e.embedding,
@@ -4519,7 +4543,7 @@ def q_kmeans_1iter_sql(k: int = 4, dim: int = 64) -> str:
     """
 
 
-def q_jaccard_pairs(sf_dir: str, k: int = 3, threshold: float = 0.5):
+def q_jaccard_pairs(sf_dir: str):
     """EXACT word-trigram Jaccard near-dup pairs over documents —
     distributed shingle-join (dedup.ngram_jaccard_pairs: explode →
     groupby(shingle) → pair → groupby(pair) count), the exact oracle
@@ -4527,7 +4551,7 @@ def q_jaccard_pairs(sf_dir: str, k: int = 3, threshold: float = 0.5):
     from ..stages.dedup import ngram_jaccard_pairs
 
     ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ngram_jaccard_pairs(ds, k=k, threshold=threshold).to_pandas()
+    out = ngram_jaccard_pairs(ds, k=JACCARD_K, threshold=JACCARD_MIN).to_pandas()
     return (
         out.astype({"id_a": np.int64, "id_b": np.int64})
         .sort_values(["id_a", "id_b"])
@@ -4535,13 +4559,13 @@ def q_jaccard_pairs(sf_dir: str, k: int = 3, threshold: float = 0.5):
     )
 
 
-def q_jaccard_pairs_sql(k: int = 3, threshold: float = 0.5) -> str:
-    gram = " || ' ' || ".join(f"w[i + {j}]" for j in range(k))
+def q_jaccard_pairs_sql() -> str:
+    gram = " || ' ' || ".join(f"w[i + {j}]" for j in range(JACCARD_K))
     return f"""
     WITH t AS (SELECT doc_id, string_split(text, ' ') AS w FROM documents),
     sh AS (
         SELECT DISTINCT doc_id, {gram} AS s
-        FROM t, UNNEST(generate_series(1, len(w) - {k - 1})) AS u(i)
+        FROM t, UNNEST(generate_series(1, len(w) - {JACCARD_K - 1})) AS u(i)
     ),
     sz AS (SELECT doc_id, COUNT(*) AS n FROM sh GROUP BY doc_id),
     inter AS (
@@ -4554,7 +4578,7 @@ def q_jaccard_pairs_sql(k: int = 3, threshold: float = 0.5) -> str:
     FROM inter
     JOIN sz sa ON sa.doc_id = ia
     JOIN sz sb ON sb.doc_id = ib
-    WHERE c * 1.0 / (sa.n + sb.n - c) >= {threshold}
+    WHERE c * 1.0 / (sa.n + sb.n - c) >= {JACCARD_MIN}
     ORDER BY id_a, id_b
     """
 
@@ -4612,7 +4636,7 @@ def q_nn_grid_sql() -> str:
     """
 
 
-def q_gaussian_filter(sf_dir: str, sigma: float = 0.75):
+def q_gaussian_filter(sf_dir: str):
     """GaussianFilter (image_analysis/gaussian_filter.rs): 7×7
     normalized-over-valid convolution on the analytic DEM through the
     focal halo engine; the SQL twin carries the identical weight
@@ -4620,14 +4644,14 @@ def q_gaussian_filter(sf_dir: str, sigma: float = 0.75):
     from ..stages.filters2 import gaussian_filter
 
     ds, spec = _analytic_dem_tiles()
-    out = gaussian_filter(ds, spec, sigma=sigma, out_fmt="f64")
+    out = gaussian_filter(ds, spec, sigma=GAUSSIAN_SIGMA, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "gauss"), "gauss", 6)
 
 
-def q_gaussian_filter_sql(sigma: float = 0.75) -> str:
+def q_gaussian_filter_sql() -> str:
     from ..stages.filters2 import gaussian_weights
 
-    w = gaussian_weights(sigma)
+    w = gaussian_weights(GAUSSIAN_SIGMA)
     radius = w.shape[0] // 2
     vals = ", ".join(
         f"({dr}, {dc}, {w[dr + radius, dc + radius]!r})"
@@ -4684,7 +4708,7 @@ def q_fill_depressions_sql() -> str:
     """
 
 
-def q_opening(sf_dir: str, radius: int = 1):
+def q_opening(sf_dir: str):
     """Opening (image_analysis/opening.rs): erosion→dilation as two
     chained focal halo passes on the analytic DEM (exercises the
     multi-pass focal pipeline; integer z ≤ 96 → f32 exact). SQL twin:
@@ -4692,11 +4716,11 @@ def q_opening(sf_dir: str, radius: int = 1):
     from ..stages.filters2 import opening
 
     ds, spec = _analytic_dem_tiles()
-    out = opening(ds, spec, radius=radius)
+    out = opening(ds, spec, radius=OPENING_RADIUS)
     return _round_cells(_tiles_to_cells(out, spec, "opened"), "opened", 6)
 
 
-def q_opening_sql(radius: int = 1) -> str:
+def q_opening_sql() -> str:
     return f"""
     WITH g AS (SELECT r.r AS row, c.c AS col,
                       CAST(((r.r * 31 + c.c * 17) % 97) AS DOUBLE) AS z
@@ -4704,13 +4728,13 @@ def q_opening_sql(radius: int = 1) -> str:
                     (SELECT unnest(generate_series(0, 63)) AS c) c),
     e AS (SELECT a.row, a.col, MIN(b.z) AS v
           FROM g a JOIN g b
-            ON b.row BETWEEN a.row - {radius} AND a.row + {radius}
-           AND b.col BETWEEN a.col - {radius} AND a.col + {radius}
+            ON b.row BETWEEN a.row - {OPENING_RADIUS} AND a.row + {OPENING_RADIUS}
+           AND b.col BETWEEN a.col - {OPENING_RADIUS} AND a.col + {OPENING_RADIUS}
           GROUP BY a.row, a.col)
     SELECT a.row, a.col, ROUND(MAX(b.v), 6) AS opened
     FROM e a JOIN e b
-      ON b.row BETWEEN a.row - {radius} AND a.row + {radius}
-     AND b.col BETWEEN a.col - {radius} AND a.col + {radius}
+      ON b.row BETWEEN a.row - {OPENING_RADIUS} AND a.row + {OPENING_RADIUS}
+     AND b.col BETWEEN a.col - {OPENING_RADIUS} AND a.col + {OPENING_RADIUS}
     GROUP BY a.row, a.col ORDER BY a.row, a.col
     """
 
@@ -4758,7 +4782,7 @@ def q_fd8_accum(sf_dir: str):
     return _round_cells(_tiles_to_cells(out, spec, "acc"), "acc", 6)
 
 
-def q_fd8_accum_sql(depth: int = 16) -> str:
+def q_fd8_accum_sql() -> str:
     import math
 
     res = 90.0
@@ -4768,7 +4792,7 @@ def q_fd8_accum_sql(depth: int = 16) -> str:
     )
     ctes = []
     prev = "a0"
-    for k in range(1, depth + 1):
+    for k in range(1, 17):  # 16 rounds: past the longest flowpath on the 16×16 grid
         cur = f"a{k}"
         ctes.append(
             f"""{cur} AS (
@@ -4814,7 +4838,7 @@ def q_dinf_accum(sf_dir: str):
     return _round_cells(_tiles_to_cells(out, spec, "acc"), "acc", 6)
 
 
-def q_dinf_accum_sql(depth: int = 16) -> str:
+def q_dinf_accum_sql() -> str:
     res = 90.0
     a4 = float(np.arctan2(res, res))
     diag = float(np.hypot(res, res))
@@ -4827,7 +4851,7 @@ def q_dinf_accum_sql(depth: int = 16) -> str:
     )
     ctes = []
     prev = "a0"
-    for k in range(1, depth + 1):
+    for k in range(1, 17):  # 16 rounds: past the longest flowpath on the 16×16 grid
         cur = f"a{k}"
         ctes.append(
             f"""{cur} AS (
@@ -5063,7 +5087,7 @@ _VALLEY_Z = "CAST((3 * ({r}) + 2 * ABS(({c}) - 32) + ((({r}) * 7 + ({c}) * 5) % 
 def q_strahler_order(sf_dir: str):
     """StrahlerStreamOrder (stream_network_analysis/strahler_order.rs)
     through the full Dataset-native chain on the valley DEM: pointer →
-    BSP accumulation → ExtractStreams (acc ≥ 25) → ``stream_links_ds``
+    BSP accumulation → ExtractStreams (acc > 25) → ``stream_links_ds``
     → per-link Strahler on the O(links) DAG → painted back. The SQL
     twin runs the per-cell fixpoint (head = 1; M+1 where ≥2 inflows tie
     at the max M) unrolled 6 rounds — measured convergence is 3."""
@@ -5073,7 +5097,7 @@ def q_strahler_order(sf_dir: str):
     ds, spec = _valley_dem_tiles()
     ptr = d8_pointer_masked(ds, spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
-    streams = extract_streams_ds(acc, spec, threshold=25.0)
+    streams = extract_streams_ds(acc, spec, threshold=STREAM_THRESHOLD)
     painted, links = stream_links_ds(streams, ptr, spec)
     order = strahler_order(links)
     max_lid = max(order) if order else 0
@@ -5097,7 +5121,7 @@ def q_strahler_order(sf_dir: str):
     return cells.map_batches(finish, batch_format="pyarrow")
 
 
-def q_strahler_order_sql(threshold: float = 25.0, iters: int = 6) -> str:
+def q_strahler_order_sql() -> str:
     import math
 
     ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
@@ -5117,7 +5141,7 @@ def q_strahler_order_sql(threshold: float = 25.0, iters: int = 6) -> str:
     ring_vals = ", ".join(f"({i}, {dr}, {dc})" for i, (dr, dc) in enumerate(ring))
     its = []
     prev = "s0"
-    for k in range(1, iters + 1):
+    for k in range(1, 7):
         its.append(f"""
     agg{k} AS (SELECT i.row, i.col, MAX(p.o) AS mx
                FROM inflow i JOIN {prev} p ON p.row = i.irow AND p.col = i.icol
@@ -5150,7 +5174,7 @@ def q_strahler_order_sql(threshold: float = 25.0, iters: int = 6) -> str:
         WHERE dirs.d >= 0
     ),
     acc AS (SELECT row, col, COUNT(*) AS acc FROM walk GROUP BY row, col),
-    strm AS MATERIALIZED (SELECT row, col FROM acc WHERE acc > {threshold!r}),
+    strm AS MATERIALIZED (SELECT row, col FROM acc WHERE acc > {STREAM_THRESHOLD!r}),
     ring(i, dr, dc) AS (VALUES {ring_vals}),
     inflow AS MATERIALIZED (SELECT s.row, s.col, nb.row AS irow, nb.col AS icol
                FROM strm s JOIN ring ON TRUE
@@ -5435,12 +5459,12 @@ def q_relative_aspect(sf_dir: str):
     from ..stages.terrain2 import relative_aspect
 
     ds, spec = _analytic_dem_tiles()
-    out = relative_aspect(ds, spec, azimuth=45.0, out_fmt="f64")
+    out = relative_aspect(ds, spec, azimuth=RELATIVE_AZIMUTH, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "relasp"), "relasp", 6)
 
 
-def q_relative_aspect_sql(azimuth: float = 45.0) -> str:
-    d = f"ABS(180.0 - DEGREES(ATAN(fy / fx)) + 90.0 - {azimuth}) % 360.0"
+def q_relative_aspect_sql() -> str:
+    d = f"ABS(180.0 - DEGREES(ATAN(fy / fx)) + 90.0 - {RELATIVE_AZIMUTH}) % 360.0"
     return _horn_sql(
         f"ROUND(CASE WHEN fx > 0 THEN (CASE WHEN ({d}) > 180.0 THEN 360.0 - ({d}) ELSE ({d}) END)"
         " ELSE -1.0 END, 6)",
@@ -5806,29 +5830,33 @@ def q_buffer_raster_sql() -> str:
     """
 
 
+def _plane_spec():
+    from ..sources.tiles import SceneSpec
+
+    return SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
+
+
 def q_create_plane(sf_dir: str):
     """CreatePlane (generate/create_plane.rs): z = base + tan(slope)
     × distance along aspect — the generator constants are inlined into
     the SQL so both sides run the identical float ops."""
-    from ..sources.tiles import SceneSpec
     from ..stages.generate import create_plane
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    out = create_plane(spec, base=10.0, slope_deg=2.0, aspect_deg=135.0, fmt="f64")
+    spec = _plane_spec()
+    out = create_plane(spec, base=PLANE_BASE, slope_deg=PLANE_SLOPE_DEG, aspect_deg=PLANE_ASPECT_DEG, fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "z"), "z", 6)
 
 
-def q_create_plane_sql(base: float = 10.0, slope_deg: float = 2.0,
-                       aspect_deg: float = 135.0, res: float = 90.0) -> str:
-    g = float(np.tan(np.radians(slope_deg)) * res)
-    az = np.radians(aspect_deg)
+def q_create_plane_sql() -> str:
+    g = float(np.tan(np.radians(PLANE_SLOPE_DEG)) * _plane_spec().res)
+    az = np.radians(PLANE_ASPECT_DEG)
     dx, dy = float(np.sin(az)), float(np.cos(az))
     return f"""
     WITH grid AS (SELECT r.r AS row, c.c AS col
                   FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
                        (SELECT unnest(generate_series(0, 63)) AS c) c)
     SELECT row, col,
-           ROUND({base!r} + {g!r} * (CAST(col AS DOUBLE) * {dx!r}
+           ROUND({PLANE_BASE!r} + {g!r} * (CAST(col AS DOUBLE) * {dx!r}
                  - CAST(row AS DOUBLE) * {dy!r}), 6) AS z
     FROM grid
     """
@@ -6125,7 +6153,7 @@ def q_farthest_channel_head(sf_dir: str):
     ds, spec = _valley_dem_tiles()
     ptr = d8_pointer_masked(ds, spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
-    streams = extract_streams_ds(acc, spec, threshold=25.0)
+    streams = extract_streams_ds(acc, spec, threshold=STREAM_THRESHOLD)
     out = farthest_channel_head_ds(streams, ptr, spec, num_workers=2)
     cells = _tiles_to_cells(out, spec, "far")
 
@@ -6143,7 +6171,7 @@ def q_farthest_channel_head(sf_dir: str):
     return cells.map_batches(finish, batch_format="pyarrow")
 
 
-def q_farthest_channel_head_sql(threshold: float = 25.0) -> str:
+def q_farthest_channel_head_sql() -> str:
     import math
 
     ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
@@ -6183,7 +6211,7 @@ def q_farthest_channel_head_sql(threshold: float = 25.0) -> str:
         WHERE dirs.d >= 0
     ),
     acc AS (SELECT row, col, COUNT(*) AS acc FROM walk GROUP BY row, col),
-    strm AS MATERIALIZED (SELECT row, col FROM acc WHERE acc > {threshold!r}),
+    strm AS MATERIALIZED (SELECT row, col FROM acc WHERE acc > {STREAM_THRESHOLD!r}),
     ring(i, dr, dc) AS (VALUES {ring_vals}),
     inflow AS MATERIALIZED (SELECT s.row, s.col
                FROM strm s JOIN ring ON TRUE

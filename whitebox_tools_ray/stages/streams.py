@@ -408,6 +408,37 @@ def distance_to_outlet_ds(stream_ds, pointer_ds, spec, num_workers: int = 4):
     return band_math.overlay_fn(length, stream_ds, spec, mask, out_fmt="f64")
 
 
+def _values_at(tile_ds, gids, spec) -> dict[int, float]:
+    """Values of a tile Dataset at the global cell ids ``gids``
+    (row * columns + col): one filtered pass with the id set broadcast;
+    only the tiles that hold an id are decoded."""
+    import ray
+    import pyarrow as pa
+
+    W = spec.tiles_x * spec.tile_px
+    tpx = spec.tile_px
+    gid_ref = ray.put(np.asarray(gids, dtype=np.int64))
+
+    def gather(batch: pa.Table) -> pa.Table:
+        hg = ray.get(gid_ref)
+        trs = batch["tile_row"].to_numpy(zero_copy_only=False)
+        tcs = batch["tile_col"].to_numpy(zero_copy_only=False)
+        gs, vs = [], []
+        for i in range(batch.num_rows):
+            tr, tc = int(trs[i]), int(tcs[i])
+            sel = hg[(hg // W // tpx == tr) & ((hg % W) // tpx == tc)]
+            if not len(sel):
+                continue
+            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
+            gs.append(sel)
+            vs.append(g[sel // W - tr * tpx, sel % W - tc * tpx].astype(np.float64))
+        return pa.table({"gid": pa.array(np.concatenate(gs) if gs else [], pa.int64()),
+                         "v": pa.array(np.concatenate(vs) if vs else [], pa.float64())})
+
+    tbl = tile_ds.map_batches(gather, batch_format="pyarrow").to_pandas()
+    return dict(zip(tbl["gid"].astype(np.int64), tbl["v"].astype(np.float64)))
+
+
 def farthest_channel_head_ds(stream_ds, pointer_ds, spec, num_workers: int = 4):
     """FarthestChannelHead (stream_network_analysis/
     farthest_channel_head.rs), Dataset form — the registered surface.
@@ -425,8 +456,6 @@ def farthest_channel_head_ds(stream_ds, pointer_ds, spec, num_workers: int = 4):
     work stays in Datasets (terminal-resolution L + the distributed
     ``stream_links_ds`` paint); the driver holds only the link table
     (SURVEY §2.9 sanction)."""
-    import ray
-
     from . import band_math
     from .hydro2 import _term_acc_ds
 
@@ -434,36 +463,8 @@ def farthest_channel_head_ds(stream_ds, pointer_ds, spec, num_workers: int = 4):
     painted, links = stream_links_ds(stream_ds, pointer_ds, spec)
 
     W = spec.tiles_x * spec.tile_px
-    tpx = spec.tile_px
-    head_gids = np.array(
-        sorted({lk["cells"][0][0] * W + lk["cells"][0][1] for lk in links}), dtype=np.int64
-    )
-    head_ref = ray.put(head_gids)
-
-    def head_l(batch):
-        import pyarrow as pa
-
-        hg = ray.get(head_ref)
-        gs, ls = [], []
-        for i in range(batch.num_rows):
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            sel = hg[(hg // W // tpx == tr) & ((hg % W) // tpx == tc)]
-            if not len(sel):
-                continue
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            rr = sel // W - tr * tpx
-            cc = sel % W - tc * tpx
-            gs.append(sel)
-            ls.append(g[rr, cc])
-        if not gs:
-            return pa.table({"hgid": pa.array([], pa.int64()),
-                             "hl": pa.array([], pa.float64())})
-        return pa.table({"hgid": pa.array(np.concatenate(gs), pa.int64()),
-                         "hl": pa.array(np.concatenate(ls), pa.float64())})
-
-    head_tbl = length.map_batches(head_l, batch_format="pyarrow").to_pandas()
-    l_head = dict(zip(head_tbl["hgid"].astype(np.int64), head_tbl["hl"].astype(np.float64)))
+    head_gids = {lk["cells"][0][0] * W + lk["cells"][0][1] for lk in links}
+    l_head = _values_at(length, sorted(head_gids), spec)
 
     ups = _ups_map(links)
     max_head_l: dict[int, float] = {}
@@ -682,39 +683,14 @@ def stream_link_slope_ds(links: list[dict], dem_ds, spec) -> dict[int, float]:
     """StreamLinkSlope (stream_link_slope.rs), Dataset form — the
     registered surface: (z_top − z_bottom) / link length. The DEM stays
     a tile Dataset; z at the O(links) head/terminal cells gathers in one
-    filtered pass (broadcast gid set), same pattern as
+    filtered pass (``_values_at``, broadcast gid set), as in
     ``farthest_channel_head_ds``."""
-    import ray
-    import pyarrow as pa
-
     W = spec.tiles_x * spec.tile_px
-    tpx = spec.tile_px
     gids = set()
     for lk in links:
         gids.add(lk["cells"][0][0] * W + lk["cells"][0][1])
         gids.add(lk["cells"][-1][0] * W + lk["cells"][-1][1])
-    gid_ref = ray.put(np.array(sorted(gids), dtype=np.int64))
-
-    def gather(batch):
-        hg = ray.get(gid_ref)
-        gs_, zs_ = [], []
-        for i in range(batch.num_rows):
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            sel = hg[(hg // W // tpx == tr) & ((hg % W) // tpx == tc)]
-            if not len(sel):
-                continue
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            gs_.append(sel)
-            zs_.append(g[sel // W - tr * tpx, sel % W - tc * tpx])
-        if not gs_:
-            return pa.table({"gid": pa.array([], pa.int64()),
-                             "z": pa.array([], pa.float64())})
-        return pa.table({"gid": pa.array(np.concatenate(gs_), pa.int64()),
-                         "z": pa.array(np.concatenate(zs_).astype(np.float64), pa.float64())})
-
-    tbl = dem_ds.map_batches(gather, batch_format="pyarrow").to_pandas()
-    z_of = dict(zip(tbl["gid"].astype(np.int64), tbl["z"].astype(np.float64)))
+    z_of = _values_at(dem_ds, sorted(gids), spec)
     out = {}
     for lk in links:
         hg = lk["cells"][0][0] * W + lk["cells"][0][1]
@@ -749,12 +725,13 @@ def raster_streams_to_vector_ds(stream_ds, pointer_ds, spec, num_workers: int = 
     W = tiles_x * tpx
 
     def cells(batch: pa.Table) -> pa.Table:
+        trs = batch["tile_row"].to_numpy(zero_copy_only=False)
+        tcs = batch["tile_col"].to_numpy(zero_copy_only=False)
         lids, rr, cc, ll = [], [], [], []
         for i in range(batch.num_rows):
             lk = codecs.decode_tile(batch["lk"][i].as_py(), batch["lk_fmt"][i].as_py())
             ln = codecs.decode_tile(batch["ln"][i].as_py(), batch["ln_fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
+            tr, tc = int(trs[i]), int(tcs[i])
             r_idx, c_idx = np.nonzero(lk > 0)
             lids.append(lk[r_idx, c_idx].astype(np.int64))
             rr.append(r_idx.astype(np.int64) + tr * tpx)
