@@ -116,7 +116,7 @@ ROWS_ONLY_GATES = {
 
 def test_gate_tables_agree():
     """A key missing from oracle_sql() silently demotes its gate to the
-    rows-only ``n >= 0`` check below; pin the rows-only set exactly."""
+    rows-only checks below; pin the rows-only set exactly."""
     import __ray_entry__ as e
 
     queries, sqls = set(e.queries()), set(e.oracle_sql())
@@ -146,6 +146,32 @@ def test_gate_signatures():
             assert not inspect.signature(fn).parameters, fname
 
 
+def check_rows_only(name, df, duck):
+    """What each rows-only gate's input fixes about its output (these
+    gates have no SQL twin to compare against)."""
+
+    def rows_in(table):
+        return duck.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+
+    if name in ("image_decode", "pca_project"):
+        assert len(df) == rows_in("embeddings"), "one row per embedding"
+        assert df["vec_id"].is_unique
+    elif name == "kmeans_clusters":
+        assert 1 <= len(df) <= 4
+        assert df["n"].sum() == rows_in("embeddings")
+    elif name == "lang_pred":
+        assert df["n"].sum() == rows_in("documents")
+    elif name == "ann_lsh":
+        assert 1 <= len(df) <= 10
+    elif name in ("minhash_pairs", "simhash_pairs"):
+        # sf0.01 holds 25 exact word-trigram near-dup pairs (jaccard_pairs)
+        assert len(df) > 0, "no pairs"
+        assert (df["id_a"] != df["id_b"]).all(), "self pair"
+        assert not df.duplicated(["id_a", "id_b"]).any(), "repeated pair"
+    else:
+        raise AssertionError(f"no rows-only check for {name}")
+
+
 @pytest.mark.parametrize("name", all_query_names())
 def test_query_matches_oracle(gates, duck, name):
     queries, sqls = gates
@@ -153,19 +179,24 @@ def test_query_matches_oracle(gates, duck, name):
     sql = sqls.get(name)
     ray_out = q(SF_DIR)
     if sql is None:
-        # rows-only check (driver's weaker gate for non-SQL-expressible ops)
-        if isinstance(ray_out, pd.DataFrame):
-            n = len(ray_out)
-        else:
-            n = ray_out.count() if hasattr(ray_out, "count") else len(ray_out)
-        assert n >= 0
+        check_rows_only(name, ray_out if isinstance(ray_out, pd.DataFrame) else ray_out.to_pandas(), duck)
         return
     oracle = duck.execute(sql).df()
     compare(ray_out, oracle)
 
 
 def test_entry_smoke(entrymod):
-    out = entrymod.entry()
-    n = out.count() if hasattr(out, "count") else len(out)
-    assert n >= 0
-    assert out.schema() is not None
+    """entry() is the clip_points_convex gate on sf0.001: bit-strict
+    against its twin there."""
+    import os
+
+    import duckdb
+
+    from whitebox_tools_ray.pipelines import relational as R
+
+    sf = os.path.join(os.path.dirname(SF_DIR), "sf0.001")
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW lineitem AS SELECT * FROM read_parquet('{sf}/lineitem.parquet')")
+    oracle = con.execute(R.q_clip_points_convex_sql()).df()
+    assert len(oracle) > 0
+    compare(entrymod.entry(), oracle)

@@ -579,8 +579,10 @@ class TestStreamNetworkRemainder:
     def test_outlet_and_farthest_head_ds_match_grid(self, ray_session):
         # registered Dataset forms vs the single-grid references on a
         # multi-junction valley network (50+ junctions at threshold 25)
+        import ray.data as rd
+
         from whitebox_tools_ray.kernels import codecs
-        from whitebox_tools_ray.pipelines.relational import _valley_dem_tiles
+        from whitebox_tools_ray.pipelines.relational import _scene, _valley_grid
         from whitebox_tools_ray.stages.flow import d8_pointer_masked, flow_accumulation_ds
         from whitebox_tools_ray.stages.streams import (
             distance_to_outlet_small,
@@ -590,8 +592,8 @@ class TestStreamNetworkRemainder:
             farthest_channel_head_ds,
         )
 
-        ds, spec = _valley_dem_tiles()
-        ptr = d8_pointer_masked(ds, spec)
+        rows, spec = _scene(_valley_grid())
+        ptr = d8_pointer_masked(rd.from_items(rows), spec)
         acc = flow_accumulation_ds(ptr, spec, num_workers=2)
         streams = extract_streams_ds(acc, spec, threshold=25.0)
 

@@ -10,6 +10,17 @@ Queries take nothing but ``sf_dir`` and builders take nothing: a value
 both sides must agree on (a cell level, a threshold, a window size) is
 one module constant that both read.
 
+The raster gates share one builder per fixture (the "gate fixtures"
+block below): ``_scene`` cuts a full NumPy grid (``_dem_grid``,
+``_valley_grid``, ...) into tile rows and the Dataset constructor stays
+at each call site; ``_tiles_to_cells`` flattens output tiles to
+``(row, col, value)`` cells, and ``_round_cells`` / ``_int_cells`` /
+``_valid_cells`` finish them. The twins are assembled from the matching
+SQL pieces (``_DEM_Z`` / ``_VALLEY_Z`` z templates, the ``_WIN_G`` grid,
+the D8 pointer CTEs of ``_d8_prelude`` and ``_d8_case``) without being
+reformulated: each builder emits the SQL text it emitted before the
+pieces existed.
+
 The synthetic point layer used by the spatial queries is derived
 DETERMINISTICALLY from lineitem with int64 arithmetic so the oracle can
 reproduce it in SQL:
@@ -22,6 +33,8 @@ reproduce it in SQL:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
@@ -61,6 +74,13 @@ RELATIVE_AZIMUTH = 45.0  # relative_aspect
 PLANE_BASE = 10.0  # create_plane
 PLANE_SLOPE_DEG = 2.0  # create_plane
 PLANE_ASPECT_DEG = 135.0  # create_plane
+DEM_STREAM_THRESHOLD = 5.0  # stream_dist_outlet, shreve_magnitude, elev_above_stream (acc >)
+WATERSHED_POURS = [(10, 20, 1), (40, 45, 2), (55, 9, 3)]  # watershed_grid: (row, col, pour id)
+ALLOCATION_TARGETS = [(36, 49, 3.0), (44, 2, 8.0), (59, 45, 5.0)]  # allocation: (row, col, value), tie-free
+# idw_grid, idw_grid_cp, nn_grid: (row, col, col fraction, row fraction, value)
+# points; verified free of d=0 and d=radius boundary hits
+IDW_POINTS = [(5, 7, 0.3, 0.7, 11.0), (20, 40, 0.6, 0.2, 23.0), (50, 12, 0.1, 0.9, 7.0),
+              (33, 33, 0.8, 0.4, 17.0), (10, 55, 0.2, 0.3, 29.0), (60, 60, 0.7, 0.6, 5.0)]
 
 
 def read(sf_dir: str, table: str, columns=None, **read_kwargs):
@@ -124,6 +144,195 @@ def round_cols(ds, decimals: dict[str, int]):
         return batch
 
     return ds.map_batches(fn, batch_format="pyarrow")
+
+
+# --- gate fixtures ---
+
+# z of the analytic DEM (31·row + 17·col) mod 97 and of the valley DEM, as
+# SQL over {r}/{c}; _dem_grid and _valley_grid are the same grids in NumPy.
+_DEM_Z = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
+_VALLEY_Z = "CAST((3 * ({r}) + 2 * ABS(({c}) - 32) + ((({r}) * 7 + ({c}) * 5) % 3)) AS DOUBLE)"
+# the analytic DEM's z with the Horn / Evans / 3×3-stencil edge rule: an
+# off-grid {r}/{c} reads the centre cell g instead
+_DEM_Z_EDGE = (
+    "CAST((CASE WHEN {r} BETWEEN 0 AND 63 AND {c} BETWEEN 0 AND 63"
+    " THEN ({r}) * 31 + ({c}) * 17 ELSE g.row * 31 + g.col * 17 END) % 97 AS DOUBLE)"
+)
+_WIN_G = """g AS (SELECT r.r AS row, c.c AS col
+               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
+                    (SELECT unnest(generate_series(0, 63)) AS c) c)"""
+# int32 tile keys (codecs.tile_table's), for the single-block EDT-target scene
+_TILE_I32 = pa.schema(
+    [("tile_row", pa.int32()), ("tile_col", pa.int32()), ("bytes", pa.binary()), ("fmt", pa.string())]
+)
+
+
+def _dem_z_edge(dr: int, dc: int) -> str:
+    """_DEM_Z_EDGE at the neighbour (g.row + dr, g.col + dc)."""
+    return _DEM_Z_EDGE.format(r=f"(g.row + ({dr}))", c=f"(g.col + ({dc}))")
+
+
+def _dem_grid(n: int = 64, a: int = 31, b: int = 17, m: int = 97) -> np.ndarray:
+    """n×n grid z = (row·a + col·b) mod m: the analytic DEM by default
+    (integer-exact on both sides of a compare); other (a, b, m) give the
+    overlay-stack and mosaic layers."""
+    r, c = np.indices((n, n), dtype=np.int64)
+    return ((r * a + c * b) % m).astype(np.float64)
+
+
+def _valley_grid() -> np.ndarray:
+    """64×64 valley DEM z = 3r + 2|c−32| + ((7r+5c) mod 3): drainage
+    converges on the centre column (50+ stream junctions at threshold
+    25, Strahler orders up to 3 — the mod-97 sheet has NO junctions, so
+    network-topology gates need this surface). Integer-exact both sides."""
+    r, c = np.indices((64, 64), dtype=np.int64)
+    return (3 * r + 2 * np.abs(c - 32) + ((r * 7 + c * 5) % 3)).astype(np.float64)
+
+
+def _edt_targets(sf_dir: str) -> np.ndarray:
+    """64×64 binary target grid of the euclidean_distance / buffer_raster
+    gates: 1 at ((13k) mod 64, (29k) mod 64) for each nation key k."""
+    keys = read(sf_dir, "nation", columns=["n_nationkey"]).to_pandas()["n_nationkey"].to_numpy().astype(np.int64)
+    full = np.zeros((64, 64))
+    full[(keys * 13) % 64, (keys * 29) % 64] = 1.0
+    return full
+
+
+def _stack_grids(holed: bool = False) -> list[np.ndarray]:
+    """The three overlay-stack layers z = (r·a + c·b) mod m; ``holed`` sets
+    layer-1 cells with (r + c) % 7 == 0 to nodata."""
+    from ..kernels.grid import DEFAULT_NODATA
+
+    grids = [_dem_grid(a=a, b=b, m=m) for a, b, m in ((31, 17, 97), (13, 29, 89), (7, 23, 83))]
+    if holed:
+        r, c = np.indices(grids[1].shape)
+        grids[1][(r + c) % 7 == 0] = DEFAULT_NODATA
+    return grids
+
+
+def _scene(full: np.ndarray, tile_px: int = 16, fmt: str = "f64", **spec_kw):
+    """Cut a full H×W grid into row-major ``(tile_row, tile_col, bytes,
+    fmt)`` rows of tile_px² tiles, plus the SceneSpec that frames them
+    (``spec_kw``: res / west / north). The caller picks the Dataset
+    constructor, and with it the gate's block layout."""
+    from ..kernels import codecs
+    from ..sources.tiles import SceneSpec
+
+    ty, tx = full.shape[0] // tile_px, full.shape[1] // tile_px
+    rows = []
+    for tr in range(ty):
+        for tc in range(tx):
+            tile = full[tr * tile_px : (tr + 1) * tile_px, tc * tile_px : (tc + 1) * tile_px]
+            rows.append({"tile_row": tr, "tile_col": tc, "bytes": codecs.encode_tile(tile, fmt), "fmt": fmt})
+    return rows, SceneSpec(tiles_x=tx, tiles_y=ty, tile_px=tile_px, **spec_kw)
+
+
+def _tiles_to_cells(tiles, spec, name: str):
+    """One ``(row, col, <name>)`` row per cell of a tile Dataset, at the
+    cell's scene row/col (tiles sit ``spec.tile_px`` apart)."""
+    from ..kernels import codecs
+
+    px = spec.tile_px
+
+    def cells(batch: pa.Table) -> pa.Table:
+        rr, cc, vv = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+        keys = ("tile_row", "tile_col", "bytes", "fmt")
+        for tr, tc, data, fmt in zip(*(batch[k].to_pylist() for k in keys)):
+            g = codecs.decode_tile(data, fmt)
+            r, c = np.indices(g.shape, dtype=np.int64)
+            rr.append((r + tr * px).ravel())
+            cc.append((c + tc * px).ravel())
+            vv.append(g.ravel())
+        return pa.table({"row": np.concatenate(rr), "col": np.concatenate(cc), name: np.concatenate(vv)})
+
+    return tiles.map_batches(cells, batch_format="pyarrow")
+
+
+def _round_cells(cells, name: str, nd: int = 6):
+    def rnd(batch: pa.Table) -> pa.Table:
+        # + 0.0 normalizes IEEE negative zero (-0.0 -> 0.0) so the value
+        # hash matches SQL twins that compute the same cell as 0.0.
+        v = np.round(batch[name].to_numpy(zero_copy_only=False), nd) + 0.0
+        return pa.table({"row": batch["row"], "col": batch["col"], name: pa.array(v)})
+
+    return cells.map_batches(rnd, batch_format="pyarrow")
+
+
+def _int_cells(cells, name: str):
+    """``<name>`` as int64: the twins compute these cells as BIGINT."""
+
+    def cast(batch: pa.Table) -> pa.Table:
+        v = np.rint(batch[name].to_numpy(zero_copy_only=False)).astype(np.int64)
+        return pa.table({"row": batch["row"], "col": batch["col"], name: v})
+
+    return cells.map_batches(cast, batch_format="pyarrow")
+
+
+def _valid_cells(cells, name: str, nodata: float):
+    """Drop the nodata cells, which the twins leave out."""
+    return cells.map_batches(lambda b: b.filter(pc.not_equal(b[name], nodata)), batch_format="pyarrow")
+
+
+def _count_and_sum(tiles, spec):
+    """Cell count and integer sum of the non-NaN cells of a tile Dataset:
+    the round-trip gates' compare against an integer-sum twin."""
+    from ray.data.aggregate import Sum
+
+    def partial(batch: pa.Table) -> pa.Table:
+        v = batch["z"].to_numpy(zero_copy_only=False)
+        v = v[~np.isnan(v)]
+        return pa.table(
+            {"n_p": pa.array([v.size], pa.int64()), "sz_p": pa.array([int(np.round(v).sum())], pa.int64())}
+        )
+
+    out = _tiles_to_cells(tiles, spec, "z").map_batches(partial, batch_format="pyarrow")
+    return pd.DataFrame([out.aggregate(Sum("n_p", alias_name="n"), Sum("sz_p", alias_name="sz"))])
+
+
+# The D8 pointer of the twins: ring order 0=NE 1=E 2=SE 3=S 4=SW 5=W 6=NW
+# 7=N (focal DY8/DX8), step lengths res and √2·res at the default res 90.
+_D8_RING = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
+_D8_LEN = [math.sqrt(2.0) * 90.0 if dr != 0 and dc != 0 else 90.0 for dr, dc in _D8_RING]
+_D8_RING_VALUES = ", ".join(f"({i}, {dr}, {dc})" for i, (dr, dc) in enumerate(_D8_RING))
+# argmax over the sl CTE: strictly greater, first in ring order wins ties;
+# -1 where no neighbour is lower
+_D8_ARGMAX = (
+    "SELECT row, col, CASE WHEN m <= 0 THEN -1 "
+    + " ".join(f"WHEN s{i} = m THEN {i}" for i in range(8))
+    + " ELSE -1 END AS d FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)"
+)
+
+
+def _d8_sl(z: str) -> str:
+    """The ``sl`` CTE: per cell of g, the drop/length slope s0..s7 to each
+    in-grid ring neighbour of the z template (-1e308 off the grid)."""
+    z0 = z.format(r="g.row", c="g.col")
+    slopes = []
+    for i, ((dr, dc), ln) in enumerate(zip(_D8_RING, _D8_LEN)):
+        zi = z.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
+        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
+        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
+    return f"sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g)"
+
+
+def _d8_prelude(z: str = _DEM_Z, materialized: bool = False) -> str:
+    """The g / sl / dirs CTEs: dirs(row, col, d) is the D8 pointer of the
+    64×64 grid whose elevation is the z template."""
+    dirs = "dirs AS MATERIALIZED" if materialized else "dirs AS"
+    return f"{_WIN_G},\n    {_d8_sl(z)},\n    {dirs} ({_D8_ARGMAX})"
+
+
+def _d8_case(col: str, what: str) -> str:
+    """``CASE <col> WHEN i THEN … END`` over the ring: the row step
+    (``"dr"``), column step (``"dc"``) or step length (``"len"``) of
+    direction i, and 0 for any other value."""
+    vals = {
+        "dr": [dr for dr, _ in _D8_RING],
+        "dc": [dc for _, dc in _D8_RING],
+        "len": [repr(ln) for ln in _D8_LEN],
+    }[what]
+    other = "0.0" if what == "len" else "0"
+    return f"CASE {col} " + " ".join(f"WHEN {i} THEN {v}" for i, v in enumerate(vals)) + f" ELSE {other} END"
 
 
 # --- relational / aggregate queries ---
@@ -1538,66 +1747,17 @@ def q_euclidean_distance(sf_dir: str):
     payloads → per-cell distances bit-equal to the SQL min-over-targets."""
     import ray.data as rd
 
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.distance import euclidean_distance_ds
 
-    nat = read(sf_dir, "nation", columns=["n_nationkey"]).to_pandas()
-    keys = nat["n_nationkey"].to_numpy().astype(np.int64)
-    tr_ = (keys * 13) % 64
-    tc_ = (keys * 29) % 64
-    full = np.zeros((64, 64))
-    full[tr_, tc_] = 1.0
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16, res=1.0)
-    cols = {"tile_row": [], "tile_col": [], "bytes": [], "fmt": []}
-    for tr in range(4):
-        for tc in range(4):
-            cols["tile_row"].append(tr)
-            cols["tile_col"].append(tc)
-            cols["bytes"].append(
-                codecs.encode_tile(full[tr * 16 : (tr + 1) * 16, tc * 16 : (tc + 1) * 16], "f32")
-            )
-            cols["fmt"].append("f32")
-    tiles = rd.from_arrow(
-        pa.table(
-            {
-                "tile_row": pa.array(cols["tile_row"], pa.int32()),
-                "tile_col": pa.array(cols["tile_col"], pa.int32()),
-                "bytes": pa.array(cols["bytes"], pa.binary()),
-                "fmt": pa.array(cols["fmt"], pa.string()),
-            }
-        )
-    )
-    out = euclidean_distance_ds(tiles, spec, out_fmt="f64")
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rows = {"row": [], "col": [], "dist": []}
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            for r in range(16):
-                for c in range(16):
-                    rows["row"].append(tr * 16 + r)
-                    rows["col"].append(tc * 16 + c)
-                    rows["dist"].append(float(g[r, c]))
-        return pa.table(
-            {
-                "row": pa.array(rows["row"], pa.int64()),
-                "col": pa.array(rows["col"], pa.int64()),
-                "dist": pa.array(rows["dist"], pa.float64()),
-            }
-        )
-
-    return out.map_batches(cells, batch_format="pyarrow")
+    rows, spec = _scene(_edt_targets(sf_dir), fmt="f32", res=1.0)
+    out = euclidean_distance_ds(rd.from_arrow(pa.Table.from_pylist(rows, _TILE_I32)), spec, out_fmt="f64")
+    return _tiles_to_cells(out, spec, "dist")
 
 
-Q_EUCLIDEAN_DISTANCE_SQL = """
+Q_EUCLIDEAN_DISTANCE_SQL = f"""
     WITH t AS (SELECT DISTINCT (n_nationkey * 13) % 64 AS tr, (n_nationkey * 29) % 64 AS tc
                FROM nation),
-         g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)
+         {_WIN_G}
     SELECT row, col,
            SQRT(CAST((SELECT MIN((row - t.tr) * (row - t.tr) + (col - t.tc) * (col - t.tc))
                       FROM t) AS DOUBLE)) AS dist
@@ -1853,17 +2013,9 @@ def q_cva(sf_dir: str):
 
     out = change_vector_analysis(ds.map_batches(widen, batch_format="pyarrow"),
                                  ["b1_t1", "b2_t1"], ["b1_t2", "b2_t2"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "record_id": batch["record_id"],
-                "magnitude": batch["cva_magnitude"],
-                "sector": batch["cva_sector"],
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return out.select_columns(["record_id", "cva_magnitude", "cva_sector"]).rename_columns(
+        {"cva_magnitude": "magnitude", "cva_sector": "sector"}
+    )
 
 
 Q_CVA_SQL = """
@@ -1900,18 +2052,7 @@ def q_pan_sharpen(sf_dir: str):
         )
 
     out = panchromatic_sharpening(ds.map_batches(widen, batch_format="pyarrow"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_custkey": batch["c_custkey"],
-                "sharp_r": batch["sharp_r"],
-                "sharp_g": batch["sharp_g"],
-                "sharp_b": batch["sharp_b"],
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return out.select_columns(["c_custkey", "sharp_r", "sharp_g", "sharp_b"])
 
 
 Q_PAN_SHARPEN_SQL = """
@@ -2019,13 +2160,7 @@ def q_reclass_interval(sf_dir: str):
 
     ds = read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
     out = reclass_equal_interval(ds, "o_totalprice", interval=25000.0, start=0.0)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"o_orderkey": batch["o_orderkey"], "cls": batch["reclass"]}
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return out.select_columns(["o_orderkey", "reclass"]).rename_columns({"reclass": "cls"})
 
 
 Q_RECLASS_INTERVAL_SQL = """
@@ -2041,57 +2176,18 @@ def q_allocation(sf_dir: str):
     separable feature transform."""
     import ray.data as rd
 
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.distance import euclidean_allocation_ds
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    targets = [(36, 49, 3.0), (44, 2, 8.0), (59, 45, 5.0)]  # tie-free (verified)
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            g = np.zeros((16, 16))
-            for r, c, v in targets:
-                if tr * 16 <= r < tr * 16 + 16 and tc * 16 <= c < tc * 16 + 16:
-                    g[r - tr * 16, c - tc * 16] = v
-            rows.append(
-                {
-                    "tile_row": tr,
-                    "tile_col": tc,
-                    "bytes": codecs.encode_tile(g, "f32"),
-                    "fmt": "f32",
-                }
-            )
-    ds = rd.from_items(rows)
-    out = euclidean_allocation_ds(ds, spec)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rr, cc, vv = [], [], []
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            for r in range(16):
-                for c in range(16):
-                    rr.append(tr * 16 + r)
-                    cc.append(tc * 16 + c)
-                    vv.append(float(g[r, c]))
-        return pa.table(
-            {
-                "row": pa.array(rr, pa.int64()),
-                "col": pa.array(cc, pa.int64()),
-                "alloc": pa.array(vv, pa.float64()),
-            }
-        )
-
-    return out.map_batches(cells, batch_format="pyarrow")
+    full = np.zeros((64, 64))
+    for r, c, v in ALLOCATION_TARGETS:
+        full[r, c] = v
+    rows, spec = _scene(full, fmt="f32")
+    return _tiles_to_cells(euclidean_allocation_ds(rd.from_items(rows), spec), spec, "alloc")
 
 
-Q_ALLOCATION_SQL = """
-    WITH t(tr, tc, v) AS (VALUES (36, 49, 3.0), (44, 2, 8.0), (59, 45, 5.0)),
-         g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)
+Q_ALLOCATION_SQL = f"""
+    WITH t(tr, tc, v) AS (VALUES {", ".join(map(str, ALLOCATION_TARGETS))}),
+         {_WIN_G}
     SELECT g.row, g.col,
            (SELECT v FROM t
             ORDER BY (g.row - t.tr) * (g.row - t.tr) + (g.col - t.tc) * (g.col - t.tc)
@@ -2100,104 +2196,29 @@ Q_ALLOCATION_SQL = """
 """
 
 
-def _analytic_dem_tiles():
-    """64×64 analytic DEM (z = (row·31 + col·17) mod 97 — integer-exact
-    on both sides of the compare), as 4×4 tiles of 16 px."""
-    import ray.data as rd
-
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
-
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr * 31 + cc * 17) % 97).astype(np.float64)
-            rows.append(
-                {
-                    "tile_row": tr,
-                    "tile_col": tc,
-                    "bytes": codecs.encode_tile(g, "f64"),
-                    "fmt": "f64",
-                }
-            )
-    return rd.from_items(rows), spec
-
-
-def _tiles_to_cells(out_ds, spec, value_name: str):
-    from ..kernels import codecs
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rr, cc, vv = [], [], []
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            r_idx, c_idx = np.meshgrid(
-                np.arange(g.shape[0], dtype=np.int64) + tr * spec.tile_px,
-                np.arange(g.shape[1], dtype=np.int64) + tc * spec.tile_px,
-                indexing="ij",
-            )
-            rr.append(r_idx.ravel())
-            cc.append(c_idx.ravel())
-            vv.append(g.ravel().astype(np.float64))
-        if not rr:
-            return pa.table({"row": pa.array([], pa.int64()),
-                             "col": pa.array([], pa.int64()),
-                             value_name: pa.array([], pa.float64())})
-        return pa.table(
-            {
-                "row": pa.array(np.concatenate(rr), pa.int64()),
-                "col": pa.array(np.concatenate(cc), pa.int64()),
-                value_name: pa.array(np.concatenate(vv), pa.float64()),
-            }
-        )
-
-    return out_ds.map_batches(cells, batch_format="pyarrow")
-
-
 def q_slope_horn(sf_dir: str):
     """Slope (slope.rs:256-292 Horn derivatives, edge replication) on an
     analytic DEM — the focal halo engine vs a pure-SQL twin."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, slope_kernel
 
-    ds, spec = _analytic_dem_tiles()
+    rows, spec = _scene(_dem_grid())
     # f64 payload: the default f32 output tier quantizes the 7th
     # significant digit, which the ROUND(…,6) compare would see
-    out = focal_op(ds, spec, slope_kernel, 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "slope")
-
-    def rnd(batch: pa.Table) -> pa.Table:
-        v = np.round(batch["slope"].to_numpy(zero_copy_only=False), 6)
-        return pa.table({"row": batch["row"], "col": batch["col"], "slope": pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
+    out = focal_op(rd.from_items(rows), spec, slope_kernel, 1, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "slope"), "slope")
 
 
 def _horn_sql(out_expr: str, out_name: str) -> str:
-    # z(r, c) with edge replication: out-of-grid neighbours take the
-    # centre value (slope.rs convention reproduced by the halo engine)
-    zfun = (
-        "CAST((CASE WHEN {r} BETWEEN 0 AND 63 AND {c} BETWEEN 0 AND 63"
-        " THEN ({r}) * 31 + ({c}) * 17 ELSE g.row * 31 + g.col * 17 END) % 97 AS DOUBLE)"
-    )
-
-    def z(dr, dc):
-        return zfun.format(r=f"(g.row + ({dr}))", c=f"(g.col + ({dc}))")
-
-    ne, e, se = z(-1, 1), z(0, 1), z(1, 1)
-    s, sw, w = z(1, 0), z(1, -1), z(0, -1)
-    nw, n = z(-1, -1), z(-1, 0)
+    # edge replication: out-of-grid neighbours take the centre value
+    # (slope.rs convention reproduced by the halo engine)
+    ne, e, se = _dem_z_edge(-1, 1), _dem_z_edge(0, 1), _dem_z_edge(1, 1)
+    s, sw, w = _dem_z_edge(1, 0), _dem_z_edge(1, -1), _dem_z_edge(0, -1)
+    nw, n = _dem_z_edge(-1, -1), _dem_z_edge(-1, 0)
     res = 90.0  # SceneSpec default res (kernels/grid.py DEFAULT_RES)
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    WITH {_WIN_G},
          d AS (SELECT g.row, g.col,
                       (({nw}) - ({sw}) + 2.0 * (({n}) - ({s})) + ({ne}) - ({se})) / {8.0 * res} AS fy,
                       (({se}) - ({sw}) + 2.0 * (({e}) - ({w})) + ({ne}) - ({nw})) / {8.0 * res} AS fx
@@ -2212,17 +2233,13 @@ Q_SLOPE_HORN_SQL = _horn_sql("ROUND(DEGREES(ATAN(SQRT(fx * fx + fy * fy))), 6)",
 
 def q_aspect_horn(sf_dir: str):
     """Aspect (aspect.rs:256-283 literal branch) on the analytic DEM."""
+    import ray.data as rd
+
     from ..stages.focal import aspect_kernel, focal_op
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, aspect_kernel, 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "aspect")
-
-    def rnd(batch: pa.Table) -> pa.Table:
-        v = np.round(batch["aspect"].to_numpy(zero_copy_only=False), 6)
-        return pa.table({"row": batch["row"], "col": batch["col"], "aspect": pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, aspect_kernel, 1, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "aspect"), "aspect")
 
 
 Q_ASPECT_HORN_SQL = _horn_sql(
@@ -2233,17 +2250,13 @@ Q_ASPECT_HORN_SQL = _horn_sql(
 
 def q_hillshade_horn(sf_dir: str):
     """Hillshade (hillshade.rs Horn + sun illumination, 0-32767 int)."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, hillshade_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, hillshade_kernel, 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "hs")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["hs"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "hs": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, hillshade_kernel, 1, out_fmt="f64")
+    return _int_cells(_tiles_to_cells(out, spec, "hs"), "hs")
 
 
 def q_hillshade_horn_sql() -> str:
@@ -2265,17 +2278,13 @@ def q_hillshade_horn_sql() -> str:
 def q_window_total(sf_dir: str):
     """TotalFilter (window sum, radius 1) on the analytic DEM — integer
     arithmetic end to end, no rounding at all."""
+    import ray.data as rd
+
     from ..stages.focal import make_window_kernel, focal_op
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("total", 1), 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "total")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["total"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "total": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("total", 1), 1, out_fmt="f64")
+    return _int_cells(_tiles_to_cells(out, spec, "total"), "total")
 
 
 def q_window_total_sql() -> str:
@@ -2289,9 +2298,7 @@ def q_window_total_sql() -> str:
             terms.append(f"CASE WHEN {cond} THEN {zc.format(dr=dr, dc=dc)} ELSE 0 END")
     total = " + ".join(terms)
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)
+    WITH {_WIN_G}
     SELECT row, col, CAST({total} AS BIGINT) AS total
     FROM g
     """
@@ -2299,39 +2306,25 @@ def q_window_total_sql() -> str:
 
 def q_prof_curvature_horn(sf_dir: str):
     """ProfCurvature (prof_curvature.rs:285-300) on the analytic DEM."""
+    import ray.data as rd
+
     from ..stages.terrain2 import prof_curvature_kernel
     from ..stages.focal import focal_op
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, prof_curvature_kernel, 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "profc")
-
-    def rnd(batch: pa.Table) -> pa.Table:
-        v = np.round(batch["profc"].to_numpy(zero_copy_only=False), 6)
-        return pa.table({"row": batch["row"], "col": batch["col"], "profc": pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, prof_curvature_kernel, 1, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "profc"), "profc")
 
 
 def q_prof_curvature_horn_sql() -> str:
     # second derivatives on the replicated-neighbour frame; cell size 90
-    zfun = (
-        "CAST((CASE WHEN {r} BETWEEN 0 AND 63 AND {c} BETWEEN 0 AND 63"
-        " THEN ({r}) * 31 + ({c}) * 17 ELSE g.row * 31 + g.col * 17 END) % 97 AS DOUBLE)"
-    )
-
-    def z(dr, dc):
-        return zfun.format(r=f"(g.row + ({dr}))", c=f"(g.col + ({dc}))")
-
-    ne, e_, se = z(-1, 1), z(0, 1), z(1, 1)
-    s_, sw, w_ = z(1, 0), z(1, -1), z(0, -1)
-    nw, n_ = z(-1, -1), z(-1, 0)
-    ctr = zfun.format(r="g.row", c="g.col")
+    ne, e_, se = _dem_z_edge(-1, 1), _dem_z_edge(0, 1), _dem_z_edge(1, 1)
+    s_, sw, w_ = _dem_z_edge(1, 0), _dem_z_edge(1, -1), _dem_z_edge(0, -1)
+    nw, n_ = _dem_z_edge(-1, -1), _dem_z_edge(-1, 0)
+    ctr = _DEM_Z_EDGE.format(r="g.row", c="g.col")
     res = 90.0
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    WITH {_WIN_G},
          d AS (SELECT g.row, g.col,
                       (({e_}) - ({w_})) / {2.0 * res} AS zx,
                       (({n_}) - ({s_})) / {2.0 * res} AS zy,
@@ -2352,50 +2345,25 @@ def q_d8_accum(sf_dir: str):
     """D8FlowAccumulation (d8_flow_accum.rs, out_type=cells) on the
     analytic DEM — pointer via the halo engine, accumulation via the
     Dataset-native BSP drain, oracle via a recursive-CTE path count."""
+    import ray.data as rd
+
     from ..stages.flow import d8_pointer_masked, flow_accumulation_ds
 
-    ds, spec = _analytic_dem_tiles()
-    ptr = d8_pointer_masked(ds, spec)
+    rows, spec = _scene(_dem_grid())
+    ptr = d8_pointer_masked(rd.from_items(rows), spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
-    cells = _tiles_to_cells(acc, spec, "acc")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["acc"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "acc": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    return _int_cells(_tiles_to_cells(acc, spec, "acc"), "acc")
 
 
 def q_d8_accum_sql() -> str:
     """Pointer argmax (strictly-greater, first-in-ring-order tie rule,
     distance-weighted diagonals) + WITH RECURSIVE path walk; acc(cell) =
     number of cells whose flowpath passes through it (incl. itself)."""
-    # ring order 0=NE 1=E 2=SE 3=S 4=SW 5=W 6=NW 7=N (focal DY8/DX8)
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    import math
-
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
+    move_r = _d8_case("d", "dr")
+    move_c = _d8_case("d", "dc")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col) AS (
         SELECT row, col, row, col FROM dirs
         UNION ALL
@@ -2415,49 +2383,25 @@ def q_basins_grid(sf_dir: str):
     """Basins (basins.rs): dense 1-based labels in terminal-gid order —
     the Dataset-native terminal-resolution shards vs a recursive-CTE
     pointer walk."""
+    import ray.data as rd
+
     from ..stages.basins import basins_ds
     from ..stages.flow import d8_pointer_masked
 
-    ds, spec = _analytic_dem_tiles()
-    ptr = d8_pointer_masked(ds, spec)
+    rows, spec = _scene(_dem_grid())
+    ptr = d8_pointer_masked(rd.from_items(rows), spec)
     lab = basins_ds(ptr, spec, num_workers=2)
-    cells = _tiles_to_cells(lab, spec, "basin")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["basin"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "basin": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    return _int_cells(_tiles_to_cells(lab, spec, "basin"), "basin")
 
 
 def q_basins_grid_sql() -> str:
     """Walk every cell to its terminal; label = dense rank of the
     terminal's row-major gid."""
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
+    move_r_w = _d8_case("wd", "dr")
+    move_c_w = _d8_case("wd", "dc")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col, wd) AS (
         SELECT row, col, row, col, d FROM dirs
         UNION ALL
@@ -2484,50 +2428,22 @@ def q_downslope_length(sf_dir: str):
     'acc' mode vs the recursive walk summing step lengths. ROUND(…,4):
     the BSP doubling and the CTE walk associate the float sum in
     different orders (noise ~1e-9 on O(10^3) values)."""
+    import ray.data as rd
+
     from ..stages.hydro2 import downslope_flowpath_length
 
-    ds, spec = _analytic_dem_tiles()
-    out = downslope_flowpath_length(ds, spec, num_workers=2)
-    cells = _tiles_to_cells(out, spec, "dfl")
-
-    def rnd(batch: pa.Table) -> pa.Table:
-        v = np.round(batch["dfl"].to_numpy(zero_copy_only=False), 4)
-        return pa.table({"row": batch["row"], "col": batch["col"], "dfl": pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = downslope_flowpath_length(rd.from_items(rows), spec, num_workers=2)
+    return _round_cells(_tiles_to_cells(out, spec, "dfl"), "dfl", 4)
 
 
 def q_downslope_length_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    diag = math.sqrt(2.0) * res
-    step_len = "CASE wd " + " ".join(
-        f"WHEN {i} THEN {diag!r}" if dr != 0 and dc != 0 else f"WHEN {i} THEN {float(res)!r}"
-        for i, (dr, dc) in enumerate(ring)
-    ) + " ELSE 0.0 END"
-    move_r_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
+    step_len = _d8_case("wd", "len")
+    move_r_w = _d8_case("wd", "dr")
+    move_c_w = _d8_case("wd", "dc")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col, wd, dist) AS (
         SELECT row, col, row, col, d, CAST(0.0 AS DOUBLE) FROM dirs
         UNION ALL
@@ -2547,58 +2463,35 @@ def q_downslope_length_sql() -> str:
 def q_watershed_grid(sf_dir: str):
     """Watershed (watershed.rs): labels from pour points — the walk stops
     at the FIRST pour cell downstream (pour cells are targets)."""
+    import ray.data as rd
+
     from ..stages.basins import watershed_ds
     from ..stages.flow import d8_pointer_masked
 
-    ds, spec = _analytic_dem_tiles()
+    rows, spec = _scene(_dem_grid())
     gs = spec.grid_spec()
-    # pour cells at fixed grid coords (tie-free by construction)
-    pours_rc = [(10, 20, 1), (40, 45, 2), (55, 9, 3)]
     pours = [
         (gs.west + (c + 0.5) * spec.res, gs.north - (r + 0.5) * spec.res, pid)
-        for r, c, pid in pours_rc
+        for r, c, pid in WATERSHED_POURS
     ]
-    ptr = d8_pointer_masked(ds, spec)
+    ptr = d8_pointer_masked(rd.from_items(rows), spec)
     lab = watershed_ds(ptr, spec, pours, num_workers=2)
-    cells = _tiles_to_cells(lab, spec, "ws")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["ws"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "ws": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    return _int_cells(_tiles_to_cells(lab, spec, "ws"), "ws")
 
 
 def q_watershed_grid_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
+    """Pour cells are walk targets (d = -10), tie-free by construction."""
+    move_r_w = _d8_case("wd", "dr")
+    move_c_w = _d8_case("wd", "dc")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    pours(prow, pcol, pid) AS (VALUES (10, 20, 1), (40, 45, 2), (55, 9, 3)),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
+    {_WIN_G},
+    pours(prow, pcol, pid) AS (VALUES {", ".join(map(str, WATERSHED_POURS))}),
+    {_d8_sl(_DEM_Z)},
     dirs AS (SELECT d0.row, d0.col,
                     CASE WHEN p.pid IS NOT NULL THEN -10 ELSE d0.d END AS d,
                     COALESCE(p.pid, 0) AS pour_id
-             FROM (SELECT row, col, {dir_case} AS d
-                   FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)) d0
+             FROM ({_D8_ARGMAX}) d0
              LEFT JOIN pours p ON p.prow = d0.row AND p.pcol = d0.col),
     walk(src_row, src_col, row, col, wd, pour_id) AS (
         SELECT row, col, row, col, d, pour_id FROM dirs
@@ -2655,59 +2548,17 @@ def q_resample_bilinear(sf_dir: str):
     the reference quirk, kept verbatim): value =
     (v(2r+1,2c+2) + v(2r+2,2c+1) + 0.5·v(2r+2,2c+2)) / 2.5 interior,
     degrading at the south/east edges, and the raw hit at (63,63)."""
-    import pyarrow as pa2
-
-    from ..kernels import codecs
     from ..kernels.grid import GridSpec
-    from ..sources.tiles import SceneSpec
     from ..stages.resample import resample
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
+    rows, spec = _scene(_dem_grid())
     gs = spec.grid_spec()
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr * 31 + cc * 17) % 97).astype(np.float64)
-            rows.append(
-                {
-                    "tile_row": tr,
-                    "tile_col": tc,
-                    "bytes": codecs.encode_tile(g, "f64"),
-                    "fmt": "f64",
-                }
-            )
-    src_table = pa2.Table.from_pylist(rows)
     dest = GridSpec(
         west=gs.west, north=gs.north, res_x=gs.res_x * 2, res_y=gs.res_y * 2,
         rows=32, columns=32, nodata=gs.nodata,
     )
-    out = resample(src_table, spec, dest, dest_tile_px=16, method="bilinear", out_fmt="f64")
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rr, cc, vv = [], [], []
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            for r in range(g.shape[0]):
-                for c in range(g.shape[1]):
-                    rr.append(tr * 16 + r)
-                    cc.append(tc * 16 + c)
-                    vv.append(float(g[r, c]))
-        return pa.table(
-            {
-                "row": pa.array(rr, pa.int64()),
-                "col": pa.array(cc, pa.int64()),
-                "value": pa.array(vv, pa.float64()),
-            }
-        )
-
-    return out.map_batches(cells, batch_format="pyarrow")
+    out = resample(pa.Table.from_pylist(rows), spec, dest, dest_tile_px=16, method="bilinear", out_fmt="f64")
+    return _tiles_to_cells(out, spec, "value")
 
 
 Q_RESAMPLE_BILINEAR_SQL = """
@@ -2724,67 +2575,45 @@ Q_RESAMPLE_BILINEAR_SQL = """
 """
 
 
+def _idw_points():
+    """(spec, x/y/value table) of IDW_POINTS on the analytic scene frame."""
+    from ..sources.tiles import SceneSpec
+
+    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
+    gs = spec.grid_spec()
+    return spec, pa.table(
+        {
+            "x": [gs.west + (c + f) * spec.res for (r, c, f, g, v) in IDW_POINTS],
+            "y": [gs.north - (r + g) * spec.res for (r, c, f, g, v) in IDW_POINTS],
+            "value": [v for (r, c, f, g, v) in IDW_POINTS],
+        }
+    )
+
+
+def _idw_sql_points() -> str:
+    """IDW_POINTS as the twins' ``VALUES`` rows (px, py, v)."""
+    _, pts = _idw_points()
+    return ", ".join(f"({x!r}, {y!r}, {v!r})" for x, y, v in zip(*pts.to_pydict().values()))
+
+
 def q_idw_grid(sf_dir: str):
     """IdwInterpolation (idw_interpolation.rs): 6 fixed points gridded
     onto the 64×64 scene (radius 4 cells, power 2; fixture verified
     free of d=0 and d=radius boundary hits). Cells without a point in
     radius are nodata on both sides."""
-    import pyarrow as pa2
-
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.gridding import idw_gridding
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    gs = spec.grid_spec()
-    res = spec.res
-    fixture = [(5, 7, 0.3, 0.7, 11.0), (20, 40, 0.6, 0.2, 23.0), (50, 12, 0.1, 0.9, 7.0),
-               (33, 33, 0.8, 0.4, 17.0), (10, 55, 0.2, 0.3, 29.0), (60, 60, 0.7, 0.6, 5.0)]
-    pts = pa2.table(
-        {
-            "x": pa2.array([gs.west + (c + f) * res for (r, c, f, g_, v) in fixture]),
-            "y": pa2.array([gs.north - (r + g_) * res for (r, c, f, g_, v) in fixture]),
-            "value": pa2.array([v for (r, c, f, g_, v) in fixture]),
-        }
-    )
-    out = idw_gridding(pts, spec, radius=4.0 * res, power=2.0, out_fmt="f64")
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rr, cc, vv = [], [], []
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            for r in range(g.shape[0]):
-                for c in range(g.shape[1]):
-                    rr.append(tr * 16 + r)
-                    cc.append(tc * 16 + c)
-                    vv.append(round(float(g[r, c]), 6))
-        return pa.table(
-            {
-                "row": pa.array(rr, pa.int64()),
-                "col": pa.array(cc, pa.int64()),
-                "idw": pa.array(vv, pa.float64()),
-            }
-        )
-
-    return out.map_batches(cells, batch_format="pyarrow")
+    spec, pts = _idw_points()
+    out = idw_gridding(pts, spec, radius=4.0 * spec.res, power=2.0, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "idw"), "idw")
 
 
 def q_idw_grid_sql() -> str:
-    from ..sources.tiles import SceneSpec
-
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
+    spec, _ = _idw_points()
     gs = spec.grid_spec()
     res = spec.res
-    fixture = [(5, 7, 0.3, 0.7, 11.0), (20, 40, 0.6, 0.2, 23.0), (50, 12, 0.1, 0.9, 7.0),
-               (33, 33, 0.8, 0.4, 17.0), (10, 55, 0.2, 0.3, 29.0), (60, 60, 0.7, 0.6, 5.0)]
-    vals = ", ".join(
-        f"({gs.west + (c + f) * res!r}, {gs.north - (r + g_) * res!r}, {v!r})"
-        for (r, c, f, g_, v) in fixture
-    )
     return f"""
-    WITH pts(px, py, v) AS (VALUES {vals}),
+    WITH pts(px, py, v) AS (VALUES {_idw_sql_points()}),
     g AS (SELECT r.r AS row, c.c AS col,
                  {gs.west!r} + (c.c + 0.5) * {res!r} AS x,
                  {gs.north!r} - (r.r + 0.5) * {res!r} AS y
@@ -2854,23 +2683,17 @@ def q_horizon_angle(sf_dir: str):
     atan2(z(r, c+s) − z(r, c), s·res) over s = 1..20; −π/2 where no
     in-grid sample exists (col 63). Runs through horizon_angle_ds's
     directional-halo gather."""
+    import ray.data as rd
+
     from ..stages.visibility import horizon_angle_ds
 
-    ds, spec = _analytic_dem_tiles()
-    out = horizon_angle_ds(ds, spec, 90.0, 20.0 * spec.res, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "ha")
-
-    def rnd(batch: pa.Table) -> pa.Table:
-        v = np.round(batch["ha"].to_numpy(zero_copy_only=False), 9)
-        return pa.table({"row": batch["row"], "col": batch["col"], "ha": pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = horizon_angle_ds(rd.from_items(rows), spec, 90.0, 20.0 * spec.res, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "ha"), "ha", 9)
 
 
-Q_HORIZON_ANGLE_SQL = """
-WITH g AS (SELECT r.r AS row, c.c AS col
-           FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                (SELECT unnest(generate_series(0, 63)) AS c) c),
+Q_HORIZON_ANGLE_SQL = f"""
+WITH {_WIN_G},
      st AS (SELECT unnest(generate_series(1, 20)) AS s),
      b AS (SELECT g.row, g.col,
                   MAX(ATAN2(CAST((g.row * 31 + (g.col + st.s) * 17) % 97 AS DOUBLE)
@@ -2888,17 +2711,17 @@ def q_fetch_analysis(sf_dir: str):
     """FetchAnalysis due south, 20 steps: distance (s·res) to the first
     cell with z(r+s, c) > z(r, c) + 0.022·s·res; 1800 (= max_dist)
     where unobstructed. Integer-exact outputs on the analytic DEM."""
+    import ray.data as rd
+
     from ..stages.visibility import fetch_analysis_ds
 
-    ds, spec = _analytic_dem_tiles()
-    out = fetch_analysis_ds(ds, spec, 180.0, 20.0 * spec.res, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = fetch_analysis_ds(rd.from_items(rows), spec, 180.0, 20.0 * spec.res, out_fmt="f64")
     return _tiles_to_cells(out, spec, "fetch")
 
 
-Q_FETCH_ANALYSIS_SQL = """
-WITH g AS (SELECT r.r AS row, c.c AS col
-           FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                (SELECT unnest(generate_series(0, 63)) AS c) c),
+Q_FETCH_ANALYSIS_SQL = f"""
+WITH {_WIN_G},
      st AS (SELECT unnest(generate_series(1, 20)) AS s),
      b AS (SELECT g.row, g.col, MIN(st.s) AS s_first
            FROM g, st
@@ -2917,19 +2740,19 @@ def q_viewshed(sf_dir: str):
     vertical angle (+1e-12 guard). Runs through viewshed_ds's azimuthal
     sector decomposition (8 sectors); the SQL twin replays the exact
     double expression tree on the analytic z formula."""
+    import ray.data as rd
+
     from ..stages.visibility import viewshed_ds
 
-    ds, spec = _analytic_dem_tiles()
-    out = viewshed_ds(ds, spec, (31, 31), station_height=2.0,
+    rows, spec = _scene(_dem_grid())
+    out = viewshed_ds(rd.from_items(rows), spec, (31, 31), station_height=2.0,
                       n_sectors=8, out_fmt="f64")
     return _tiles_to_cells(out, spec, "vis")
 
 
 # z(31,31) = (31*31 + 31*17) % 97 = 33 → zs = 35.0
-Q_VIEWSHED_SQL = """
-WITH g AS (SELECT r.r AS row, c.c AS col
-           FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                (SELECT unnest(generate_series(0, 63)) AS c) c),
+Q_VIEWSHED_SQL = f"""
+WITH {_WIN_G},
      tgt AS (SELECT row, col,
                     CAST(row - 31 AS DOUBLE) AS dy,
                     CAST(col - 31 AS DOUBLE) AS dx,
@@ -3000,48 +2823,13 @@ def q_idw_grid_cp(sf_dir: str):
     (idw_gridding_ds: margin-duplicated flat-map + tile-key groupby, no
     broadcast) on the same 6-point fixture — same oracle as the
     broadcast form."""
-    import pyarrow as pa2
     import ray.data as rd
 
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.gridding import idw_gridding_ds
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    gs = spec.grid_spec()
-    res = spec.res
-    fixture = [(5, 7, 0.3, 0.7, 11.0), (20, 40, 0.6, 0.2, 23.0), (50, 12, 0.1, 0.9, 7.0),
-               (33, 33, 0.8, 0.4, 17.0), (10, 55, 0.2, 0.3, 29.0), (60, 60, 0.7, 0.6, 5.0)]
-    pts = pa2.table(
-        {
-            "x": pa2.array([gs.west + (c + f) * res for (r, c, f, g_, v) in fixture]),
-            "y": pa2.array([gs.north - (r + g_) * res for (r, c, f, g_, v) in fixture]),
-            "value": pa2.array([v for (r, c, f, g_, v) in fixture]),
-        }
-    )
-    out = idw_gridding_ds(rd.from_arrow(pts), spec, radius=4.0 * res, power=2.0,
-                          out_fmt="f64")
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rr, cc, vv = [], [], []
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            for r in range(g.shape[0]):
-                for c in range(g.shape[1]):
-                    rr.append(tr * 16 + r)
-                    cc.append(tc * 16 + c)
-                    vv.append(round(float(g[r, c]), 6))
-        return pa.table(
-            {
-                "row": pa.array(rr, pa.int64()),
-                "col": pa.array(cc, pa.int64()),
-                "idw": pa.array(vv, pa.float64()),
-            }
-        )
-
-    return out.map_batches(cells, batch_format="pyarrow")
+    spec, pts = _idw_points()
+    out = idw_gridding_ds(rd.from_arrow(pts), spec, radius=4.0 * spec.res, power=2.0, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "idw"), "idw")
 
 
 def q_las_round_trip(sf_dir: str):
@@ -3205,35 +2993,18 @@ def q_geotiff_round_trip(sf_dir: str):
     import shutil
     import tempfile
 
-    import pandas as pd
+    import ray.data as rd
 
-    from ray.data.aggregate import Sum
-
-    from ..kernels import codecs
     from ..sources import formats
 
     out_dir = tempfile.mkdtemp(prefix="tifrt_", dir="/tmp")
     path = f"{out_dir}/dem.tif"
-    ds, spec = _analytic_dem_tiles()
-    formats.write_geotiff(ds, spec, path)
+    rows, spec = _scene(_dem_grid())
+    formats.write_geotiff(rd.from_items(rows), spec, path)
     back, metas = formats.read_geotiff_tiles(path, tile_px=16)
-
-    def quantize(batch: pa.Table) -> pa.Table:
-        n = sz = 0
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            g = g[~np.isnan(g)]
-            n += g.size
-            sz += int(np.round(g).sum())
-        return pa.table(
-            {"n_p": pa.array([n], pa.int64()), "sz_p": pa.array([sz], pa.int64())}
-        )
-
-    out = back.map_batches(quantize, batch_format="pyarrow").aggregate(
-        Sum("n_p", alias_name="n"), Sum("sz_p", alias_name="sz")
-    )
+    out = _count_and_sum(back, spec)
     shutil.rmtree(out_dir, ignore_errors=True)
-    return pd.DataFrame([out])
+    return out
 
 
 def q_geotiff_round_trip_sql() -> str:
@@ -3254,39 +3025,22 @@ def q_grid_convert_round_trip(sf_dir: str):
     import shutil
     import tempfile
 
-    import pandas as pd
+    import ray.data as rd
 
-    from ray.data.aggregate import Sum
-
-    from ..kernels import codecs
     from ..sources import formats
 
     out_dir = tempfile.mkdtemp(prefix="gridrt_", dir="/tmp")
-    ds, spec = _analytic_dem_tiles()
-    formats.write_raster_grid(ds, spec, f"{out_dir}/a.asc")
+    rows, spec = _scene(_dem_grid())
+    formats.write_raster_grid(rd.from_items(rows), spec, f"{out_dir}/a.asc")
 
     t1, _ = formats.read_raster_grid(f"{out_dir}/a.asc", tile_px=16)
     formats.write_raster_grid(t1, spec, f"{out_dir}/b.dep")
     t2, _ = formats.read_raster_grid(f"{out_dir}/b.dep", tile_px=16)
     formats.write_raster_grid(t2, spec, f"{out_dir}/c.sdat")
     back, metas = formats.read_raster_grid(f"{out_dir}/c.sdat", tile_px=16)
-
-    def quantize(batch: pa.Table) -> pa.Table:
-        n = sz = 0
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            g = g[~np.isnan(g)]
-            n += g.size
-            sz += int(np.round(g).sum())
-        return pa.table(
-            {"n_p": pa.array([n], pa.int64()), "sz_p": pa.array([sz], pa.int64())}
-        )
-
-    out = back.map_batches(quantize, batch_format="pyarrow").aggregate(
-        Sum("n_p", alias_name="n"), Sum("sz_p", alias_name="sz")
-    )
+    out = _count_and_sum(back, spec)
     shutil.rmtree(out_dir, ignore_errors=True)
-    return pd.DataFrame([out])
+    return out
 
 
 def q_image_decode(sf_dir: str):
@@ -3394,63 +3148,28 @@ def q_stream_dist_outlet(sf_dir: str):
     ``distance_to_outlet_ds`` surface (the keyed tile zip replaces the
     former driver-side merge of two cell tables). Oracle: the d8_accum
     recursive path count composed with the downslope walk CTE."""
+    import ray.data as rd
+
     from ..stages.flow import d8_pointer_masked, flow_accumulation_ds
     from ..stages.streams import distance_to_outlet_ds, extract_streams_ds
 
-    ds, spec = _analytic_dem_tiles()
-    ptr = d8_pointer_masked(ds, spec)
+    rows, spec = _scene(_dem_grid())
+    ptr = d8_pointer_masked(rd.from_items(rows), spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
-    streams = extract_streams_ds(acc, spec, threshold=5.0)
+    streams = extract_streams_ds(acc, spec, threshold=DEM_STREAM_THRESHOLD)
     out = distance_to_outlet_ds(streams, ptr, spec, num_workers=2)
-    cells = _tiles_to_cells(out, spec, "dist")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["dist"].to_numpy(zero_copy_only=False)
-        keep = v != spec.nodata
-        return pa.table(
-            {
-                "row": batch["row"].filter(pa.array(keep)),
-                "col": batch["col"].filter(pa.array(keep)),
-                "dist": pa.array(np.round(v[keep], 4), pa.float64()),
-            }
-        )
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    return _round_cells(_valid_cells(_tiles_to_cells(out, spec, "dist"), "dist", spec.nodata), "dist", 4)
 
 
 def q_stream_dist_outlet_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    diag = math.sqrt(2.0) * res
-    step_len = "CASE wd " + " ".join(
-        f"WHEN {i} THEN {diag!r}" if dr != 0 and dc != 0 else f"WHEN {i} THEN {float(res)!r}"
-        for i, (dr, dc) in enumerate(ring)
-    ) + " ELSE 0.0 END"
-    move_r_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c_w = "CASE wd " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
+    move_r = _d8_case("d", "dr")
+    move_c = _d8_case("d", "dc")
+    step_len = _d8_case("wd", "len")
+    move_r_w = _d8_case("wd", "dr")
+    move_c_w = _d8_case("wd", "dc")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col) AS (
         SELECT row, col, row, col FROM dirs
         UNION ALL
@@ -3474,7 +3193,7 @@ def q_stream_dist_outlet_sql() -> str:
              FROM walk2 WHERE wd < 0)
     SELECT a.row, a.col, ROUND(d.dist, 4) AS dist
     FROM acc a JOIN dist d ON a.row = d.row AND a.col = d.col
-    WHERE a.acc > 5
+    WHERE a.acc > {DEM_STREAM_THRESHOLD:g}
     ORDER BY a.row, a.col
     """
 
@@ -3485,17 +3204,13 @@ def q_median_filter(sf_dir: str):
     Out-of-grid neighbours are excluded (same convention as
     q_window_total); even-count edge windows interpolate the middle
     pair identically in numpy and DuckDB."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, make_window_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("median", 1), 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "med")
-
-    def rnd(batch: pa.Table) -> pa.Table:
-        v = np.round(batch["med"].to_numpy(zero_copy_only=False), 6)
-        return pa.table({"row": batch["row"], "col": batch["col"], "med": pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("median", 1), 1, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "med"), "med")
 
 
 def q_median_filter_sql() -> str:
@@ -3506,9 +3221,7 @@ def q_median_filter_sql() -> str:
             cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
             vals.append(f"CASE WHEN {cond} THEN {zc.format(dr=dr, dc=dc)} ELSE NULL END")
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    WITH {_WIN_G},
     vals AS (SELECT g.row, g.col, t.v
              FROM g, UNNEST([{', '.join(vals)}]) AS t(v))
     SELECT row, col, ROUND(CAST(MEDIAN(v) AS DOUBLE), 6) AS med
@@ -3580,30 +3293,18 @@ def q_sobel_filter(sf_dir: str):
     """SobelFilter (image_analysis/sobel_filter.rs semantics: 3×3 Sobel
     gx/gy stencils, magnitude = hypot, nodata neighbours take the centre
     value) on the analytic DEM via the focal halo engine."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, sobel_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, sobel_kernel, 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "sobel")
-
-    def rnd(batch: pa.Table) -> pa.Table:
-        v = np.round(batch["sobel"].to_numpy(zero_copy_only=False), 6)
-        return pa.table({"row": batch["row"], "col": batch["col"], "sobel": pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, sobel_kernel, 1, out_fmt="f64")
+    return _round_cells(_tiles_to_cells(out, spec, "sobel"), "sobel")
 
 
 def _stencil3_sql(weights, out_expr: str, out_name: str) -> str:
     """Shared SQL twin of focal._stencil3: out-of-grid neighbours take
     the centre value; gx/gy are weighted neighbour sums."""
-    zfun = (
-        "CAST((CASE WHEN {r} BETWEEN 0 AND 63 AND {c} BETWEEN 0 AND 63"
-        " THEN ({r}) * 31 + ({c}) * 17 ELSE g.row * 31 + g.col * 17 END) % 97 AS DOUBLE)"
-    )
-
-    def z(dr, dc):
-        return zfun.format(r=f"(g.row + ({dr}))", c=f"(g.col + ({dc}))")
-
     exprs = {}
     for name, w in weights.items():
         terms = []
@@ -3612,13 +3313,11 @@ def _stencil3_sql(weights, out_expr: str, out_name: str) -> str:
                 wgt = w[dy + 1][dx + 1]
                 if wgt == 0:
                     continue
-                terms.append(f"({wgt!r}) * ({z(dy, dx)})")
+                terms.append(f"({wgt!r}) * ({_dem_z_edge(dy, dx)})")
         exprs[name] = " + ".join(terms)
     sel = ", ".join(f"({e}) AS {n}" for n, e in exprs.items())
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    WITH {_WIN_G},
          d AS (SELECT g.row, g.col, {sel} FROM g)
     SELECT row, col, {out_expr} AS {out_name}
     FROM d
@@ -3639,10 +3338,12 @@ def q_sobel_filter_sql() -> str:
 def q_laplacian_filter(sf_dir: str):
     """LaplacianFilter (image_analysis/laplacian_filter.rs, 3×3 cross
     stencil) on the analytic DEM — integer-exact on both sides."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, laplacian_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, laplacian_kernel, 1, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, laplacian_kernel, 1, out_fmt="f64")
     return _tiles_to_cells(out, spec, "lap")
 
 
@@ -3659,10 +3360,12 @@ def q_integral_image(sf_dir: str):
     Dataset-native edge-vector-exchange form (raster_ops.integral_image_ds)
     — exact scene-wide summed-area table, integer-exact vs the SQL
     nested-window twin."""
+    import ray.data as rd
+
     from ..stages.raster_ops import integral_image_ds
 
-    ds, spec = _analytic_dem_tiles()
-    out = integral_image_ds(ds, spec)
+    rows, spec = _scene(_dem_grid())
+    out = integral_image_ds(rd.from_items(rows), spec)
     return _tiles_to_cells(out, spec, "sat")
 
 
@@ -3687,10 +3390,12 @@ def q_hist_equalization(sf_dir: str):
     on the analytic DEM. The SQL twin reproduces BOTH binnings exactly:
     np.histogram's left-inclusive edge binning for the counts and the
     remap's trunc((v-lo)/span*(tones-1)) for the lookup."""
+    import ray.data as rd
+
     from ..stages.stretch import histogram_equalization
 
-    ds, spec = _analytic_dem_tiles()
-    out = histogram_equalization(ds, num_tones=1024, out_min=0.0, out_max=1023.0, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = histogram_equalization(rd.from_items(rows), num_tones=1024, out_min=0.0, out_max=1023.0, out_fmt="f64")
     # no rounding: cdf/4096*1023 is the same IEEE-f64 expression on both
     # sides (bit-identical), and ROUND(…,6) would hit half-even-vs-half-away
     # ties at x.xxxxxx5
@@ -3728,46 +3433,22 @@ def q_num_inflowing(sf_dir: str):
     """NumInflowingNeighbours (hydro_analysis/num_inflowing_neighbours.rs
     / d8_flow_accum.rs:343-397): D8 pointer on the analytic DEM, then the
     inflow count through the focal halo engine, vs a ring-join SQL twin."""
+    import ray.data as rd
+
     from ..stages.flow import _num_inflowing_kernel
     from ..stages.focal import d8_pointer_kernel, focal_op
 
-    ds, spec = _analytic_dem_tiles()
-    ptr = focal_op(ds, spec, d8_pointer_kernel, 1, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    ptr = focal_op(rd.from_items(rows), spec, d8_pointer_kernel, 1, out_fmt="f64")
     out = focal_op(ptr, spec, _num_inflowing_kernel, 1, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "n_inflow")
-
-    def as_int(batch: pa.Table) -> pa.Table:
-        v = batch["n_inflow"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "n_inflow": pa.array(v, pa.int64())})
-
-    return cells.map_batches(as_int, batch_format="pyarrow")
+    return _int_cells(_tiles_to_cells(out, spec, "n_inflow"), "n_inflow")
 
 
 def q_num_inflowing_sql() -> str:
-    import math
 
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    ring_vals = ", ".join(f"({i}, {dr}, {dc})" for i, (dr, dc) in enumerate(ring))
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
-    ring(i, dr, dc) AS (VALUES {ring_vals}),
+    WITH {_d8_prelude()},
+    ring(i, dr, dc) AS (VALUES {_D8_RING_VALUES}),
     hits AS (SELECT dirs.row, dirs.col, COUNT(nb.row) AS n
              FROM dirs CROSS JOIN ring
              LEFT JOIN dirs nb
@@ -3787,13 +3468,15 @@ def q_shreve_magnitude(sf_dir: str):
     stream cell, magnitude == count of channel heads whose D8 flowpath
     passes through the cell (heads = stream cells with no inflowing
     stream neighbour), which the recursive walk CTE enumerates."""
+    import ray.data as rd
+
     from ..stages.flow import d8_pointer_masked, flow_accumulation_ds
     from ..stages.streams import extract_streams_ds, shreve_magnitude, stream_links_ds
 
-    ds, spec = _analytic_dem_tiles()
-    ptr = d8_pointer_masked(ds, spec)
+    rows, spec = _scene(_dem_grid())
+    ptr = d8_pointer_masked(rd.from_items(rows), spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
-    streams = extract_streams_ds(acc, spec, threshold=5.0)
+    streams = extract_streams_ds(acc, spec, threshold=DEM_STREAM_THRESHOLD)
     painted, links = stream_links_ds(streams, ptr, spec)
     mag = shreve_magnitude(links)
     max_lid = max(mag) if mag else 0
@@ -3818,35 +3501,14 @@ def q_shreve_magnitude(sf_dir: str):
 
 
 def q_shreve_magnitude_sql() -> str:
-    """Walk CTE (same pointer rule as q_d8_accum) -> streams (acc>=5)
+    """Walk CTE (same pointer rule as q_d8_accum) -> streams (acc > 5)
     -> heads (stream cells with no inflowing stream neighbour) -> per
     stream cell count of heads upstream of it (inclusive)."""
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    ring_vals = ", ".join(f"({i}, {dr}, {dc})" for i, (dr, dc) in enumerate(ring))
+    move_r = _d8_case("d", "dr")
+    move_c = _d8_case("d", "dc")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col) AS (
         SELECT row, col, row, col FROM dirs
         UNION ALL
@@ -3856,8 +3518,8 @@ def q_shreve_magnitude_sql() -> str:
         WHERE dirs.d >= 0
     ),
     acc AS (SELECT row, col, COUNT(*) AS acc FROM walk GROUP BY row, col),
-    strm AS (SELECT row, col FROM acc WHERE acc > 5),
-    ring(i, dr, dc) AS (VALUES {ring_vals}),
+    strm AS (SELECT row, col FROM acc WHERE acc > {DEM_STREAM_THRESHOLD:g}),
+    ring(i, dr, dc) AS (VALUES {_D8_RING_VALUES}),
     heads AS (
         SELECT s.row, s.col FROM strm s
         WHERE NOT EXISTS (
@@ -3883,11 +3545,13 @@ def q_raster_to_points(sf_dir: str):
     maps the world x/y back to row/col (exact inverse at cell centres)
     so the compare is integer;
     oracle: ROW_NUMBER() over the scan key on the analytic DEM."""
+    import ray.data as rd
+
     from ..stages.raster_vector import raster_to_vector_points
 
-    ds, spec = _analytic_dem_tiles()
+    rows, spec = _scene(_dem_grid())
     gs = spec.grid_spec()
-    pts = raster_to_vector_points(ds, spec)
+    pts = raster_to_vector_points(rd.from_items(rows), spec)
 
     def finish(batch: pa.Table) -> pa.Table:
         x = batch["x"].to_numpy(zero_copy_only=False)
@@ -3908,10 +3572,8 @@ def q_raster_to_points(sf_dir: str):
 
 
 def q_raster_to_points_sql() -> str:
-    return """
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    return f"""
+    WITH {_WIN_G},
     v AS (SELECT row, col, (row * 31 + col * 17) % 97 AS z FROM g)
     SELECT CAST(ROW_NUMBER() OVER (ORDER BY row * 64 + col) AS BIGINT) AS fid,
            row, col, CAST(z AS BIGINT) AS value
@@ -3934,29 +3596,18 @@ def q_clip_raster_poly(sf_dir: str):
     the scanline-run mask stage on stateless tasks (stages/clip_raster.py)
     vs a half-plane SQL twin restricted to the reference's exclusive-end
     bbox window."""
+    import ray.data as rd
+
     from ..stages.clip_raster import clip_raster_to_polygon
     from ..sources.vectors import make_polygon_record
 
-    ds, spec = _analytic_dem_tiles()
+    rows, spec = _scene(_dem_grid())
     gs = spec.grid_spec()
     ring = [(gs.west + u * spec.res, gs.north - v * spec.res) for u, v in _CLIP_GATE_UV]
     rec = make_polygon_record(1, [ring], "gate_quad", 1)
     poly = pa.Table.from_pylist([rec])
-    out = clip_raster_to_polygon(ds, poly, spec)
-    cells = _tiles_to_cells(out, spec, "z")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        z = batch["z"].to_numpy(zero_copy_only=False)
-        keep = z != gs.nodata
-        return pa.table(
-            {
-                "row": batch["row"].filter(pa.array(keep)),
-                "col": batch["col"].filter(pa.array(keep)),
-                "value": pa.array(np.round(z[keep]).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    out = clip_raster_to_polygon(rd.from_items(rows), poly, spec)
+    return _int_cells(_valid_cells(_tiles_to_cells(out, spec, "value"), "value", gs.nodata), "value")
 
 
 def q_clip_raster_poly_sql() -> str:
@@ -3981,9 +3632,7 @@ def q_clip_raster_poly_sql() -> str:
     c0 = math.floor(min(u for u, _ in uv))
     c1 = math.floor(max(u for u, _ in uv))  # EXCLUSIVE
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    WITH {_WIN_G},
     v AS (SELECT row, col,
                  CAST(col AS DOUBLE) + 0.5 AS uc,
                  CAST(row AS DOUBLE) + 0.5 AS vc,
@@ -3995,22 +3644,6 @@ def q_clip_raster_poly_sql() -> str:
       AND {' AND '.join(conds)}
     ORDER BY row, col
     """
-
-
-def _round_cells(cells, name: str, nd: int = 6):
-    def rnd(batch: pa.Table) -> pa.Table:
-        # + 0.0 normalizes IEEE negative zero (-0.0 -> 0.0) so the value
-        # hash matches SQL twins that compute the same cell as 0.0.
-        v = np.round(batch[name].to_numpy(zero_copy_only=False), nd) + 0.0
-        return pa.table({"row": batch["row"], "col": batch["col"], name: pa.array(v)})
-
-    return cells.map_batches(rnd, batch_format="pyarrow")
-
-
-_DEM_Z = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-_WIN_G = """g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)"""
 
 
 def _win_agg_sql(radius: int) -> str:
@@ -4039,10 +3672,12 @@ def q_ruggedness_tri(sf_dir: str):
     TRI): RMS of elevation differences to the 8 in-grid neighbours,
     always /8 (out-of-grid contributes 0). Integer window sums are
     exact on both sides, so the compare is effectively bit-exact."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, ruggedness_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, ruggedness_kernel, halo=1, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, ruggedness_kernel, halo=1, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "tri"), "tri")
 
 
@@ -4070,10 +3705,12 @@ def q_dev_from_mean(sf_dir: str):
     3): (z − μ)/σ over the 7×7 window, σ the population std of the
     in-grid cells (summed-area tables in the kernel; plain SUMs in the
     twin — identical integer sums, identical IEEE ops)."""
+    import ray.data as rd
+
     from ..stages.focal import dev_from_mean_kernel, focal_op
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, dev_from_mean_kernel(3), halo=3, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, dev_from_mean_kernel(3), halo=3, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "dev"), "dev")
 
 
@@ -4094,10 +3731,12 @@ def q_percent_elev_range(sf_dir: str):
     """PercentElevRange (terrain_analysis/percent_elev_range.rs, radius
     3): z0 / (window max − window min) × 100; 0 where the range
     degenerates."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, percent_elev_range_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, percent_elev_range_kernel(3), halo=3, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, percent_elev_range_kernel(3), halo=3, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "per"), "per")
 
 
@@ -4116,10 +3755,12 @@ def q_rel_topo_position(sf_dir: str):
     (terrain_analysis/relative_topographic_position.rs:26-34, radius 3):
     (z−μ)/(μ−min) below the mean, (z−μ)/(max−μ) at/above, clipped to
     [−1, 1]."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, relative_topographic_position_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, relative_topographic_position_kernel(3), halo=3, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, relative_topographic_position_kernel(3), halo=3, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "rtp"), "rtp")
 
 
@@ -4208,59 +3849,27 @@ def q_elev_above_stream(sf_dir: str):
     resolution against the stream target grid
     (stages/hydro2.py elevation_above_stream_ds). Oracle: stepped walk
     CTE + MIN(step) first-hit join. Integer DEM ⇒ exact compare."""
+    import ray.data as rd
+
     from ..stages.flow import d8_pointer_masked, flow_accumulation_ds
     from ..stages.hydro2 import elevation_above_stream_ds
     from ..stages.streams import extract_streams_ds
 
-    ds, spec = _analytic_dem_tiles()
+    rows, spec = _scene(_dem_grid())
+    ds = rd.from_items(rows)
     ptr = d8_pointer_masked(ds, spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
-    streams = extract_streams_ds(acc, spec, threshold=5.0)
+    streams = extract_streams_ds(acc, spec, threshold=DEM_STREAM_THRESHOLD)
     out = elevation_above_stream_ds(ds, streams, spec, num_workers=2)
-    cells = _tiles_to_cells(out, spec, "eas")
-    nd = spec.nodata
-
-    def finish(batch: pa.Table) -> pa.Table:
-        raw = batch["eas"].to_numpy(zero_copy_only=False)
-        keep = raw != nd
-        v = np.round(raw[keep]).astype(np.int64)
-        return pa.table(
-            {
-                "row": batch["row"].filter(pa.array(keep)),
-                "col": batch["col"].filter(pa.array(keep)),
-                "eas": pa.array(v, pa.int64()),
-            }
-        )
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    return _int_cells(_valid_cells(_tiles_to_cells(out, spec, "eas"), "eas", spec.nodata), "eas")
 
 
 def q_elev_above_stream_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
+    move_r = _d8_case("d", "dr")
+    move_c = _d8_case("d", "dc")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col, step) AS (
         SELECT row, col, row, col, 0 FROM dirs
         UNION ALL
@@ -4271,7 +3880,7 @@ def q_elev_above_stream_sql() -> str:
     ),
     acc AS (SELECT row, col, COUNT(*) AS acc
             FROM (SELECT src_row, src_col, row, col FROM walk) GROUP BY row, col),
-    strm AS (SELECT row, col FROM acc WHERE acc > 5),
+    strm AS (SELECT row, col FROM acc WHERE acc > {DEM_STREAM_THRESHOLD:g}),
     hit AS (SELECT w.src_row, w.src_col, MIN(w.step) AS ms
             FROM walk w JOIN strm s ON s.row = w.row AND s.col = w.col
             GROUP BY w.src_row, w.src_col),
@@ -4294,46 +3903,25 @@ def q_downslope_index(sf_dir: str):
     engine (stages/hydro2.py _WalkShard) vs a stepped-walk CTE. Step
     lengths accumulate in identical path order on both sides, so the
     6-dp compare is effectively bit-exact."""
+    import ray.data as rd
+
     from ..stages.hydro2 import downslope_index
 
-    ds, spec = _analytic_dem_tiles()
-    out = downslope_index(ds, spec, drop=15.0, num_workers=2)
+    rows, spec = _scene(_dem_grid())
+    out = downslope_index(rd.from_items(rows), spec, drop=15.0, num_workers=2)
     return _round_cells(_tiles_to_cells(out, spec, "dsi"), "dsi")
 
 
 def q_downslope_index_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
     res = 90.0
-    diag = 90.0 * math.sqrt(2.0)
     drop = 15.0
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    step_len = "CASE dirs.d " + " ".join(
-        f"WHEN {i} THEN {diag!r}" if dr != 0 and dc != 0 else f"WHEN {i} THEN {float(res)!r}"
-        for i, (dr, dc) in enumerate(ring)
-    ) + " ELSE 0.0 END"
     zwalk = "CAST(((w2.row * 31 + w2.col * 17) % 97) AS DOUBLE)"
+    move_r = _d8_case("d", "dr")
+    move_c = _d8_case("d", "dc")
+    step_len = _d8_case("dirs.d", "len")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col, step, dist) AS (
         SELECT row, col, row, col, 0, CAST(0.0 AS DOUBLE) FROM dirs
         UNION ALL
@@ -4375,44 +3963,22 @@ def q_avg_flowpath_slope(sf_dir: str):
     downslope-length layer zipped per tile (stages/hydro2.py:114).
     Terminal cells (L = 0) read 0. The twin walks the same path, so
     the step-length sum accumulates in identical order."""
+    import ray.data as rd
+
     from ..stages.hydro2 import average_flowpath_slope
 
-    ds, spec = _analytic_dem_tiles()
-    out = average_flowpath_slope(ds, spec, num_workers=2)
+    rows, spec = _scene(_dem_grid())
+    out = average_flowpath_slope(rd.from_items(rows), spec, num_workers=2)
     return _round_cells(_tiles_to_cells(out, spec, "afs"), "afs", 9)
 
 
 def q_avg_flowpath_slope_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    diag = 90.0 * math.sqrt(2.0)
-    zc = "CAST(((({r}) * 31 + ({c}) * 17) % 97) AS DOUBLE)"
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = zc.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = zc.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE dirs.d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE dirs.d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    step_len = "CASE dirs.d " + " ".join(
-        f"WHEN {i} THEN {diag!r}" if dr != 0 and dc != 0 else f"WHEN {i} THEN {float(res)!r}"
-        for i, (dr, dc) in enumerate(ring)
-    ) + " ELSE 0.0 END"
+    move_r = _d8_case("dirs.d", "dr")
+    move_c = _d8_case("dirs.d", "dc")
+    step_len = _d8_case("dirs.d", "len")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude()},
     walk(src_row, src_col, row, col, dist) AS (
         SELECT row, col, row, col, CAST(0.0 AS DOUBLE) FROM dirs
         UNION ALL
@@ -4587,42 +4153,19 @@ def q_nn_grid(sf_dir: str):
     """NearestNeighbourGridding (nearest_neighbour_gridding.rs): each
     cell takes the value of its nearest fixture point (canonical
     (px,py,v)-sorted tie-break on both sides)."""
-    import pyarrow as pa2
-
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.gridding import idw_gridding
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    gs = spec.grid_spec()
-    res = spec.res
-    fixture = [(5, 7, 0.3, 0.7, 11.0), (20, 40, 0.6, 0.2, 23.0), (50, 12, 0.1, 0.9, 7.0),
-               (33, 33, 0.8, 0.4, 17.0), (10, 55, 0.2, 0.3, 29.0), (60, 60, 0.7, 0.6, 5.0)]
-    pts = pa2.table(
-        {
-            "x": pa2.array([gs.west + (c + f) * res for (r, c, f, g_, v) in fixture]),
-            "y": pa2.array([gs.north - (r + g_) * res for (r, c, f, g_, v) in fixture]),
-            "value": pa2.array([v for (r, c, f, g_, v) in fixture]),
-        }
-    )
+    spec, pts = _idw_points()
     out = idw_gridding(pts, spec, radius=1e9, power=2.0, method="nearest", out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "nn"), "nn", 6)
 
 
 def q_nn_grid_sql() -> str:
-    from ..sources.tiles import SceneSpec
-
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
+    spec, _ = _idw_points()
     gs = spec.grid_spec()
     res = spec.res
-    fixture = [(5, 7, 0.3, 0.7, 11.0), (20, 40, 0.6, 0.2, 23.0), (50, 12, 0.1, 0.9, 7.0),
-               (33, 33, 0.8, 0.4, 17.0), (10, 55, 0.2, 0.3, 29.0), (60, 60, 0.7, 0.6, 5.0)]
-    vals = ", ".join(
-        f"({gs.west + (c + f) * res!r}, {gs.north - (r + g_) * res!r}, {v!r})"
-        for (r, c, f, g_, v) in fixture
-    )
     return f"""
-    WITH pts(px, py, v) AS (VALUES {vals}),
+    WITH pts(px, py, v) AS (VALUES {_idw_sql_points()}),
     g AS (SELECT r.r AS row, c.c AS col,
                  {gs.west!r} + (c.c + 0.5) * {res!r} AS x,
                  {gs.north!r} - (r.r + 0.5) * {res!r} AS y
@@ -4641,10 +4184,12 @@ def q_gaussian_filter(sf_dir: str):
     normalized-over-valid convolution on the analytic DEM through the
     focal halo engine; the SQL twin carries the identical weight
     doubles, so the only divergence is float summation order."""
+    import ray.data as rd
+
     from ..stages.filters2 import gaussian_filter
 
-    ds, spec = _analytic_dem_tiles()
-    out = gaussian_filter(ds, spec, sigma=GAUSSIAN_SIGMA, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = gaussian_filter(rd.from_items(rows), spec, sigma=GAUSSIAN_SIGMA, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "gauss"), "gauss", 6)
 
 
@@ -4661,9 +4206,7 @@ def q_gaussian_filter_sql() -> str:
     zc = "CAST((((g.row + k.dr) * 31 + (g.col + k.dc) * 17) % 97) AS DOUBLE)"
     return f"""
     WITH k(dr, dc, w) AS (VALUES {vals}),
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c)
+    {_WIN_G}
     SELECT g.row, g.col,
            ROUND(SUM(k.w * {zc}) / SUM(k.w), 6) AS gauss
     FROM g JOIN k
@@ -4680,10 +4223,12 @@ def q_fill_depressions(sf_dir: str):
     minimax-path-to-edge fixed point the stage docstring states:
     F(c) = min over edge-seeded walks of the running max z, enumerated
     as a recursive (cell, level) closure (≤ cells × distinct-z states)."""
+    import ray.data as rd
+
     from ..stages.fill import fill_depressions_ds
 
-    ds, spec = _analytic_dem_tiles()
-    out = fill_depressions_ds(ds, spec, num_workers=2)
+    rows, spec = _scene(_dem_grid())
+    out = fill_depressions_ds(rd.from_items(rows), spec, num_workers=2)
     return _round_cells(_tiles_to_cells(out, spec, "fill"), "fill", 6)
 
 
@@ -4713,10 +4258,12 @@ def q_opening(sf_dir: str):
     chained focal halo passes on the analytic DEM (exercises the
     multi-pass focal pipeline; integer z ≤ 96 → f32 exact). SQL twin:
     nested in-bounds window MIN then MAX."""
+    import ray.data as rd
+
     from ..stages.filters2 import opening
 
-    ds, spec = _analytic_dem_tiles()
-    out = opening(ds, spec, radius=OPENING_RADIUS)
+    rows, spec = _scene(_dem_grid())
+    out = opening(rd.from_items(rows), spec, radius=OPENING_RADIUS)
     return _round_cells(_tiles_to_cells(out, spec, "opened"), "opened", 6)
 
 
@@ -4739,35 +4286,6 @@ def q_opening_sql() -> str:
     """
 
 
-def _analytic_dem_tiles_16():
-    """16×16 analytic DEM (same z = (31r+17c) mod 97) as 2×2 tiles of
-    8 px — small enough for path-unrolled SQL oracles (FD8)."""
-    import ray.data as rd
-
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
-
-    spec = SceneSpec(tiles_x=2, tiles_y=2, tile_px=8)
-    rows = []
-    for tr in range(2):
-        for tc in range(2):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 8, tr * 8 + 8, dtype=np.int64),
-                np.arange(tc * 8, tc * 8 + 8, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr * 31 + cc * 17) % 97).astype(np.float64)
-            rows.append(
-                {
-                    "tile_row": tr,
-                    "tile_col": tc,
-                    "bytes": codecs.encode_tile(g, "f64"),
-                    "fmt": "f64",
-                }
-            )
-    return rd.from_items(rows), spec
-
-
 def q_fd8_accum(sf_dir: str):
     """FD8FlowAccumulation (hydro_analysis/fd8_flow_accum.rs) at
     exponent 1.0 on the 16×16 analytic DEM through the multi-flow BSP
@@ -4775,21 +4293,17 @@ def q_fd8_accum(sf_dir: str):
     between shards). The SQL twin quantizes its fractions through the
     same REAL cast and unrolls the topological recurrence
     acc = 1 + Σ frac·acc(inflow) to past the longest flowpath."""
+    import ray.data as rd
+
     from ..stages.flow2 import fd8_flow_accumulation
 
-    ds, spec = _analytic_dem_tiles_16()
-    out = fd8_flow_accumulation(ds, spec, exponent=1.0, num_workers=2)
+    rows, spec = _scene(_dem_grid(16), tile_px=8)
+    out = fd8_flow_accumulation(rd.from_items(rows), spec, exponent=1.0, num_workers=2)
     return _round_cells(_tiles_to_cells(out, spec, "acc"), "acc", 6)
 
 
 def q_fd8_accum_sql() -> str:
-    import math
-
-    res = 90.0
-    dirs = ", ".join(
-        f"({dy}, {dx}, {res * math.sqrt(2.0) if dy and dx else res!r})"
-        for dy, dx in zip((-1, 0, 1, 1, 1, 0, -1, -1), (1, 1, 1, 0, -1, -1, -1, 0))
-    )
+    dirs = ", ".join(f"({dy}, {dx}, {ln!r})" for (dy, dx), ln in zip(_D8_RING, _D8_LEN))
     ctes = []
     prev = "a0"
     for k in range(1, 17):  # 16 rounds: past the longest flowpath on the 16×16 grid
@@ -4831,10 +4345,12 @@ def q_dinf_accum(sf_dir: str):
     tie-break) and the two-way angular split, quantizes fractions
     through the engine's REAL cast, then unrolls the topological
     recurrence."""
+    import ray.data as rd
+
     from ..stages.flow2 import dinf_flow_accumulation
 
-    ds, spec = _analytic_dem_tiles_16()
-    out = dinf_flow_accumulation(ds, spec, num_workers=2)
+    rows, spec = _scene(_dem_grid(16), tile_px=8)
+    out = dinf_flow_accumulation(rd.from_items(rows), spec, num_workers=2)
     return _round_cells(_tiles_to_cells(out, spec, "acc"), "acc", 6)
 
 
@@ -4842,13 +4358,10 @@ def q_dinf_accum_sql() -> str:
     res = 90.0
     a4 = float(np.arctan2(res, res))
     diag = float(np.hypot(res, res))
-    # ring: 0=NE 1=E 2=SE 3=S 4=SW 5=W 6=NW 7=N; facets (cardinal, diagonal)
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
+    # facets as (cardinal, diagonal) _D8_RING indices
     facets = [(1, 0), (7, 0), (7, 6), (5, 6), (5, 4), (3, 4), (3, 2), (1, 2)]
-    fc = ", ".join(
-        f"({fi}, {ring[ci][0]}, {ring[ci][1]}, {ring[di][0]}, {ring[di][1]})"
-        for fi, (ci, di) in enumerate(facets)
-    )
+    fc = ", ".join(f"({fi}, {_D8_RING[ci][0]}, {_D8_RING[ci][1]}, {_D8_RING[di][0]}, {_D8_RING[di][1]})"
+                   for fi, (ci, di) in enumerate(facets))
     ctes = []
     prev = "a0"
     for k in range(1, 17):  # 16 rounds: past the longest flowpath on the 16×16 grid
@@ -4911,24 +4424,13 @@ def q_cost_distance(sf_dir: str):
     Σ_{k=1..row} (cost(k-1)+cost(k))/2 the SQL twin computes."""
     import ray.data as rd
 
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.cost import cost_distance_ds
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16, res=1.0)
-    cost_rows, src_rows = [], []
-    for tr in range(4):
-        for tc in range(4):
-            rr = np.arange(tr * 16, tr * 16 + 16, dtype=np.int64)[:, None]
-            cost = np.broadcast_to(
-                (1 + (rr * 3) % 7).astype(np.float64), (16, 16)
-            ).copy()
-            src = np.zeros((16, 16))
-            if tr == 0:
-                src[0, :] = 1.0
-            key = {"tile_row": tr, "tile_col": tc}
-            cost_rows.append({**key, "bytes": codecs.encode_tile(cost, "f64"), "fmt": "f64"})
-            src_rows.append({**key, "bytes": codecs.encode_tile(src, "f32"), "fmt": "f32"})
+    r = np.arange(64, dtype=np.int64)[:, None]
+    src = np.zeros((64, 64))
+    src[0, :] = 1.0
+    cost_rows, spec = _scene(np.broadcast_to((1 + (r * 3) % 7).astype(np.float64), (64, 64)), res=1.0)
+    src_rows, _ = _scene(src, fmt="f32", res=1.0)
     out = cost_distance_ds(
         rd.from_items(cost_rows), rd.from_items(src_rows), spec,
         num_workers=2, out_fmt="f64",
@@ -4961,22 +4463,9 @@ def q_clump(sf_dir: str):
     min-label closure over the same-value 8-neighbour graph."""
     import ray.data as rd
 
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.cc import clump_ds
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=8)
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 8, tr * 8 + 8, dtype=np.int64),
-                np.arange(tc * 8, tc * 8 + 8, dtype=np.int64),
-                indexing="ij",
-            )
-            g = (((rr * 31 + cc * 17) % 97) % 4).astype(np.float64)
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
+    rows, spec = _scene(_dem_grid(32) % 4, tile_px=8)
     out, _n = clump_ds(rd.from_items(rows), spec, diag=True, zero_background=False)
     return _round_cells(_tiles_to_cells(out, spec, "clump"), "clump", 6)
 
@@ -5013,10 +4502,12 @@ def q_max_elev_dev(sf_dir: str):
     radii 1..4 plus the winning radius (strictly-greater replacement —
     earliest scale wins ties). Returns a merged (row, col, mag, scale)
     DataFrame; the SQL twin ranks the same four window z-scores."""
+    import ray.data as rd
+
     from ..stages.terrain3 import max_elevation_deviation
 
-    ds, spec = _analytic_dem_tiles()
-    mag, scl = max_elevation_deviation(ds, spec, 1, 4, 1, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    mag, scl = max_elevation_deviation(rd.from_items(rows), spec, 1, 4, 1, out_fmt="f64")
     mdf = _round_cells(_tiles_to_cells(mag, spec, "mag"), "mag", 6).to_pandas()
     sdf = _tiles_to_cells(scl, spec, "scale").to_pandas()
     out = mdf.merge(sdf, on=["row", "col"]).sort_values(["row", "col"])
@@ -5056,34 +4547,6 @@ def q_max_elev_dev_sql() -> str:
     """
 
 
-def _valley_dem_tiles():
-    """64×64 valley DEM z = 3r + 2|c−32| + ((7r+5c) mod 3): drainage
-    converges on the centre column (50+ stream junctions at threshold
-    25, Strahler orders up to 3 — the mod-97 sheet has NO junctions, so
-    network-topology gates need this surface). Integer-exact both sides."""
-    import ray.data as rd
-
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
-
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = (3 * rr + 2 * np.abs(cc - 32) + ((rr * 7 + cc * 5) % 3)).astype(np.float64)
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
-    return rd.from_items(rows), spec
-
-
-_VALLEY_Z = "CAST((3 * ({r}) + 2 * ABS(({c}) - 32) + ((({r}) * 7 + ({c}) * 5) % 3)) AS DOUBLE)"
-
-
 def q_strahler_order(sf_dir: str):
     """StrahlerStreamOrder (stream_network_analysis/strahler_order.rs)
     through the full Dataset-native chain on the valley DEM: pointer →
@@ -5091,11 +4554,13 @@ def q_strahler_order(sf_dir: str):
     → per-link Strahler on the O(links) DAG → painted back. The SQL
     twin runs the per-cell fixpoint (head = 1; M+1 where ≥2 inflows tie
     at the max M) unrolled 6 rounds — measured convergence is 3."""
+    import ray.data as rd
+
     from ..stages.flow import d8_pointer_masked, flow_accumulation_ds
     from ..stages.streams import extract_streams_ds, strahler_order, stream_links_ds
 
-    ds, spec = _valley_dem_tiles()
-    ptr = d8_pointer_masked(ds, spec)
+    rows, spec = _scene(_valley_grid())
+    ptr = d8_pointer_masked(rd.from_items(rows), spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
     streams = extract_streams_ds(acc, spec, threshold=STREAM_THRESHOLD)
     painted, links = stream_links_ds(streams, ptr, spec)
@@ -5122,23 +4587,8 @@ def q_strahler_order(sf_dir: str):
 
 
 def q_strahler_order_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = _VALLEY_Z.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = _VALLEY_Z.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    ring_vals = ", ".join(f"({i}, {dr}, {dc})" for i, (dr, dc) in enumerate(ring))
+    move_r = _d8_case("d", "dr")
+    move_c = _d8_case("d", "dc")
     its = []
     prev = "s0"
     for k in range(1, 7):
@@ -5159,12 +4609,7 @@ def q_strahler_order_sql() -> str:
         prev = f"s{k}"
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS MATERIALIZED (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude(_VALLEY_Z, materialized=True)},
     walk(src_row, src_col, row, col) AS (
         SELECT row, col, row, col FROM dirs
         UNION ALL
@@ -5175,7 +4620,7 @@ def q_strahler_order_sql() -> str:
     ),
     acc AS (SELECT row, col, COUNT(*) AS acc FROM walk GROUP BY row, col),
     strm AS MATERIALIZED (SELECT row, col FROM acc WHERE acc > {STREAM_THRESHOLD!r}),
-    ring(i, dr, dc) AS (VALUES {ring_vals}),
+    ring(i, dr, dc) AS (VALUES {_D8_RING_VALUES}),
     inflow AS MATERIALIZED (SELECT s.row, s.col, nb.row AS irow, nb.col AS icol
                FROM strm s JOIN ring ON TRUE
                JOIN strm nb ON nb.row = s.row + ring.dr AND nb.col = s.col + ring.dc
@@ -5231,10 +4676,12 @@ def q_flood_order(sf_dir: str):
     (stages/hydro2.flood_order): per cell, count of filled-surface values
     strictly below its own. SQL twin: the fill minimax closure (same as
     q_fill_depressions) ranked with RANK()−1."""
+    import ray.data as rd
+
     from ..stages.hydro2 import flood_order
 
-    ds, spec = _analytic_dem_tiles()
-    out = flood_order(ds, spec, num_workers=2)
+    rows, spec = _scene(_dem_grid())
+    out = flood_order(rd.from_items(rows), spec, num_workers=2)
     return _round_cells(_tiles_to_cells(out, spec, "ord"), "ord", 6)
 
 
@@ -5264,12 +4711,6 @@ def q_flood_order_sql() -> str:
 # Curvature / neighbour-count / window-filter gates (terrain_analysis /
 # image_analysis families) on the analytic DEM.
 
-_ANALYTIC_GRID_SQL = """
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c)
-"""
-
 # 5x5 window of in-grid neighbour values around each cell.
 _WINDOW5_SQL = """
     w AS (SELECT g.row AS row, g.col AS col,
@@ -5285,17 +4726,9 @@ def _evans_partials_sql() -> str:
     """Evans finite-difference partials (terrain2._partials) with the
     replicated-centre out-of-grid frame, cell size 90 — shared by the
     curvature twins."""
-    zfun = (
-        "CAST((CASE WHEN {r} BETWEEN 0 AND 63 AND {c} BETWEEN 0 AND 63"
-        " THEN ({r}) * 31 + ({c}) * 17 ELSE g.row * 31 + g.col * 17 END) % 97 AS DOUBLE)"
-    )
-
-    def z(dr, dc):
-        return zfun.format(r=f"(g.row + ({dr}))", c=f"(g.col + ({dc}))")
-
-    ne, e_, se = z(-1, 1), z(0, 1), z(1, 1)
-    s_, sw, w_ = z(1, 0), z(1, -1), z(0, -1)
-    nw, n_ = z(-1, -1), z(-1, 0)
+    ne, e_, se = _dem_z_edge(-1, 1), _dem_z_edge(0, 1), _dem_z_edge(1, 1)
+    s_, sw, w_ = _dem_z_edge(1, 0), _dem_z_edge(1, -1), _dem_z_edge(0, -1)
+    nw, n_ = _dem_z_edge(-1, -1), _dem_z_edge(-1, 0)
     res = 90.0
     return f"""
          d AS (SELECT g.row, g.col,
@@ -5311,18 +4744,20 @@ def _evans_partials_sql() -> str:
 def q_tan_curvature(sf_dir: str):
     """TangentialCurvature (tan_curvature.rs:277-290) on the analytic
     DEM via the halo focal engine."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op
     from ..stages.terrain2 import tan_curvature_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, tan_curvature_kernel, 1, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, tan_curvature_kernel, 1, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "tanc"), "tanc", 6)
 
 
 def q_tan_curvature_sql() -> str:
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_evans_partials_sql()}
+    WITH {_WIN_G}
+    , {_evans_partials_sql()}
     SELECT row, col,
            ROUND(CASE WHEN zx * zx + zy * zy > 0
                  THEN DEGREES((zxx * zy * zy + 2.0 * zxy * zx * zy + zyy * zx * zx)
@@ -5334,18 +4769,20 @@ def q_tan_curvature_sql() -> str:
 
 def q_total_curvature(sf_dir: str):
     """TotalCurvature (total_curvature.rs:267-271) on the analytic DEM."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op
     from ..stages.terrain2 import total_curvature_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, total_curvature_kernel, 1, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, total_curvature_kernel, 1, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "totc"), "totc", 6)
 
 
 def q_total_curvature_sql() -> str:
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_evans_partials_sql()}
+    WITH {_WIN_G}
+    , {_evans_partials_sql()}
     SELECT row, col,
            ROUND(DEGREES(zxx * zxx + 2.0 * zxy * zxy + zyy * zyy) * 100.0, 6) AS totc
     FROM d
@@ -5355,17 +4792,13 @@ def q_total_curvature_sql() -> str:
 def q_num_downslope(sf_dir: str):
     """NumDownslopeNeighbours (num_downslope_neighbours.rs): count of
     strictly-lower in-grid 8-neighbours."""
+    import ray.data as rd
+
     from ..stages.terrain2 import num_downslope_neighbours
 
-    ds, spec = _analytic_dem_tiles()
-    out = num_downslope_neighbours(ds, spec)
-    cells = _tiles_to_cells(out, spec, "ndown")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["ndown"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "ndown": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = num_downslope_neighbours(rd.from_items(rows), spec)
+    return _int_cells(_tiles_to_cells(out, spec, "ndown"), "ndown")
 
 
 def q_num_downslope_sql() -> str:
@@ -5382,7 +4815,7 @@ def q_num_downslope_sql() -> str:
             terms.append(f"CASE WHEN {cond} THEN 1 ELSE 0 END")
     total = " + ".join(terms)
     return f"""
-    WITH {_ANALYTIC_GRID_SQL}
+    WITH {_WIN_G}
     SELECT row, col, CAST({total} AS BIGINT) AS ndown FROM g
     """
 
@@ -5390,17 +4823,19 @@ def q_num_downslope_sql() -> str:
 def q_olympic_filter(sf_dir: str):
     """OlympicFilter (olympic_filter.rs): 5x5 mean excluding one min and
     one max."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, make_window_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("olympic", 2), 2, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("olympic", 2), 2, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "olym"), "olym", 6)
 
 
 def q_olympic_filter_sql() -> str:
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_WINDOW5_SQL}
+    WITH {_WIN_G}
+    , {_WINDOW5_SQL}
     SELECT row, col,
            ROUND((SUM(zv) - MAX(zv) - MIN(zv)) / (COUNT(*) - 2), 6) AS olym
     FROM w GROUP BY row, col
@@ -5410,17 +4845,19 @@ def q_olympic_filter_sql() -> str:
 def q_majority_filter(sf_dir: str):
     """MajorityFilter (majority_filter.rs): 5x5 mode; ties resolve to the
     smallest value (np.unique / ORDER BY zv ASC on both sides)."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, make_window_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("majority", 2), 2, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("majority", 2), 2, out_fmt="f64")
     return _tiles_to_cells(out, spec, "maj")
 
 
 def q_majority_filter_sql() -> str:
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_WINDOW5_SQL},
+    WITH {_WIN_G}
+    , {_WINDOW5_SQL},
     cnt AS (SELECT row, col, zv, COUNT(*) AS n FROM w GROUP BY row, col, zv),
     r AS (SELECT row, col, zv,
                  ROW_NUMBER() OVER (PARTITION BY row, col ORDER BY n DESC, zv ASC) AS rn
@@ -5431,23 +4868,19 @@ def q_majority_filter_sql() -> str:
 
 def q_diversity_filter(sf_dir: str):
     """DiversityFilter (diversity_filter.rs): 5x5 distinct-value count."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, make_window_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("diversity", 2), 2, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "divers")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["divers"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "divers": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("diversity", 2), 2, out_fmt="f64")
+    return _int_cells(_tiles_to_cells(out, spec, "divers"), "divers")
 
 
 def q_diversity_filter_sql() -> str:
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_WINDOW5_SQL}
+    WITH {_WIN_G}
+    , {_WINDOW5_SQL}
     SELECT row, col, CAST(COUNT(DISTINCT zv) AS BIGINT) AS divers
     FROM w GROUP BY row, col
     """
@@ -5456,10 +4889,12 @@ def q_diversity_filter_sql() -> str:
 def q_relative_aspect(sf_dir: str):
     """RelativeAspect (relative_aspect.rs): angular distance of the Horn
     aspect from azimuth 45 (-1 where flat / fx<=0, matching aspect.rs)."""
+    import ray.data as rd
+
     from ..stages.terrain2 import relative_aspect
 
-    ds, spec = _analytic_dem_tiles()
-    out = relative_aspect(ds, spec, azimuth=RELATIVE_AZIMUTH, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = relative_aspect(rd.from_items(rows), spec, azimuth=RELATIVE_AZIMUTH, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "relasp"), "relasp", 6)
 
 
@@ -5475,18 +4910,20 @@ def q_relative_aspect_sql() -> str:
 def q_stdev_filter(sf_dir: str):
     """StandardDeviationFilter: 5x5 population stdev via the
     sum/sum-of-squares identity (exact-integer partials on this DEM)."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, make_window_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("stdev", 2), 2, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("stdev", 2), 2, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "sdev"), "sdev", 6)
 
 
 def q_stdev_filter_sql() -> str:
     # same ss/c - (s/c)^2 float path as the kernel (not STDDEV_POP)
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_WINDOW5_SQL}
+    WITH {_WIN_G}
+    , {_WINDOW5_SQL}
     SELECT row, col,
            ROUND(SQRT(GREATEST(SUM(zv * zv) / COUNT(*)
                  - (SUM(zv) / COUNT(*)) * (SUM(zv) / COUNT(*)), 0.0)), 6) AS sdev
@@ -5496,23 +4933,19 @@ def q_stdev_filter_sql() -> str:
 
 def q_range_filter(sf_dir: str):
     """RangeFilter: 5x5 max - min (integer-exact)."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, make_window_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("range", 2), 2, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "rng")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["rng"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "rng": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("range", 2), 2, out_fmt="f64")
+    return _int_cells(_tiles_to_cells(out, spec, "rng"), "rng")
 
 
 def q_range_filter_sql() -> str:
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_WINDOW5_SQL}
+    WITH {_WIN_G}
+    , {_WINDOW5_SQL}
     SELECT row, col, CAST(MAX(zv) - MIN(zv) AS BIGINT) AS rng
     FROM w GROUP BY row, col
     """
@@ -5521,17 +4954,19 @@ def q_range_filter_sql() -> str:
 def q_percentile_filter(sf_dir: str):
     """PercentileFilter (q=25): 5x5 linear-interpolated percentile
     (np.nanpercentile == quantile_cont on integer-valued windows)."""
+    import ray.data as rd
+
     from ..stages.focal import focal_op, make_window_kernel
 
-    ds, spec = _analytic_dem_tiles()
-    out = focal_op(ds, spec, make_window_kernel("percentile:25", 2), 2, out_fmt="f64")
+    rows, spec = _scene(_dem_grid())
+    out = focal_op(rd.from_items(rows), spec, make_window_kernel("percentile:25", 2), 2, out_fmt="f64")
     return _round_cells(_tiles_to_cells(out, spec, "pct"), "pct", 6)
 
 
 def q_percentile_filter_sql() -> str:
     return f"""
-    WITH {_ANALYTIC_GRID_SQL},
-    {_WINDOW5_SQL}
+    WITH {_WIN_G}
+    , {_WINDOW5_SQL}
     SELECT row, col, ROUND(quantile_cont(zv, 0.25), 6) AS pct
     FROM w GROUP BY row, col
     """
@@ -5545,49 +4980,17 @@ def q_resample_cubic(sf_dir: str):
     exact hit AND the two anti-diagonal neighbours (-1,+1)/(+1,-1) —
     quirks kept verbatim. The twin chains the 13 weighted terms in the
     engine's exact accumulation order, so the compare is bit-exact."""
-    import pyarrow as pa2
-
-    from ..kernels import codecs
     from ..kernels.grid import GridSpec
-    from ..sources.tiles import SceneSpec
     from ..stages.resample import resample
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
+    rows, spec = _scene(_dem_grid())
     gs = spec.grid_spec()
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr * 31 + cc * 17) % 97).astype(np.float64)
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
-    src_table = pa2.Table.from_pylist(rows)
     dest = GridSpec(
         west=gs.west, north=gs.north, res_x=gs.res_x * 2, res_y=gs.res_y * 2,
         rows=32, columns=32, nodata=gs.nodata,
     )
-    out = resample(src_table, spec, dest, dest_tile_px=16, method="cc", out_fmt="f64")
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rr, cc, vv = [], [], []
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            for r in range(g.shape[0]):
-                for c in range(g.shape[1]):
-                    rr.append(tr * 16 + r)
-                    cc.append(tc * 16 + c)
-                    vv.append(float(g[r, c]))
-        return pa.table({"row": pa.array(rr, pa.int64()),
-                         "col": pa.array(cc, pa.int64()),
-                         "value": pa.array(vv, pa.float64())})
-
-    return out.map_batches(cells, batch_format="pyarrow")
+    out = resample(pa.Table.from_pylist(rows), spec, dest, dest_tile_px=16, method="cc", out_fmt="f64")
+    return _tiles_to_cells(out, spec, "value")
 
 
 def q_resample_cubic_sql() -> str:
@@ -5605,29 +5008,14 @@ def q_aggregate_raster(sf_dir: str):
     """AggregateRaster (aggregate_raster.rs): 2×2 block mean, 64×64 →
     32×32. Block means are exact quarters of small integers, so the
     f32 tile round-trip is bit-exact."""
-    from ..kernels import codecs
+    import ray.data as rd
 
+    from ..sources.tiles import SceneSpec
     from ..stages.resample import aggregate_raster
 
-    ds, spec = _analytic_dem_tiles()
-    out = aggregate_raster(ds, spec, factor=2, stat="mean")
-
-    def cells(batch: pa.Table) -> pa.Table:
-        rr, cc, vv = [], [], []
-        for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-            tr = int(batch["tile_row"][i].as_py())
-            tc = int(batch["tile_col"][i].as_py())
-            for r in range(g.shape[0]):
-                for c in range(g.shape[1]):
-                    rr.append(tr * 8 + r)
-                    cc.append(tc * 8 + c)
-                    vv.append(float(g[r, c]))
-        return pa.table({"row": pa.array(rr, pa.int64()),
-                         "col": pa.array(cc, pa.int64()),
-                         "value": pa.array(vv, pa.float64())})
-
-    return out.map_batches(cells, batch_format="pyarrow")
+    rows, spec = _scene(_dem_grid())
+    out = aggregate_raster(rd.from_items(rows), spec, factor=2, stat="mean")
+    return _tiles_to_cells(out, SceneSpec(tiles_x=4, tiles_y=4, tile_px=8), "value")
 
 
 def q_aggregate_raster_sql() -> str:
@@ -5650,11 +5038,14 @@ def q_wetness_index(sf_dir: str):
     (cell counts stand in for SCA) → Horn slope (f64) → keyed tile-zip
     overlay. The SQL twin composes the recursive-CTE accumulation
     oracle with the Horn slope formula."""
+    import ray.data as rd
+
     from ..stages.flow import d8_pointer_masked, flow_accumulation_ds
     from ..stages.focal import focal_op, slope_kernel
     from ..stages.terrain2 import wetness_index
 
-    ds, spec = _analytic_dem_tiles()
+    rows, spec = _scene(_dem_grid())
+    ds = rd.from_items(rows)
     ptr = d8_pointer_masked(ds, spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
     slope = focal_op(ds, spec, slope_kernel, 1, out_fmt="f64")
@@ -5709,30 +5100,19 @@ def q_polygons_to_raster(sf_dir: str):
     analytic scene (rasterize.py scanline-run fill on stateless tasks vs a
     half-plane twin; unlike ClipRasterToPolygon there is no bbox window
     truncation, so each ring's runs span the whole scene)."""
+    import ray.data as rd
+
     from ..sources.vectors import make_polygon_record
     from ..stages.rasterize import polygons_to_raster
 
-    ds, spec = _analytic_dem_tiles()
+    rows, spec = _scene(_dem_grid())
     gs = spec.grid_spec()
     ring = [(gs.west + u * spec.res, gs.north - v * spec.res) for u, v in _CLIP_GATE_UV]
     rec = make_polygon_record(1, [ring], "gate_quad", 1)
     rec["burn"] = 7.0
     poly = pa.Table.from_pylist([rec])
-    out = polygons_to_raster(ds, poly, spec, field="burn")
-    cells = _tiles_to_cells(out, spec, "v")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        keep = v != gs.nodata
-        return pa.table(
-            {
-                "row": batch["row"].filter(pa.array(keep)),
-                "col": batch["col"].filter(pa.array(keep)),
-                "burn": pa.array(np.round(v[keep]).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    out = polygons_to_raster(rd.from_items(rows), poly, spec, field="burn")
+    return _int_cells(_valid_cells(_tiles_to_cells(out, spec, "burn"), "burn", gs.nodata), "burn")
 
 
 def q_polygons_to_raster_sql() -> str:
@@ -5750,9 +5130,7 @@ def q_polygons_to_raster_sql() -> str:
             f"(({qu!r} - {pu!r}) * (v.vc - {pv!r}) - ({qv!r} - {pv!r}) * (v.uc - {pu!r})) {op} 0"
         )
     return f"""
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    WITH {_WIN_G},
     v AS (SELECT row, col,
                  CAST(col AS DOUBLE) + 0.5 AS uc,
                  CAST(row AS DOUBLE) + 0.5 AS vc
@@ -5764,64 +5142,23 @@ def q_polygons_to_raster_sql() -> str:
     """
 
 
-def _edt_target_tiles(sf_dir: str):
-    """The euclidean-distance gate fixture: 64×64 binary target grid
-    derived from nation keys (shared by euclidean_distance / buffer)."""
-    import ray.data as rd
-
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
-
-    nat = read(sf_dir, "nation", columns=["n_nationkey"]).to_pandas()
-    keys = nat["n_nationkey"].to_numpy().astype(np.int64)
-    full = np.zeros((64, 64))
-    full[(keys * 13) % 64, (keys * 29) % 64] = 1.0
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16, res=1.0)
-    cols = {"tile_row": [], "tile_col": [], "bytes": [], "fmt": []}
-    for tr in range(4):
-        for tc in range(4):
-            cols["tile_row"].append(tr)
-            cols["tile_col"].append(tc)
-            cols["bytes"].append(
-                codecs.encode_tile(full[tr * 16 : (tr + 1) * 16, tc * 16 : (tc + 1) * 16], "f32")
-            )
-            cols["fmt"].append("f32")
-    tiles = rd.from_arrow(
-        pa.table(
-            {
-                "tile_row": pa.array(cols["tile_row"], pa.int32()),
-                "tile_col": pa.array(cols["tile_col"], pa.int32()),
-                "bytes": pa.array(cols["bytes"], pa.binary()),
-                "fmt": pa.array(cols["fmt"], pa.string()),
-            }
-        )
-    )
-    return tiles, spec
-
-
 def q_buffer_raster(sf_dir: str):
     """BufferRaster (gis_analysis/buffer_raster.rs): cells within 5 map
     units of a nonzero target — thresholded exact EDT."""
+    import ray.data as rd
+
     from ..stages.distance import buffer_raster
 
-    tiles, spec = _edt_target_tiles(sf_dir)
-    out = buffer_raster(tiles, spec, size=5.0, out_fmt="f64")
-    cells = _tiles_to_cells(out, spec, "inbuf")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["inbuf"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "inbuf": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    rows, spec = _scene(_edt_targets(sf_dir), fmt="f32", res=1.0)
+    out = buffer_raster(rd.from_arrow(pa.Table.from_pylist(rows, _TILE_I32)), spec, size=5.0, out_fmt="f64")
+    return _int_cells(_tiles_to_cells(out, spec, "inbuf"), "inbuf")
 
 
 def q_buffer_raster_sql() -> str:
-    return """
+    return f"""
     WITH t AS (SELECT DISTINCT (n_nationkey * 13) % 64 AS tr, (n_nationkey * 29) % 64 AS tc
                FROM nation),
-         g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)
+         {_WIN_G}
     SELECT row, col,
            CASE WHEN SQRT(CAST((SELECT MIN((row - t.tr) * (row - t.tr) + (col - t.tc) * (col - t.tc))
                                 FROM t) AS DOUBLE)) <= 5.0
@@ -5862,29 +5199,6 @@ def q_create_plane_sql() -> str:
     """
 
 
-def _analytic_layer(a: int, b: int, m: int):
-    """64×64 tile table z = (row·a + col·b) mod m (companion layers for
-    stack-overlay gates)."""
-    import ray.data as rd
-
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
-
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr * a + cc * b) % m).astype(np.float64)
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
-    return rd.from_items(rows), spec
-
-
 def q_highest_position(sf_dir: str):
     """HighestPosition (gis_analysis/highest_pos.rs:213-230): 1-based
     argmax across a 3-layer stack (first layer wins ties, matching
@@ -5894,39 +5208,17 @@ def q_highest_position(sf_dir: str):
     poison."""
     import ray.data as rd
 
-    from ..kernels import codecs
     from ..stages.band_math import overlay
 
-    l0, spec = _analytic_layer(31, 17, 97)
-    l2, _ = _analytic_layer(7, 23, 83)
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr * 13 + cc * 29) % 89).astype(np.float64)
-            g[(rr + cc) % 7 == 0] = spec.nodata
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
-    l1 = rd.from_items(rows)
-    out = overlay([l0, l1, l2], spec, op="highest_position")
-    cells = _tiles_to_cells(out, spec, "pos")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "pos": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    scenes = [_scene(g) for g in _stack_grids(holed=True)]
+    spec = scenes[0][1]
+    out = overlay([rd.from_items(rows) for rows, _ in scenes], spec, op="highest_position")
+    return _int_cells(_tiles_to_cells(out, spec, "pos"), "pos")
 
 
 def q_highest_position_sql() -> str:
-    return """
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    return f"""
+    WITH {_WIN_G},
     z AS (SELECT row, col,
                  (row * 31 + col * 17) % 97 AS z0,
                  CASE WHEN (row + col) % 7 = 0 THEN NULL
@@ -5950,40 +5242,17 @@ def q_count_if(sf_dir: str):
     (-32768) in the output."""
     import ray.data as rd
 
-    from ..kernels import codecs
     from ..stages.band_math import count_if
 
-    l0, spec = _analytic_layer(31, 17, 97)
-    l2, _ = _analytic_layer(7, 23, 83)
-    # layer 1 with nodata holes: exercises the per-layer skip semantics
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr * 13 + cc * 29) % 89).astype(np.float64)
-            g[(rr + cc) % 7 == 0] = spec.nodata
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
-    l1 = rd.from_items(rows)
-    out = count_if([l0, l1, l2], spec, value=42.0)
-    cells = _tiles_to_cells(out, spec, "n42")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["n42"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "n42": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    scenes = [_scene(g) for g in _stack_grids(holed=True)]
+    spec = scenes[0][1]
+    out = count_if([rd.from_items(rows) for rows, _ in scenes], spec, value=42.0)
+    return _int_cells(_tiles_to_cells(out, spec, "n42"), "n42")
 
 
 def q_count_if_sql() -> str:
-    return """
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c),
+    return f"""
+    WITH {_WIN_G},
     cnt AS (SELECT row, col,
            (CASE WHEN (row * 31 + col * 17) % 97 = 42 THEN 1 ELSE 0 END)
          + (CASE WHEN (row * 13 + col * 29) % 89 = 42
@@ -6001,20 +5270,19 @@ def q_weighted_sum(sf_dir: str):
     weighted sum; the RAW weights 1/2/1 exercise the reference's
     normalization (weights /= weight_sum -> 0.25/0.5/0.25 — binary
     fractions stay exact through the f32 tile round-trip)."""
+    import ray.data as rd
+
     from ..stages.band_math import overlay
 
-    l0, spec = _analytic_layer(31, 17, 97)
-    l1, _ = _analytic_layer(13, 29, 89)
-    l2, _ = _analytic_layer(7, 23, 83)
-    out = overlay([l0, l1, l2], spec, op="weighted_sum", weights=[1.0, 2.0, 1.0])
+    scenes = [_scene(g) for g in _stack_grids()]
+    spec = scenes[0][1]
+    out = overlay([rd.from_items(rows) for rows, _ in scenes], spec, op="weighted_sum", weights=[1.0, 2.0, 1.0])
     return _round_cells(_tiles_to_cells(out, spec, "ws"), "ws", 6)
 
 
 def q_weighted_sum_sql() -> str:
-    return """
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)
+    return f"""
+    WITH {_WIN_G}
     SELECT row, col,
            ROUND(0.25 * ((row * 31 + col * 17) % 97)
                + 0.5 * ((row * 13 + col * 29) % 89)
@@ -6031,40 +5299,20 @@ def q_pick_from_list(sf_dir: str):
     where (row*3+col)%11==0 leave the output nodata."""
     import ray.data as rd
 
-    from ..kernels import codecs
     from ..stages.band_math import pick_from_list
 
-    l0, spec = _analytic_layer(31, 17, 97)
-    l1, _ = _analytic_layer(13, 29, 89)
-    l2, _ = _analytic_layer(7, 23, 83)
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = ((rr + cc) % 3).astype(np.float64)
-            g[(rr * 3 + cc) % 11 == 0] = spec.nodata
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
-    pos = rd.from_items(rows)
-    out = pick_from_list([l0, l1, l2], pos, spec)
-    cells = _tiles_to_cells(out, spec, "pick")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["pick"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "pick": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    scenes = [_scene(g) for g in _stack_grids()]
+    spec = scenes[0][1]
+    r, c = np.indices((64, 64))
+    pos = ((r + c) % 3).astype(np.float64)
+    pos[(r * 3 + c) % 11 == 0] = spec.nodata
+    out = pick_from_list([rd.from_items(rows) for rows, _ in scenes], rd.from_items(_scene(pos)[0]), spec)
+    return _int_cells(_tiles_to_cells(out, spec, "pick"), "pick")
 
 
 def q_pick_from_list_sql() -> str:
-    return """
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)
+    return f"""
+    WITH {_WIN_G}
     SELECT row, col,
            CAST(CASE WHEN (row * 3 + col) % 11 = 0 THEN -32768
                 WHEN (row + col) % 3 = 0 THEN (row * 31 + col * 17) % 97
@@ -6085,44 +5333,16 @@ def q_mosaic(sf_dir: str):
     passed as a Dataset, one as a Table)."""
     import ray.data as rd
 
-    from ..kernels import codecs
     from ..kernels.grid import GridSpec
-    from ..sources.tiles import SceneSpec
     from ..stages.resample import mosaic
 
-    spec_a = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
+    rows_a, spec_a = _scene(_dem_grid())
     sg = spec_a.grid_spec()
-    spec_b = SceneSpec(tiles_x=2, tiles_y=2, tile_px=16,
-                       west=sg.west + 16 * sg.res_x, north=sg.north - 16 * sg.res_y)
-
-    def layer_rows(tiles, a, b, m):
-        rows = []
-        for tr in range(tiles):
-            for tc in range(tiles):
-                rr, cc = np.meshgrid(
-                    np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                    np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                    indexing="ij",
-                )
-                g = ((rr * a + cc * b) % m).astype(np.float64)
-                rows.append({"tile_row": tr, "tile_col": tc,
-                             "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
-        return rows
-
-    ds_a = rd.from_items(layer_rows(4, 31, 17, 97))
-    ds_b = rd.from_items(layer_rows(2, 13, 29, 89))
+    rows_b, spec_b = _scene(_dem_grid(32, 13, 29, 89), west=sg.west + 16 * sg.res_x, north=sg.north - 16 * sg.res_y)
     dest = GridSpec(west=sg.west, north=sg.north, res_x=sg.res_x, res_y=sg.res_y,
                     rows=80, columns=64, nodata=sg.nodata)
-    out = mosaic([(ds_b, spec_b), (ds_a, spec_a)], dest, dest_tile_px=16, method="nn")
-    cells = _tiles_to_cells(
-        out.drop_columns(["tile_id"]), SceneSpec(tiles_x=4, tiles_y=5, tile_px=16), "mz"
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["mz"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"row": batch["row"], "col": batch["col"], "mz": pa.array(v, pa.int64())})
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    out = mosaic([(rd.from_items(rows_b), spec_b), (rd.from_items(rows_a), spec_a)], dest, dest_tile_px=16, method="nn")
+    return _int_cells(_tiles_to_cells(out.drop_columns(["tile_id"]), spec_a, "mz"), "mz")
 
 
 def q_mosaic_sql() -> str:
@@ -6147,61 +5367,26 @@ def q_farthest_channel_head(sf_dir: str):
     (acc > 25, strict) -> terminal-resolution flowpath length + distributed
     link table -> far(c) = maxHeadL(link) - L(c). SQL twin: recursive
     head-to-downstream walk, MAX(dist) per stream cell."""
+    import ray.data as rd
+
     from ..stages.flow import d8_pointer_masked, flow_accumulation_ds
     from ..stages.streams import extract_streams_ds, farthest_channel_head_ds
 
-    ds, spec = _valley_dem_tiles()
-    ptr = d8_pointer_masked(ds, spec)
+    rows, spec = _scene(_valley_grid())
+    ptr = d8_pointer_masked(rd.from_items(rows), spec)
     acc = flow_accumulation_ds(ptr, spec, num_workers=2)
     streams = extract_streams_ds(acc, spec, threshold=STREAM_THRESHOLD)
     out = farthest_channel_head_ds(streams, ptr, spec, num_workers=2)
-    cells = _tiles_to_cells(out, spec, "far")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        v = batch["far"].to_numpy(zero_copy_only=False)
-        keep = v != spec.nodata
-        return pa.table(
-            {
-                "row": batch["row"].filter(pa.array(keep)),
-                "col": batch["col"].filter(pa.array(keep)),
-                "far": pa.array(np.round(v[keep], 4), pa.float64()),
-            }
-        )
-
-    return cells.map_batches(finish, batch_format="pyarrow")
+    return _round_cells(_valid_cells(_tiles_to_cells(out, spec, "far"), "far", spec.nodata), "far", 4)
 
 
 def q_farthest_channel_head_sql() -> str:
-    import math
-
-    ring = [(-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0)]
-    res = 90.0
-    slopes = []
-    for i, (dr, dc) in enumerate(ring):
-        ln = math.sqrt(2.0) * res if dr != 0 and dc != 0 else res
-        zi = _VALLEY_Z.format(r=f"g.row + ({dr})", c=f"g.col + ({dc})")
-        z0 = _VALLEY_Z.format(r="g.row", c="g.col")
-        cond = f"g.row + ({dr}) BETWEEN 0 AND 63 AND g.col + ({dc}) BETWEEN 0 AND 63"
-        slopes.append(f"CASE WHEN {cond} THEN (({z0}) - ({zi})) / {ln!r} ELSE -1e308 END AS s{i}")
-    dir_case = "CASE WHEN m <= 0 THEN -1 " + " ".join(
-        f"WHEN s{i} = m THEN {i}" for i in range(8)
-    ) + " ELSE -1 END"
-    move_r = "CASE dirs.d " + " ".join(f"WHEN {i} THEN {dr}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    move_c = "CASE dirs.d " + " ".join(f"WHEN {i} THEN {dc}" for i, (dr, dc) in enumerate(ring)) + " ELSE 0 END"
-    diag = math.sqrt(2.0) * res
-    step_len = "CASE dirs.d " + " ".join(
-        f"WHEN {i} THEN {diag!r}" if dr != 0 and dc != 0 else f"WHEN {i} THEN {float(res)!r}"
-        for i, (dr, dc) in enumerate(ring)
-    ) + " ELSE 0.0 END"
-    ring_vals = ", ".join(f"({i}, {dr}, {dc})" for i, (dr, dc) in enumerate(ring))
+    move_r = _d8_case("dirs.d", "dr")
+    move_c = _d8_case("dirs.d", "dc")
+    step_len = _d8_case("dirs.d", "len")
     return f"""
     WITH RECURSIVE
-    g AS (SELECT r.r AS row, c.c AS col
-          FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-               (SELECT unnest(generate_series(0, 63)) AS c) c),
-    sl AS (SELECT g.row, g.col, {', '.join(slopes)} FROM g),
-    dirs AS MATERIALIZED (SELECT row, col, {dir_case} AS d
-             FROM (SELECT *, GREATEST(s0, s1, s2, s3, s4, s5, s6, s7) AS m FROM sl)),
+    {_d8_prelude(_VALLEY_Z, materialized=True)},
     walk(src_row, src_col, row, col) AS (
         SELECT row, col, row, col FROM dirs
         UNION ALL
@@ -6212,7 +5397,7 @@ def q_farthest_channel_head_sql() -> str:
     ),
     acc AS (SELECT row, col, COUNT(*) AS acc FROM walk GROUP BY row, col),
     strm AS MATERIALIZED (SELECT row, col FROM acc WHERE acc > {STREAM_THRESHOLD!r}),
-    ring(i, dr, dc) AS (VALUES {ring_vals}),
+    ring(i, dr, dc) AS (VALUES {_D8_RING_VALUES}),
     inflow AS MATERIALIZED (SELECT s.row, s.col
                FROM strm s JOIN ring ON TRUE
                JOIN strm nb ON nb.row = s.row + ring.dr AND nb.col = s.col + ring.dc
@@ -6247,34 +5432,21 @@ def q_breach_depressions(sf_dir: str):
     is closed-form."""
     import ray.data as rd
 
-    from ..kernels import codecs
-    from ..sources.tiles import SceneSpec
     from ..stages.fill import breach_hierarchical
 
-    spec = SceneSpec(tiles_x=4, tiles_y=4, tile_px=16)
     pits = {10: 20, 30: 35, 50: 28}  # trench col -> pit row
-    rows = []
-    for tr in range(4):
-        for tc in range(4):
-            rr, cc = np.meshgrid(
-                np.arange(tr * 16, tr * 16 + 16, dtype=np.int64),
-                np.arange(tc * 16, tc * 16 + 16, dtype=np.int64),
-                indexing="ij",
-            )
-            g = np.where(np.isin(cc, (10, 30, 50)), -0.1 * rr, 100.0 - 0.1 * rr)
-            for c0, r0 in pits.items():
-                g = np.where((rr == r0) & (cc == c0), -0.1 * r0 - 1.0, g)
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "bytes": codecs.encode_tile(g, "f64"), "fmt": "f64"})
+    r, c = np.indices((64, 64), dtype=np.int64)
+    g = np.where(np.isin(c, (10, 30, 50)), -0.1 * r, 100.0 - 0.1 * r)
+    for c0, r0 in pits.items():
+        g = np.where((r == r0) & (c == c0), -0.1 * r0 - 1.0, g)
+    rows, spec = _scene(g)
     out = breach_hierarchical(rd.from_items(rows), spec, epsilon=0.01, shard_tiles=2)
     return _round_cells(_tiles_to_cells(out, spec, "z"), "z", 4)
 
 
 def q_breach_depressions_sql() -> str:
-    return """
-    WITH g AS (SELECT r.r AS row, c.c AS col
-               FROM (SELECT unnest(generate_series(0, 63)) AS r) r,
-                    (SELECT unnest(generate_series(0, 63)) AS c) c)
+    return f"""
+    WITH {_WIN_G}
     SELECT row, col, ROUND(CASE
         WHEN col NOT IN (10, 30, 50) THEN 100.0 - 0.1 * row
         WHEN col = 10 AND row = 20 THEN -0.1 * 20 - 1.0

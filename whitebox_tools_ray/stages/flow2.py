@@ -49,7 +49,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs
-from .focal import DX8, DY8, _emit_tile_and_margins, _assemble_padded
+from .focal import DX8, DY8, _emit_tile_and_margins, _assemble_padded, f32_tiles
 
 # D8 direction i: (DY8[i], DX8[i]); distance factor
 _DIAG = np.sqrt(2.0)
@@ -787,15 +787,8 @@ def strahler_order_basins(pointer_ds, streams_link_ds, link_order: dict, spec,
             o = np.copy(g)
             for k, v in lut.items():
                 o[g == k] = v
-            outs.append(codecs.encode_tile(o, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(o)
+        return f32_tiles(batch, outs)
 
     _ = band_math
     return sb.map_batches(relabel, batch_format="pyarrow")

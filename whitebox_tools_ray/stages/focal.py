@@ -44,6 +44,19 @@ DX8 = np.array([1, 1, 1, 0, -1, -1, -1, 0])
 DY8 = np.array([-1, 0, 1, 1, 1, 0, -1, -1])
 
 
+
+def f32_tiles(batch: pa.Table, grids) -> pa.Table:
+    """One f32 tile payload per grid, keyed by the batch's own
+    ``tile_row`` / ``tile_col`` arrays (their type passes through)."""
+    return pa.table(
+        {
+            "tile_row": batch["tile_row"],
+            "tile_col": batch["tile_col"],
+            "bytes": pa.array([codecs.encode_tile(g, "f32") for g in grids], pa.binary()),
+            "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
+        }
+    )
+
 def _emit_tile_and_margins(batch: pa.Table, halo: int, tiles_x: int, tiles_y: int) -> pa.Table:
     """Flat-map one batch of tiles into self + 8 margin records."""
     trows = batch["tile_row"].to_numpy(zero_copy_only=False)

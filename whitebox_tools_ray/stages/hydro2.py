@@ -64,7 +64,7 @@ import pyarrow as pa
 
 from ..kernels import codecs
 from . import band_math
-from .focal import DX8, DY8, _shifted, focal_op
+from .focal import DX8, DY8, _shifted, focal_op, f32_tiles
 
 
 def _term_acc_ds(pointer_ds, spec, num_workers: int = 4, out_dir: str | None = None,
@@ -454,15 +454,8 @@ def hillslopes(pointer_ds, streams_link_ds, spec, num_workers: int = 4):
                     vx = gc[r, c] - tg_c[r, c]
                     cross = sx * vy - sy * vx
                     out[r, c] += 1.0 if cross > 0 else 2.0
-            outs.append(codecs.encode_tile(out, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(out)
+        return f32_tiles(batch, outs)
 
     _ = workers
     return zip3.map_batches(classify, batch_format="pyarrow")
@@ -739,15 +732,8 @@ def fill_missing_data(dem_ds, spec, smooth_iters: int = 2):
             z = codecs.decode_tile(batch["dem"][i].as_py(), batch["dem_fmt"][i].as_py())
             a = codecs.decode_tile(batch["al"][i].as_py(), batch["al_fmt"][i].as_py())
             o = np.where(z == spec.nodata, a - 1.0e4, z)
-            outs.append(codecs.encode_tile(o, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(o)
+        return f32_tiles(batch, outs)
 
     out = zipd.map_batches(fn, batch_format="pyarrow")
     for _i in range(smooth_iters):
@@ -762,15 +748,8 @@ def fill_missing_data(dem_ds, spec, smooth_iters: int = 2):
                 smo = codecs.decode_tile(batch["sm"][i].as_py(), batch["sm_fmt"][i].as_py())
                 orig = codecs.decode_tile(batch["orig"][i].as_py(), batch["orig_fmt"][i].as_py())
                 o = np.where(orig == spec.nodata, smo, cur)
-                outs.append(codecs.encode_tile(o, "f32"))
-            return pa.table(
-                {
-                    "tile_row": batch["tile_row"],
-                    "tile_col": batch["tile_col"],
-                    "bytes": pa.array(outs, pa.binary()),
-                    "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-                }
-            )
+                outs.append(o)
+            return f32_tiles(batch, outs)
 
         out = zip2.map_batches(fn2, batch_format="pyarrow")
     return out
@@ -781,15 +760,8 @@ def _shift_valid(batch: pa.Table, spec) -> pa.Table:
     for bb, ff in zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist()):
         g = codecs.decode_tile(bb, ff)
         o = np.where(g != spec.nodata, g + 1.0e4, 0.0)
-        outs.append(codecs.encode_tile(o, "f32"))
-    return pa.table(
-        {
-            "tile_row": batch["tile_row"],
-            "tile_col": batch["tile_col"],
-            "bytes": pa.array(outs, pa.binary()),
-            "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-        }
-    )
+        outs.append(o)
+    return f32_tiles(batch, outs)
 
 
 class _WalkShard:
@@ -972,15 +944,8 @@ def isobasins(dem_ds, spec, target_cells: int = 64, num_workers: int = 4):
                 np.floor(a / target_cells) + 1.0,
                 0.0,
             )
-            outs.append(codecs.encode_tile(t, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(t)
+        return f32_tiles(batch, outs)
 
     targets = acc.map_batches(to_targets, batch_format="pyarrow")
     return subbasins(ptr, targets, spec, num_workers)
@@ -1014,15 +979,8 @@ def _const_tiles(batch: pa.Table, value: float) -> pa.Table:
     outs = []
     for bb, ff in zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist()):
         g = codecs.decode_tile(bb, ff)
-        outs.append(codecs.encode_tile(np.full_like(g, value), "f32"))
-    return pa.table(
-        {
-            "tile_row": batch["tile_row"],
-            "tile_col": batch["tile_col"],
-            "bytes": pa.array(outs, pa.binary()),
-            "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-        }
-    )
+        outs.append(np.full_like(g, value))
+    return f32_tiles(batch, outs)
 
 
 def elevation_above_stream_ds(dem_ds, streams_ds, spec, num_workers: int = 4):

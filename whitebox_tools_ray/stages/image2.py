@@ -29,6 +29,7 @@ import pyarrow as pa
 
 from ..kernels import codecs
 from . import band_math
+from .focal import f32_tiles
 
 
 def change_vector_analysis(ds, date1_cols: list[str], date2_cols: list[str],
@@ -76,15 +77,8 @@ def correct_vignetting(tiles_ds, spec, focal_length: float = 304.8,
             dist = np.hypot(yy - cy, xx - cx) * scale
             theta = np.arctan(dist / focal_length)
             out = np.where(g != nodata, g / np.cos(theta) ** n, nodata)
-            outs.append(codecs.encode_tile(out, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(out)
+        return f32_tiles(batch, outs)
 
     return tiles_ds.map_batches(fn, batch_format="pyarrow")
 

@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs, geometry
-from .focal import DX8, DY8, _assemble_padded, _emit_tile_and_margins
+from .focal import DX8, DY8, _assemble_padded, _emit_tile_and_margins, f32_tiles
 
 
 def _class_pass(tiles_ds, spec, per_tile_fn, halo: int = 0):
@@ -87,15 +87,8 @@ def _paint(tiles_ds, spec, mapping: dict, default: float | None = None):
             hit = (len(keys) > 0) & (keys[idx] == g)
             o = np.where(hit, vals[idx], nodata if default is None else default)
             o = np.where(g == nodata, nodata, o)
-            outs.append(codecs.encode_tile(o, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(o)
+        return f32_tiles(batch, outs)
 
     return tiles_ds.map_batches(fn, batch_format="pyarrow")
 

@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 
 from ..kernels import codecs
-from .focal import DX8, DY8
+from .focal import DX8, DY8, f32_tiles
 
 
 _SMALL_SCENE_CELL_CAP = 64_000_000  # ~512 MB of f64 — driver-side ceiling
@@ -801,15 +801,8 @@ def stream_cell_rows(stream_ds, pointer_ds, spec):
             st = codecs.decode_tile(batch["st"][i].as_py(), batch["st_fmt"][i].as_py())
             pt = codecs.decode_tile(batch["pt"][i].as_py(), batch["pt_fmt"][i].as_py() or "i8")
             packed = (st == 1.0).astype(np.float64) * 16.0 + (pt.astype(np.float64) + 2.0)
-            outs.append(codecs.encode_tile(packed, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(packed)
+        return f32_tiles(batch, outs)
 
     packed_ds = combined.map_batches(pack, batch_format="pyarrow")
     margins = packed_ds.map_batches(
@@ -1090,14 +1083,7 @@ def extract_streams_ds(accum_ds, spec, threshold: float, zero_background: bool =
         for i in range(batch.num_rows):
             a = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
             o = np.where(a == nodata, nodata, np.where(a > threshold, 1.0, bg))
-            outs.append(codecs.encode_tile(o, "f32"))
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "bytes": pa.array(outs, pa.binary()),
-                "fmt": pa.array(["f32"] * batch.num_rows, pa.string()),
-            }
-        )
+            outs.append(o)
+        return f32_tiles(batch, outs)
 
     return accum_ds.map_batches(fn, batch_format="pyarrow")
