@@ -91,3 +91,44 @@ def test_allowlist_is_current():
     named, defs = _scan()
     stale = sorted(key for key in ALLOWED if key not in defs or key.rsplit(".", 1)[-1] in named)
     assert not stale, "allowlisted defs that are gone or now have a caller: " + ", ".join(stale)
+
+
+def _unused_imports(path: Path):
+    """file:line name of each import no code in its scope uses: a module
+    import unused in the whole module (names in ``__all__`` count as
+    used, and a package ``__init__`` re-exports its imports), a function
+    import unused in that function's body. Names that appear only inside
+    strings are unused."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    rel = path.relative_to(ROOT)
+
+    def bound(node):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            return []
+        return [(a.asname or a.name.split(".", 1)[0], node.lineno) for a in node.names if a.name != "*"]
+
+    def used(scope):
+        return {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+
+    found = []
+    if path.name != "__init__.py":
+        names = used(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                names |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{rel}:{line} {name}" for name, line in bound(node) if name not in names]
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = used(fn)
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found += [f"{rel}:{line} {name}" for name, line in bound(node) if name not in names]
+    return found
+
+
+def test_no_unused_imports():
+    files = [ROOT / "__ray_entry__.py"] + sorted((ROOT / PACKAGE).rglob("*.py"))
+    unused = sorted({u for path in files for u in _unused_imports(path)})
+    assert not unused, "imports nothing in their scope uses:\n" + "\n".join(unused)

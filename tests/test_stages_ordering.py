@@ -1,9 +1,11 @@
 """Property tests for ``stages.ordering.zip_with_order_index`` on both of
-its merge branches (driver merge and range sort): FIDs are exactly
+its merge branches (one merge task and range sort): FIDs are exactly
 start..start+n-1, ranks follow (key, IEEE 754 total-order tiebreak), and
-permuting the input blocks changes no row's FID."""
+permuting the input blocks changes no row's FID. On the merge branch no
+key or rank reaches the driver."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from whitebox_tools_ray.stages import ordering
 
 ORDER_SET = settings(max_examples=40, deadline=None, derandomize=True)
-BRANCHES = pytest.mark.parametrize("limit", [ordering.DRIVER_RANK_ROWS, 0], ids=["driver_merge", "range_sort"])
+BRANCHES = pytest.mark.parametrize("limit", [ordering.MERGE_RANK_ROWS, 0], ids=["task_merge", "range_sort"])
 
 NAN = math.nan
 SPECIAL = [math.copysign(NAN, -1.0), NAN, -math.inf, math.inf, -0.0, 0.0, -1.5, 1.5, -5e-324, 5e-324]
@@ -55,7 +57,7 @@ def layouts(draw):
 
 
 def rank(tables, limit, start, tiebreak_col):
-    with mock.patch.object(ordering, "DRIVER_RANK_ROWS", limit):
+    with mock.patch.object(ordering, "MERGE_RANK_ROWS", limit):
         out = ordering.zip_with_order_index(rd.from_arrow(tables), "k", start=start, tiebreak_col=tiebreak_col)
         return pa.concat_tables(ray.get(out.to_arrow_refs()))
 
@@ -75,6 +77,16 @@ def fid_multiset(out: pa.Table, with_tb: bool):
 def test_ranks_follow_key_then_total_order_tiebreak(ray_session, limit, tables, start, with_tb, rnd):
     tiebreak_col = "tb" if with_tb else None
     out = rank(tables, limit, start, tiebreak_col)
+    check_ranks(tables, out, start, with_tb)
+
+    permuted = list(tables)
+    rnd.shuffle(permuted)
+    assert fid_multiset(rank(permuted, limit, start, tiebreak_col), with_tb) == fid_multiset(out, with_tb)
+
+
+def check_ranks(tables, out: pa.Table, start: int, with_tb: bool):
+    """The oracle: FIDs are exactly start..start+n-1 and, read in FID
+    order, the rows' (key[, total-order tiebreak]) are sorted."""
     assert out.column_names == ["k", "tb", "FID"]
     fid = np.asarray(out["FID"].to_numpy(zero_copy_only=False), dtype=np.int64)
     n = sum(t.num_rows for t in tables)
@@ -89,9 +101,46 @@ def test_ranks_follow_key_then_total_order_tiebreak(ray_session, limit, tables, 
     k_out, tb_out = out["k"].to_pylist(), out["tb"].to_pylist()
     assert [sort_key(k_out[i], tb_out[i]) for i in by_fid] == sorted(map(sort_key, k_in, tb_in))
 
-    permuted = list(tables)
-    rnd.shuffle(permuted)
-    assert fid_multiset(rank(permuted, limit, start, tiebreak_col), with_tb) == fid_multiset(out, with_tb)
+
+def tied_blocks(n_blocks: int, rows: int, seed: int):
+    """Blocks whose keys tie across blocks, with special-value float
+    tiebreaks."""
+    rng = np.random.default_rng(seed)
+    return [
+        pa.table({
+            "k": pa.array(rng.integers(-5, 5, rows), pa.int64()),
+            "tb": pa.array(rng.choice(SPECIAL + [2.0, -2.0], rows), pa.float64()),
+        })
+        for _ in range(n_blocks)
+    ]
+
+
+@pytest.mark.parametrize("n_blocks", [1, 40])
+def test_merge_task_one_block_and_many_blocks(ray_session, n_blocks):
+    # one block: the merge task's single return is a bare ref; 40 blocks:
+    # each assign task must take its own block's slice of 40 returns
+    tables = tied_blocks(n_blocks, 25, n_blocks)
+    out = rank(tables, ordering.MERGE_RANK_ROWS, 3, "tb")
+    assert out.num_rows == 25 * n_blocks
+    check_ranks(tables, out, 3, True)
+
+
+def test_merge_branch_gets_nothing_on_the_driver(ray_session):
+    # the driver only passes refs: no ray.get from ordering.py (Ray's own
+    # metadata get inside from_arrow_refs is allowed)
+    callers = []
+    real_get = ray.get
+
+    def get(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_filename)
+        return real_get(*args, **kwargs)
+
+    tables = tied_blocks(4, 50, 7)
+    with mock.patch.object(ray, "get", get):
+        out = rank(tables, ordering.MERGE_RANK_ROWS, 1, "tb")
+    check_ranks(tables, out, 1, True)
+    assert callers, "the ray.get wrapper saw no call"
+    assert ordering.__file__ not in callers
 
 
 def test_range_sort_offsets_follow_block_ranges(ray_session):

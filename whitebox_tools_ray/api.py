@@ -370,8 +370,6 @@ def _register_all():
              "lidar_analysis", [], "lidar_analysis/select_tiles_by_polygon.rs:240-300")
 
     # lidar_analysis (tiling surface)
-    from .kernels.grid import TileGrid
-
     register("LidarTile", lambda ds, tg, **kw: assign.assign_tiles(ds, tg, **kw), "Tile-grid assignment",
              "lidar_analysis", [P("ds", "Dataset"), P("tile_grid", "TileGrid")], "lidar_analysis/lidar_tile.rs:257-281")
     li = __import__("whitebox_tools_ray.stages.lidar", fromlist=["x"])

@@ -23,8 +23,9 @@ The block forms (:func:`block_shape`, :func:`decode_block`,
 :func:`q16_encode_block`) run a chunk of same-shape payloads straight
 from an Arrow binary column's data buffer, bit-equal to the per-tile
 :func:`decode_tile` / :func:`encode_tile`, which stay as their oracles.
-They scale u16 pixels straight into the float64 block (one ufunc pass,
-no ``astype`` copy first).
+PNG pixels byte-swap once into a native ``uint16`` block, which then
+scales into the float64 block; the q16 encode rounds straight into the
+payload rows' pixel bytes and builds the decoded grids from them.
 
 PNG IDAT streams inflate through :func:`_inflate_into`, straight into a
 preallocated ``uint8`` array, with the system libdeflate
@@ -434,7 +435,11 @@ def decode_block(data: np.ndarray, offsets: np.ndarray, fmt: str, shape: tuple[i
             _inflate_into(_png_idat(payload[16:])[4], scan[j])
         for j in np.flatnonzero(scan[:, :, 0].any(axis=1)):
             scan[j, :, 1:] = _unfilter(scan[j], h, 2 * w, 2)
-        block = np.multiply(scan[:, :, 1:].view(">u2"), lo_scale[:, 1, None, None])
+        # one byte-swapping copy, then a native multiply: cheaper than
+        # multiplying the strided big-endian view
+        pixels = np.empty((k, h, w), np.uint16)
+        np.copyto(pixels, scan[:, :, 1:].view(">u2"))
+        block = np.multiply(pixels, lo_scale[:, 1, None, None])
         block += lo_scale[:, 0, None, None]
         return block
     block = np.empty((k, *shape))
@@ -452,17 +457,19 @@ def q16_encode_block(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple
     grids they decode to. Non-finite pixels quantize to arbitrary
     values, which the decoded grids expose."""
     k, h, w = block.shape
+    out = np.empty((k, 24 + 2 * h * w), np.uint8)
+    # the payload rows' pixel bytes as (k, hw) uint16: rounding casts
+    # straight into them, and the decoded grids read them back
+    q16 = out[:, 24:].view("<u2")
     with np.errstate(invalid="ignore"):
         scale = np.where(hi > lo, (hi - lo) / 65535.0, 1.0)
         q = block - lo[:, None, None]
         q /= scale[:, None, None]
-        q = np.round(q, out=q).astype("<u2")
+        np.copyto(q16, np.round(q, out=q).reshape(k, -1), casting="unsafe")
     head = np.empty(k, dtype=[("h", "<u4"), ("w", "<u4"), ("lo", "<f8"), ("scale", "<f8")])
     head["h"], head["w"], head["lo"], head["scale"] = h, w, lo, scale
-    out = np.empty((k, 24 + 2 * h * w), np.uint8)
     out[:, :24] = head.view(np.uint8).reshape(k, 24)
-    out[:, 24:] = q.reshape(k, -1).view(np.uint8)
-    back = np.multiply(q, scale[:, None, None])
+    back = np.multiply(q16, scale[:, None]).reshape(k, h, w)
     back += lo[:, None, None]
     return out, back
 

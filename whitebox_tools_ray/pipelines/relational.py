@@ -879,8 +879,6 @@ def q_frame_sample(sf_dir: str):
     ds = read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def to_videos(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
         nch = batch["n_chars"].to_numpy(zero_copy_only=False)
         return pa.table(
@@ -981,8 +979,6 @@ Q_CORRELATION_SQL = """
 
 def q_rmse(sf_dir: str):
     """RootMeanSquareError between two derived columns."""
-    import pyarrow as pa
-
     from ..stages.stats2 import rmse
 
     ds = read(sf_dir, "lineitem", columns=["l_discount", "l_tax"])
@@ -1658,8 +1654,6 @@ Q_POLYGONIZE_GRID_SQL = """
 def q_knn_join(sf_dir: str):
     """KNearestJoin: nearest part-derived point for each supplier-derived
     point (FRS index, broadcast right side)."""
-    import ray.data as rd
-
     from ..stages.spatial_join import knn_join
 
     part = read(sf_dir, "part", columns=["p_partkey"]).to_pandas()
@@ -4004,8 +3998,6 @@ def q_pca_cov(sf_dir: str):
     the PCA partial-pack pass (stats2.pca's covariance phase,
     math_stat_analysis/principal_component_analysis.rs) — the oracle
     side of the otherwise rows-only pca_project gate."""
-    import ray.data as rd
-
     ds = read(sf_dir, "embeddings", columns=["embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:

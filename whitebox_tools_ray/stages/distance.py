@@ -104,7 +104,6 @@ def euclidean_distance_ds(tiles_ds, spec, target_nonzero: bool = True,
     segment with boundary parabolas exchanged — not needed at current
     scales, documented for the judge."""
     import pandas as pd
-    import pyarrow as pa
 
     from ..kernels import codecs
 

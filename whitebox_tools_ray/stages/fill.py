@@ -251,7 +251,6 @@ def depth_in_sink_ds(dem_ds, spec, zero_background: bool = False,
     Composition: Dataset-native fill, then a keyed tile zip with the DEM
     (one groupby — both layers stream)."""
     import pandas as pd
-    import pyarrow as pa
 
     from ..kernels import codecs
     from .bsp import combine_tile_layers
@@ -537,7 +536,6 @@ def breach_hierarchical(dem_ds, spec, epsilon: float = 1e-5,
     depressions fall back to fill (raise-to-spill — the documented
     semantics difference) when ``fill_fallback``."""
     import ray
-    import ray.data as rd
 
     from ..kernels import codecs
 

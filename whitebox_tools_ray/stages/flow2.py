@@ -164,8 +164,6 @@ def fractions_and_indeg_rows(dem_ds, spec, method: str, exponent: float = 1.1,
     """Halo-2 pass → Dataset rows: tile_row, tile_col, frac (8ch f32
     bytes), ind (i8 bytes), valid (i8 bytes) + optional extra layers
     zipped in (loading/efficiency/absorption/seed grids)."""
-    import ray.data as rd
-
     tiles_x, tiles_y, tpx = spec.tiles_x, spec.tiles_y, spec.tile_px
     nodata = spec.nodata
     halo = 2
@@ -736,7 +734,7 @@ def subbasins(pointer_ds, streams_link_ds, spec, num_workers: int = 4,
               out_dir: str | None = None):
     """Subbasins (subbasins.rs): label = link id of the first stream cell
     downstream — watershed against the link-id target grid."""
-    from .basins import downslope_distance_to_stream_ds, _run_terminal_resolution
+    from .basins import _run_terminal_resolution
     import ray
     import ray.data as rd
     from .bsp import combine_tile_layers
@@ -773,10 +771,7 @@ def subbasins(pointer_ds, streams_link_ds, spec, num_workers: int = 4,
 def strahler_order_basins(pointer_ds, streams_link_ds, link_order: dict, spec,
                           num_workers: int = 4, out_dir: str | None = None):
     """StrahlerOrderBasins: subbasins relabeled link→Strahler order."""
-    from . import band_math
-
     sb = subbasins(pointer_ds, streams_link_ds, spec, num_workers)
-    import ray
 
     lut = dict(link_order)
 
@@ -790,5 +785,4 @@ def strahler_order_basins(pointer_ds, streams_link_ds, link_order: dict, spec,
             outs.append(o)
         return f32_tiles(batch, outs)
 
-    _ = band_math
     return sb.map_batches(relabel, batch_format="pyarrow")

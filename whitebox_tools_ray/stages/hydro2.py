@@ -486,7 +486,6 @@ def extract_valleys(dem_ds, spec, line_thin: bool = False):
 
 def stream_slope_continuous(dem_ds, streams_ds, spec):
     """Per stream cell: (z − z_downstream)/dist along the D8 direction."""
-    from .bsp import combine_tile_layers
     from .flow import d8_pointer_masked
 
     ptr = d8_pointer_masked(dem_ds, spec)
@@ -995,7 +994,6 @@ def elevation_above_stream_ds(dem_ds, streams_ds, spec, num_workers: int = 4):
     351-355); the terminal gid is therefore only a valid subtraction
     target when the terminal is itself a stream cell."""
     import ray
-    import ray.data as rd
 
     from .flow import d8_pointer_masked
 

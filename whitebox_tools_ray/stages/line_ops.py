@@ -20,7 +20,6 @@ streams; per A-part the candidate B-parts are bbox-filtered and the
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..sources.vectors import part_slices

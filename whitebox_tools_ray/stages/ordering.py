@@ -15,11 +15,13 @@ ref-bundle metadata (no count pass), then per block stable-argsort the
 key, keep the permutation in the object store and return the sorted
 run. The row count picks the merge:
 
-- up to ``DRIVER_RANK_ROWS`` rows the driver merges the runs with one
+- up to ``MERGE_RANK_ROWS`` rows one task merges the runs with one
   stable argsort (timsort merges presorted runs in close to linear
-  time), re-sorts only the tied positions by (key, tiebreak) and ships
-  each block its rank slice; this avoids Ray's range sort, whose fixed
-  cost of about 2 s dwarfs such inputs.
+  time), re-sorts only the tied positions by (key, tiebreak) and returns
+  each block its rank slice; the driver holds refs only: it wires the
+  sort tasks' runs into the merge task and its slices into the assign
+  tasks, and never fetches a key or a rank. This avoids Ray's range
+  sort, whose fixed cost of about 2 s dwarfs such inputs.
 - above it a range sort on (key, tiebreak) gives each block an ordered
   range, only each block's first and last pair reach the driver, and
   offsets are cumulative row counts. Blocks whose ranges overlap out of
@@ -33,9 +35,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-# Row count up to which the driver merges the key runs itself (8 bytes
-# per key, 16 with a tiebreak); larger inputs take the range sort.
-DRIVER_RANK_ROWS = 10_000_000
+# Row count up to which one task merges the key runs; it bounds that
+# worker's merge memory (runs of 8 bytes per key, 16 with a tiebreak,
+# plus about 40 bytes per row of merge arrays). Larger inputs take the
+# range sort.
+MERGE_RANK_ROWS = 10_000_000
 
 # Total-order tiebreak column the range sort orders by; dropped again
 # before the result is returned.
@@ -111,24 +115,21 @@ def _resort_ties(order: np.ndarray, keys: np.ndarray, tb_runs: list) -> None:
     order[tied] = sub[np.argsort(group * m + tb_rank, kind="stable")]
 
 
-def _driver_ranks(sort_block, refs, order_col, tiebreak_col, start):
-    """Per-block permutations and rank slices from a driver-side merge.
-    Keys are dropped before the ranks are built: this merge sets the
-    driver's peak memory."""
-    import ray
-
-    out = [sort_block.remote(r, order_col, tiebreak_col, False) for r in refs]
-    runs = ray.get([run for _, run in out])
+def _merge_ranks(start: int, tiebreak: bool, *runs):
+    """Merge task: one rank slice per block, in ``runs`` order, from the
+    blocks' sorted [key, tiebreak] runs. Keys are dropped before the
+    ranks are built: this merge sets the task's peak memory."""
     bounds = np.cumsum([0] + [len(run[0]) for run in runs])
     keys = np.concatenate([run[0] for run in runs])
     order = np.argsort(keys, kind="stable")
-    if tiebreak_col:
+    if tiebreak:
         keys = keys[order]
         _resort_ties(order, keys, [run[1] for run in runs])
     del keys, runs
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(start, start + len(order), dtype=np.int64)
-    return [p for p, _ in out], [rank[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    slices = [rank[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return slices if len(slices) > 1 else slices[0]
 
 
 def _range_ranks(sort_block, mat_ds, order_col, tiebreak_col, start):
@@ -179,8 +180,13 @@ def zip_with_order_index(
         fields = list(zip(schema.names, schema.types)) + [(index_col, pa.int64())]
         return rd.from_arrow(pa.table({n: pa.array([], type=t) for n, t in fields}))
     sort_block = ray.remote(num_returns=2)(_sort_block)
-    if sum(sizes) <= DRIVER_RANK_ROWS:
-        perms, ranks = _driver_ranks(sort_block, refs, order_col, tiebreak_col, start)
+    if sum(sizes) <= MERGE_RANK_ROWS:
+        out = [sort_block.remote(r, order_col, tiebreak_col, False) for r in refs]
+        perms = [p for p, _ in out]
+        merge = ray.remote(_merge_ranks).options(num_returns=len(refs))
+        ranks = merge.remote(start, bool(tiebreak_col), *(run for _, run in out))
+        if len(refs) == 1:  # num_returns=1 gives a bare ref
+            ranks = [ranks]
     else:
         refs, perms, ranks = _range_ranks(sort_block, mat, order_col, tiebreak_col, start)
     assign = ray.remote(_assign)

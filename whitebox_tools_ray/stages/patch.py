@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs, geometry
-from .focal import DX8, DY8, _assemble_padded, _emit_tile_and_margins, f32_tiles
+from .focal import _assemble_padded, _emit_tile_and_margins, f32_tiles
 
 
 def _class_pass(tiles_ds, spec, per_tile_fn, halo: int = 0):

@@ -263,7 +263,8 @@ def clip_points(
 
     Returns the surviving rows; when ``renumber_fid`` the sequential-scan
     FID (1..n in ``order_col`` order, clip.rs:338-354 parity) is appended
-    by ``ordering.zip_with_order_index``. Survivors that share an
+    by ``ordering.zip_with_order_index``, whose merge runs in one task:
+    no key or rank reaches the driver. Survivors that share an
     ``order_col`` value are numbered in ``y_col`` order (IEEE 754 total
     order), whatever the block layout.
     """

@@ -22,7 +22,7 @@ import pyarrow as pa
 
 def global_mean_std(ds, col: str) -> tuple[float, float]:
     """Population mean/σ via sum + sum-of-squares partials."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch[col].to_numpy(zero_copy_only=False).astype(np.float64)

@@ -11,7 +11,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..kernels import geometry
 from ..sources.vectors import part_slices, record_is_hole
 
 
