@@ -138,6 +138,19 @@ class TestMassFlux:
         want = whole_grid_accum(full, spec, "d8")
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
 
+    def test_d8_mass_flux_reads_f64_layers(self, dem):
+        """Each layer decodes in its own tile format: f64 layers give the
+        same result as f32 layers holding the same values."""
+        spec, full = dem
+        ds = tiles_from_grid(full, spec)
+        loading = 1.0 + (np.indices(full.shape).sum(axis=0) % 3)
+
+        def run(fmt):
+            layers = [tiles_from_grid(g, spec, fmt) for g in (loading, np.full_like(full, 0.5), np.zeros_like(full))]
+            return assemble(flow2.d8_mass_flux(ds, *layers, spec, num_workers=2).to_pandas(), spec)
+
+        np.testing.assert_array_equal(run("f64"), run("f32"))
+
 
 class TestPathLengths:
     def test_maxlen_monotone_downstream(self, dem):
@@ -157,6 +170,30 @@ class TestPathLengths:
                     nr, nc = r + DY8[i], c + DX8[i]
                     want[nr, nc] = max(want[nr, nc], want[r, c] + step)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    def test_avglen_tiled_matches_whole_grid(self, dem):
+        """Average upslope flowpath length: each cell carries (Σ length,
+        number of paths); a head cell counts as one path of length 0."""
+        spec, full = dem
+        ds = tiles_from_grid(full, spec)
+        got = assemble(flow2.average_upslope_flowpath_length(ds, spec, num_workers=2).to_pandas(), spec)
+        frac = whole_grid_fractions(full, spec, "d8")
+        total = np.zeros_like(full)
+        paths = np.zeros_like(full)
+        order = np.argsort(-full.ravel(), kind="stable")
+        cols = full.shape[1]
+        for idx in order:
+            r, c = idx // cols, idx % cols
+            n = paths[r, c] if paths[r, c] > 0 else 1.0
+            for i in range(8):
+                if frac[i, r, c] > 0:
+                    step = spec.res * (np.sqrt(2.0) if DY8[i] and DX8[i] else 1.0)
+                    nr, nc = r + DY8[i], c + DX8[i]
+                    total[nr, nc] += total[r, c] + n * step
+                    paths[nr, nc] += n
+        want = total / np.maximum(paths, 1.0)
+        assert (want > 0).sum() > full.size // 2
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 class TestTrace:

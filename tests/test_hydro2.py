@@ -216,3 +216,16 @@ class TestCostAllocationDS:
         strict = np.abs(acc1 - acc2) > 1e-9
         assert (got[strict] == want[strict]).all()
         assert got[3, 3] == 1.0 and got[12, 12] == 2.0
+
+    def test_source_ids_above_2_pow_24_survive(self, ray_session):
+        """Allocation tiles carry ids exactly: f32 would turn 16,777,217
+        into 16,777,216."""
+        from whitebox_tools_ray.stages import cost as C
+
+        spec = tsrc.SceneSpec(tiles_x=2, tiles_y=2, tile_px=8, seed=1)
+        src = np.zeros((16, 16))
+        src[3, 3] = 2**24 + 1
+        cds = tiles_from_grid(np.ones((16, 16)), spec)
+        sds = tiles_from_grid(src, spec, "f64")
+        got = assemble(C.cost_allocation_ds(cds, sds, spec, 2).to_pandas(), spec)
+        assert (got == 2**24 + 1).all()

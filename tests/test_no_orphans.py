@@ -132,3 +132,19 @@ def test_no_unused_imports():
     files = [ROOT / "__ray_entry__.py"] + sorted((ROOT / PACKAGE).rglob("*.py"))
     unused = sorted({u for path in files for u in _unused_imports(path)})
     assert not unused, "imports nothing in their scope uses:\n" + "\n".join(unused)
+
+
+def test_no_keep_alive_assignments():
+    """``_ = name`` only keeps an unused name alive: delete the name, or
+    use it."""
+    files = [ROOT / "__ray_entry__.py"] + sorted((ROOT / PACKAGE).rglob("*.py"))
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_"]
+                and isinstance(node.value, ast.Name)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} _ = {node.value.id}")
+    assert not found, "keep-alive assignments:\n" + "\n".join(found)

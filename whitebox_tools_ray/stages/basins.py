@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import codecs
+from .bsp import ShardBase, combine_tile_layers, dump_shards, launch_shards
 from .focal import DX8, DY8
 
 
@@ -186,44 +187,27 @@ def downslope_distance_to_stream(pointer_tiles: dict[int, bytes], stream_tiles: 
 # ---------------------------------------------------------------------------
 
 
-class TermShardDS:
-    """Shard actor for distributed terminal resolution."""
+class TermShardDS(ShardBase):
+    """Shard actor for distributed terminal resolution. Ingests pointer
+    tiles (``ptr``/``ptr_fmt`` columns, or a plain tiles Dataset's
+    ``bytes``/``fmt``) and optional ``tgt``/``tgt_fmt`` target tiles."""
 
     def __init__(self, tile_px: int, tiles_x: int, tiles_y: int, nodata: float, res: float):
-        self.tpx = tile_px
-        self.tiles_x = tiles_x
-        self.tiles_y = tiles_y
+        super().__init__(tile_px, tiles_x, tiles_y)
         self.nodata = nodata
         self.res = res
         self.W = tiles_x * tile_px
         self.H = tiles_y * tile_px
         self.ptr: dict[int, np.ndarray] = {}
         self.tgt: dict[int, np.ndarray] = {}
-        self.step: dict[int, np.ndarray] = {}
         self.local: dict[int, tuple] = {}  # tid → (absorb, acc, kind, dest_gid, step_out)
 
-    def ingest(self, split_ds) -> list[int]:
-        owned = []
-        for batch in split_ds.iter_batches(batch_format="pyarrow", batch_size=64):
-            trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-            tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-            has_tgt = "tgt" in batch.schema.names
-            has_step = "step" in batch.schema.names
-            for i in range(batch.num_rows):
-                tid = int(trows[i]) * self.tiles_x + int(tcols[i])
-                self.ptr[tid] = codecs.decode_tile(
-                    batch["ptr"][i].as_py(), batch["ptr_fmt"][i].as_py() or "i8"
-                ).astype(np.int8)
-                if has_tgt and len(batch["tgt"][i].as_py() or b""):
-                    self.tgt[tid] = codecs.decode_tile(
-                        batch["tgt"][i].as_py(), batch["tgt_fmt"][i].as_py() or "f64"
-                    )
-                if has_step and len(batch["step"][i].as_py() or b""):
-                    self.step[tid] = codecs.decode_tile(
-                        batch["step"][i].as_py(), batch["step_fmt"][i].as_py() or "f64"
-                    )
-                owned.append(tid)
-        return owned
+    def load_tile(self, tid: int, batch, i: int):
+        names = batch.schema.names
+        self.ptr[tid] = self.decode(batch, "ptr" if "ptr" in names else "bytes", i, "i8").astype(np.int8)
+        tgt = self.decode(batch, "tgt", i, "f64") if "tgt" in names else None
+        if tgt is not None:
+            self.tgt[tid] = tgt
 
     def _gid(self, tid: int, r, c):
         tr, tc = tid // self.tiles_x, tid % self.tiles_x
@@ -251,11 +235,9 @@ class TermShardDS:
             in_scene = (g_r >= 0) & (g_r < self.H) & (g_c >= 0) & (g_c < self.W)
             move = valid & in_tile & ~is_tgt
             exits = valid & ~in_tile & in_scene & ~is_tgt
-            stepg = self.step.get(tid)
-            if stepg is None:
-                diag = float(np.sqrt(2.0)) * self.res
-                lengths = np.where((DY8 != 0) & (DX8 != 0), diag, self.res)
-                stepg = np.where(valid, lengths[d], 0.0)
+            diag = float(np.sqrt(2.0)) * self.res
+            lengths = np.where((DY8 != 0) & (DX8 != 0), diag, self.res)
+            stepg = np.where(valid, lengths[d], 0.0)
             nxt = np.arange(n, dtype=np.int64).reshape(t, t)
             nxt[move] = (nr[move] * t + nc[move]).astype(np.int64)
             nxt = nxt.ravel()
@@ -341,14 +323,13 @@ class TermShardDS:
                 out[int(self._gid(tid, r, c))] = float(tgt[r, c])
         return out
 
-    def dump_mode(self, path: str, mode: str, aux_ref=None):
+    def dump(self, path: str, mode: str, aux=None):
         """Write output tiles: mode = 'basins' (dense terminal rank),
         'watershed' (target id or 0), 'distance' (acc where reached
-        target, 0 at targets, nodata else), 'term_gid' (raw)."""
-        from .bsp import ShardBase
-
-        aux = aux_ref  # auto-dereferenced by Ray
-        base = ShardBase(self.tpx, self.tiles_x, self.tiles_y)
+        target, 0 at targets, nodata else), 'acc' (acc for every cell),
+        'term_gid' (raw). ``aux`` (an ObjectRef, dereferenced by Ray) is
+        the sorted terminal gids for 'basins', gid → target id for
+        'watershed'."""
         tiles = {}
         for tid, term in self.term.items():
             valid = self.ptr[tid] != -2
@@ -383,7 +364,7 @@ class TermShardDS:
                 g = term.astype(np.float64)
                 g[~valid] = self.nodata
             tiles[tid] = g
-        ShardBase._dump_tiles(base, path, tiles, "f64")
+        self._dump_tiles(path, tiles, "f64")
 
 
 def _resolve_border_graph(entries: list[tuple]) -> dict[int, tuple[int, float, int]]:
@@ -422,81 +403,40 @@ def _resolve_border_graph(entries: list[tuple]) -> dict[int, tuple[int, float, i
     return resolved
 
 
-def _ptr_only_rows(pointer_ds, spec):
-    """Adapt Dataset[tile_row, tile_col, bytes, fmt] pointer tiles to the
-    TermShardDS ingest schema (ptr/ptr_fmt columns)."""
-    import pyarrow as pa
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "ptr": batch["bytes"],
-                "ptr_fmt": batch["fmt"],
-            }
-        )
-
-    return pointer_ds.map_batches(adapt, batch_format="pyarrow")
-
-
-def _run_terminal_resolution(rows_ds, spec, num_workers: int):
+def _run_terminal_resolution(rows_ds, spec, num_workers: int, mode: str, out_dir: str | None = None):
     """Shared driver flow: ingest → local resolve → driver border graph →
-    finalize. Returns (workers, shard handles list)."""
+    finalize → ``TermShardDS.dump(mode)`` tiles Dataset."""
     import ray
 
-    Worker = ray.remote(TermShardDS)
-    workers = [
-        Worker.remote(spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, spec.res)
-        for _ in range(num_workers)
-    ]
-    splits = rows_ds.split(num_workers, locality_hints=workers)
-    ray.get([w.ingest.remote(s) for w, s in zip(workers, splits)])
+    args = (spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, spec.res)
+    workers, _ = launch_shards(rows_ds, TermShardDS, args, num_workers)
     entries = []
     for part in ray.get([w.local_resolve.remote() for w in workers]):
         entries.extend(part)
-    resolved = _resolve_border_graph(entries)
-    resolved_ref = ray.put(resolved)
+    resolved_ref = ray.put(_resolve_border_graph(entries))
     ray.get([w.finalize.remote(resolved_ref) for w in workers])
-    return workers
+    aux = None
+    if mode == "basins":
+        aux = sorted(set().union(*ray.get([w.distinct_terminals.remote() for w in workers])))
+    elif mode == "watershed":
+        aux = {}
+        for part in ray.get([w.target_ids.remote() for w in workers]):
+            aux.update(part)
+    return dump_shards(workers, out_dir, mode, ray.put(aux))
 
 
 def basins_ds(pointer_ds, spec, num_workers: int = 4, out_dir: str | None = None):
     """Dataset-native Basins (hydro_analysis/basins.rs): dense 1-based
     terminal ids in row-major terminal order; driver sees only border
     resolutions + the distinct-terminal set."""
-    import os
-    import tempfile
-
-    import ray
-    import ray.data as rd
-
-    out_dir = out_dir or tempfile.mkdtemp(prefix="basins_", dir="/tmp")
-    os.makedirs(out_dir, exist_ok=True)
-    workers = _run_terminal_resolution(_ptr_only_rows(pointer_ds, spec), spec, num_workers)
-    terms = set()
-    for part in ray.get([w.distinct_terminals.remote() for w in workers]):
-        terms.update(part)
-    aux_ref = ray.put(sorted(terms))
-    ray.get(
-        [
-            w.dump_mode.remote(os.path.join(out_dir, f"shard_{i}.parquet"), "basins", aux_ref)
-            for i, w in enumerate(workers)
-        ]
-    )
-    return rd.read_parquet(out_dir)
+    return _run_terminal_resolution(pointer_ds, spec, num_workers, "basins", out_dir)
 
 
 def watershed_ds(pointer_ds, spec, pour_points, num_workers: int = 4, out_dir: str | None = None):
     """Dataset-native Watershed (watershed.rs): labels from pour points;
     pour cells become targets (first pour point downstream wins)."""
-    import os
-    import tempfile
-
-    import numpy as _np
     import pyarrow as pa
     import ray
-    import ray.data as rd
 
     gs = spec.grid_spec()
     tpx = spec.tile_px
@@ -507,19 +447,17 @@ def watershed_ds(pointer_ds, spec, pour_points, num_workers: int = 4, out_dir: s
         if 0 <= r < spec.rows and 0 <= c < spec.columns:
             tid = (r // tpx) * spec.tiles_x + (c // tpx)
             pour_by_tile.setdefault(tid, []).append((r % tpx, c % tpx, pid))
-    import ray as _ray
-
-    pour_ref = _ray.put(pour_by_tile)
+    pour_ref = ray.put(pour_by_tile)
 
     def add_tgt(batch: pa.Table) -> pa.Table:
-        pours = _ray.get(pour_ref)
+        pours = ray.get(pour_ref)
         trows = batch["tile_row"].to_numpy(zero_copy_only=False)
         tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
         tgts, fmts = [], []
         for i in range(batch.num_rows):
             tid = int(trows[i]) * spec.tiles_x + int(tcols[i])
             if tid in pours:
-                g = _np.zeros((tpx, tpx))
+                g = np.zeros((tpx, tpx))
                 for r, c, pid in pours[tid]:
                     g[r, c] = pid
                 tgts.append(codecs.encode_tile(g, "f64"))
@@ -527,32 +465,12 @@ def watershed_ds(pointer_ds, spec, pour_points, num_workers: int = 4, out_dir: s
             else:
                 tgts.append(b"")
                 fmts.append("")
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "ptr": batch["bytes"],
-                "ptr_fmt": batch["fmt"],
-                "tgt": pa.array(tgts, pa.binary()),
-                "tgt_fmt": pa.array(fmts, pa.string()),
-            }
+        return batch.append_column("tgt", pa.array(tgts, pa.binary())).append_column(
+            "tgt_fmt", pa.array(fmts, pa.string())
         )
 
     rows = pointer_ds.map_batches(add_tgt, batch_format="pyarrow")
-    out_dir = out_dir or tempfile.mkdtemp(prefix="watershed_", dir="/tmp")
-    os.makedirs(out_dir, exist_ok=True)
-    workers = _run_terminal_resolution(rows, spec, num_workers)
-    tid_map: dict[int, float] = {}
-    for part in ray.get([w.target_ids.remote() for w in workers]):
-        tid_map.update(part)
-    aux_ref = ray.put(tid_map)
-    ray.get(
-        [
-            w.dump_mode.remote(os.path.join(out_dir, f"shard_{i}.parquet"), "watershed", aux_ref)
-            for i, w in enumerate(workers)
-        ]
-    )
-    return rd.read_parquet(out_dir)
+    return _run_terminal_resolution(rows, spec, num_workers, "watershed", out_dir)
 
 
 def downslope_distance_to_stream_ds(pointer_ds, stream_ds, spec, num_workers: int = 4,
@@ -560,37 +478,5 @@ def downslope_distance_to_stream_ds(pointer_ds, stream_ds, spec, num_workers: in
     """Dataset-native DownslopeDistanceToStream: stream tiles become
     target grids via the keyed tile zip; distance = additive doubling
     with the D8 step lengths."""
-    import os
-    import tempfile
-
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-
-    from .bsp import combine_tile_layers
-
-    combined = combine_tile_layers(spec, ptrl=pointer_ds, tgtl=stream_ds)
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "ptr": batch["ptrl"],
-                "ptr_fmt": batch["ptrl_fmt"],
-                "tgt": batch["tgtl"],
-                "tgt_fmt": batch["tgtl_fmt"],
-            }
-        )
-
-    rows = combined.map_batches(adapt, batch_format="pyarrow")
-    out_dir = out_dir or tempfile.mkdtemp(prefix="dsdist_", dir="/tmp")
-    os.makedirs(out_dir, exist_ok=True)
-    workers = _run_terminal_resolution(rows, spec, num_workers)
-    ray.get(
-        [
-            w.dump_mode.remote(os.path.join(out_dir, f"shard_{i}.parquet"), "distance", None)
-            for i, w in enumerate(workers)
-        ]
-    )
-    return rd.read_parquet(out_dir)
+    rows = combine_tile_layers(spec, ptr=pointer_ds, tgt=stream_ds)
+    return _run_terminal_resolution(rows, spec, num_workers, "distance", out_dir)

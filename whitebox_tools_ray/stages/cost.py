@@ -23,6 +23,7 @@ import heapq
 
 import numpy as np
 
+from .bsp import ShardBase, combine_tile_layers, launch_shards, run_bsp
 from .focal import DX8, DY8
 
 
@@ -96,21 +97,23 @@ def cost_pathway(backlink: np.ndarray, start: tuple[int, int]) -> list[tuple[int
 
 # ---------------------------------------------------------------------------
 # Dataset-native path: (cost, sources) tile Datasets → shard actors → BSP
-# with 1-cell border frames carrying (accumulated-cost, cost) strips →
-# accumulated-cost tiles Dataset. The seed update is vectorized (8
-# shifted ring views).
+# with 1-cell border frames carrying (accumulated-cost, cost, source-id)
+# strips → accumulated-cost / allocation / backlink tiles Dataset. The
+# seed update is vectorized (8 shifted ring views).
 # ---------------------------------------------------------------------------
 
 
-class CostShardDS:
+class CostShardDS(ShardBase):
+    """Shard actor for the tiled cost iteration; ``mode`` picks the
+    layer ``dump`` writes: ``distance``, ``alloc`` or ``backlink``."""
+
     def __init__(self, tile_px: int, tiles_x: int, tiles_y: int, nodata: float,
-                 res: float, out_fmt: str = "f32"):
-        self.tpx = tile_px
-        self.tiles_x = tiles_x
-        self.tiles_y = tiles_y
+                 res: float, out_fmt: str = "f32", mode: str = "distance"):
+        super().__init__(tile_px, tiles_x, tiles_y)
         self.nodata = nodata
         self.res = res
         self.out_fmt = out_fmt
+        self.mode = mode
         self.cost: dict[int, np.ndarray] = {}
         self.src: dict[int, np.ndarray] = {}
         self.seed: dict[int, np.ndarray] = {}
@@ -119,28 +122,13 @@ class CostShardDS:
         self.est: dict[int, np.ndarray] = {}
         self.alloc_out: dict[int, np.ndarray] = {}
         self.bl_out: dict[int, np.ndarray] = {}
-        self.frames: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def ingest(self, split_ds) -> list[int]:
-        from ..kernels import codecs
-
-        owned = []
-        for batch in split_ds.iter_batches(batch_format="pyarrow", batch_size=64):
-            trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-            tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-            for i in range(batch.num_rows):
-                tid = int(trows[i]) * self.tiles_x + int(tcols[i])
-                self.cost[tid] = codecs.decode_tile(
-                    batch["costl"][i].as_py(), batch["costl_fmt"][i].as_py()
-                )
-                self.src[tid] = codecs.decode_tile(
-                    batch["srcl"][i].as_py(), batch["srcl_fmt"][i].as_py()
-                ).astype(np.int64)
-                self.seed[tid] = np.full(self.cost[tid].shape, np.inf)
-                self.seed_alloc[tid] = np.zeros(self.cost[tid].shape, dtype=np.int64)
-                self.seed_bl[tid] = np.full(self.cost[tid].shape, -1, dtype=np.int8)
-                owned.append(tid)
-        return owned
+    def load_tile(self, tid: int, batch, i: int):
+        self.cost[tid] = self.decode(batch, "costl", i)
+        self.src[tid] = self.decode(batch, "srcl", i).astype(np.int64)
+        self.seed[tid] = np.full(self.cost[tid].shape, np.inf)
+        self.seed_alloc[tid] = np.zeros(self.cost[tid].shape, dtype=np.int64)
+        self.seed_bl[tid] = np.full(self.cost[tid].shape, -1, dtype=np.int8)
 
     def _run_tile(self, tid: int):
         a, bl, al = cost_distance(
@@ -159,24 +147,7 @@ class CostShardDS:
         # direction recorded when the border frame improved the cell)
         ext_seed = (bl == -1) & (self.src[tid] == 0) & (self.seed_bl[tid] >= 0)
         self.bl_out[tid] = np.where(ext_seed, self.seed_bl[tid], bl).astype(np.int8)
-        h, w = a.shape
-        msgs = []
-        tr, tc = tid // self.tiles_x, tid % self.tiles_x
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                ntr, ntc = tr + dr, tc + dc
-                if not (0 <= ntr < self.tiles_y and 0 <= ntc < self.tiles_x):
-                    continue
-                rs = slice(h - 1, h) if dr == 1 else (slice(0, 1) if dr == -1 else slice(None))
-                cs = slice(w - 1, w) if dc == 1 else (slice(0, 1) if dc == -1 else slice(None))
-                est_strip = np.ascontiguousarray(a[rs, cs]).ravel().copy()
-                cost_strip = np.ascontiguousarray(self.cost[tid][rs, cs]).ravel().copy()
-                alloc_strip = np.ascontiguousarray(self.alloc_out[tid][rs, cs]).ravel().copy()
-                rel = (1 - dr) * 3 + (1 - dc)
-                msgs.append((ntr * self.tiles_x + ntc, rel, est_strip, cost_strip, alloc_strip))
-        return msgs
+        return self.frames_out(tid, a, self.cost[tid], al)
 
     def start(self):
         out = []
@@ -185,34 +156,15 @@ class CostShardDS:
         return out
 
     def push(self, msgs):
-        touched = set()
-        for tid, rel, est_strip, cost_strip, alloc_strip in msgs:
-            self.frames[(tid, rel)] = (est_strip, cost_strip, alloc_strip)
-            touched.add(tid)
         out = []
         h = w = self.tpx
         diag = float(np.sqrt(2.0)) * self.res
-        for tid in touched:
+        for tid, (ext_a, ext_c, ext_l) in self.frames_in(msgs, np.inf, np.inf, 0).items():
             cg = self.cost[tid]
-            ext_a = np.full((h + 2, w + 2), np.inf)
-            ext_c = np.full((h + 2, w + 2), np.inf)
-            ext_l = np.zeros((h + 2, w + 2), dtype=np.int64)
-            for (ftid, rel), (ea, ec, el) in self.frames.items():
-                if ftid != tid:
-                    continue
-                rr = rel // 3 - 1
-                cc = rel % 3 - 1
-                rs = slice(0, 1) if rr == -1 else (slice(h + 1, h + 2) if rr == 1 else slice(1, h + 1))
-                cs = slice(0, 1) if cc == -1 else (slice(w + 1, w + 2) if cc == 1 else slice(1, w + 1))
-                ext_a[rs, cs] = ea.reshape(ext_a[rs, cs].shape)
-                ext_c[rs, cs] = ec.reshape(ext_c[rs, cs].shape)
-                ext_l[rs, cs] = el.reshape(ext_l[rs, cs].shape)
             ext_a[ext_c == self.nodata] = np.inf  # nodata cost blocks travel
             best = np.full((h, w), np.inf)
             best_l = np.zeros((h, w), dtype=np.int64)
             best_d = np.full((h, w), -1, dtype=np.int8)
-            from .focal import DX8, DY8
-
             for i in range(8):
                 dy, dx = int(DY8[i]), int(DX8[i])
                 sh_a = ext_a[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
@@ -235,97 +187,40 @@ class CostShardDS:
                 out.extend(self._run_tile(tid))
         return out
 
-    def dump(self, path: str, mode: str = "distance"):
-        from .bsp import ShardBase
-
-        base = ShardBase(self.tpx, self.tiles_x, self.tiles_y)
+    def dump(self, path: str):
+        layer = {"alloc": self.alloc_out, "backlink": self.bl_out}.get(self.mode, self.est)
         tiles = {}
         for tid, a in self.est.items():
-            if mode == "alloc":
-                g = self.alloc_out[tid].astype(np.float64)
-                g[~np.isfinite(a)] = self.nodata
-            elif mode == "backlink":
-                g = self.bl_out[tid].astype(np.float64)
-                g[~np.isfinite(a)] = self.nodata
-            else:
-                g = a.copy()
-                g[~np.isfinite(g)] = self.nodata
-            g[self.cost[tid] == self.nodata] = self.nodata
+            g = layer[tid].astype(np.float64)
+            g[~np.isfinite(a) | (self.cost[tid] == self.nodata)] = self.nodata
             tiles[tid] = g
-        ShardBase._dump_tiles(base, path, tiles, self.out_fmt)
+        self._dump_tiles(path, tiles, self.out_fmt)
+
+
+def _cost_ds(cost_ds, source_ds, spec, num_workers: int, out_dir: str | None,
+             out_fmt: str, mode: str):
+    """Cost + source tile Datasets zip on the tile key, stream into the
+    shard actors and iterate from above with (accum, cost, source id)
+    border frames until no seed improves; ``mode`` picks the layer."""
+    combined = combine_tile_layers(spec, costl=cost_ds, srcl=source_ds)
+    args = (spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, spec.res, out_fmt, mode)
+    return run_bsp(combined, CostShardDS, args, num_workers, out_dir)
 
 
 def cost_distance_ds(cost_ds, source_ds, spec, num_workers: int = 4,
                      out_dir: str | None = None, out_fmt: str = "f32"):
-    """Dataset-native CostDistance (cost_distance.rs): cost + source tile
-    Datasets zip on the tile key, stream into shard actors, iterate
-    from-above with (accum, cost) border frames until no seed improves."""
-    import tempfile
-
-    from .bsp import combine_tile_layers, run_bsp
-
-    out_dir = out_dir or tempfile.mkdtemp(prefix="costdist_", dir="/tmp")
-    combined = combine_tile_layers(spec, costl=cost_ds, srcl=source_ds)
-    return run_bsp(
-        combined,
-        CostShardDS,
-        (spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, spec.res, out_fmt),
-        num_workers,
-        out_dir,
-    )
-
-
-def _cost_engine_ds(cost_ds, source_ds, spec, num_workers: int,
-                    out_dir: str | None, mode: str, prefix: str):
-    """Drive the BSP cost shards and dump one of their output layers
-    (``distance`` / ``alloc`` / ``backlink``)."""
-    import os as _os
-    import tempfile
-
-    import ray
-    import ray.data as rd
-
-    from .bsp import combine_tile_layers
-
-    out_dir = out_dir or tempfile.mkdtemp(prefix=prefix, dir="/tmp")
-    _os.makedirs(out_dir, exist_ok=True)
-    combined = combine_tile_layers(spec, costl=cost_ds, srcl=source_ds)
-    Worker = ray.remote(CostShardDS)
-    workers = [
-        Worker.remote(spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, spec.res)
-        for _ in range(num_workers)
-    ]
-    splits = combined.split(num_workers, locality_hints=workers)
-    owned = ray.get([w.ingest.remote(s) for w, s in zip(workers, splits)])
-    shard_of = {tid: i for i, tids in enumerate(owned) for tid in tids}
-    pending = ray.get([w.start.remote() for w in workers])
-    while True:
-        routed: list[list] = [[] for _ in range(num_workers)]
-        n = 0
-        for msgs in pending:
-            for msg in msgs:
-                if msg[0] in shard_of:
-                    routed[shard_of[msg[0]]].append(msg)
-                    n += 1
-        if n == 0:
-            break
-        busy = [(w, m) for w, m in zip(workers, routed) if m]
-        pending = ray.get([w.push.remote(m) for w, m in busy])
-    ray.get([
-        w.dump.remote(_os.path.join(out_dir, f"shard_{i}.parquet"), mode)
-        for i, w in enumerate(workers)
-    ])
-    return rd.read_parquet(out_dir)
+    """Dataset-native CostDistance (cost_distance.rs): accumulated cost
+    tiles from the BSP cost shards."""
+    return _cost_ds(cost_ds, source_ds, spec, num_workers, out_dir, out_fmt, "distance")
 
 
 def cost_allocation_ds(cost_ds, source_ds, spec, num_workers: int = 4,
                        out_dir: str | None = None):
     """Dataset-native CostAllocation (cost_allocation.rs): the BSP cost
     engine tracks, per cell, the SOURCE ID of the cheapest path (source
-    ids ride the border frames with the accumulated-cost strips); the
-    allocation grid is the second dump mode of the same shards."""
-    return _cost_engine_ds(cost_ds, source_ds, spec, num_workers, out_dir,
-                           "alloc", "costalloc_")
+    ids ride the border frames with the accumulated-cost strips). Written
+    as f64: f32 rounds ids above 2**24."""
+    return _cost_ds(cost_ds, source_ds, spec, num_workers, out_dir, "f64", "alloc")
 
 
 def cost_backlink_ds(cost_ds, source_ds, spec, num_workers: int = 4,
@@ -335,29 +230,19 @@ def cost_backlink_ds(cost_ds, source_ds, spec, num_workers: int = 4,
     step back toward the cheapest source (-1 at sources/unreached). The
     same BSP shards; inter-tile entry cells point at the neighbouring
     tile that fed them."""
-    return _cost_engine_ds(cost_ds, source_ds, spec, num_workers, out_dir,
-                           "backlink", "costbl_")
+    return _cost_ds(cost_ds, source_ds, spec, num_workers, out_dir, "f32", "backlink")
 
 
-class _TileStoreActor:
+class _TileStoreActor(ShardBase):
     """Holds a shard of decoded tiles; the pathway walk fetches only the
     O(path / tile_px) tiles the least-cost path actually crosses."""
 
-    def __init__(self, tiles_x: int):
-        self.tiles_x = tiles_x
+    def __init__(self, tile_px: int, tiles_x: int, tiles_y: int):
+        super().__init__(tile_px, tiles_x, tiles_y)
         self.tiles: dict[int, np.ndarray] = {}
 
-    def ingest(self, split_ds) -> list[int]:
-        from ..kernels import codecs
-
-        for batch in split_ds.iter_batches(batch_format="pyarrow", batch_size=64):
-            for i in range(batch.num_rows):
-                tid = (int(batch["tile_row"][i].as_py()) * self.tiles_x
-                       + int(batch["tile_col"][i].as_py()))
-                self.tiles[tid] = codecs.decode_tile(
-                    batch["bytes"][i].as_py(), batch["fmt"][i].as_py()
-                )
-        return sorted(self.tiles)
+    def load_tile(self, tid: int, batch, i: int):
+        self.tiles[tid] = self.decode(batch, "bytes", i)
 
     def get(self, tid: int):
         return self.tiles.get(tid)
@@ -374,11 +259,7 @@ def cost_pathway_ds(backlink_ds, spec, start: tuple[int, int],
     import ray
 
     tpx, tiles_x = spec.tile_px, spec.tiles_x
-    Store = ray.remote(_TileStoreActor)
-    stores = [Store.remote(tiles_x) for _ in range(num_stores)]
-    splits = backlink_ds.split(num_stores, locality_hints=stores)
-    owned = ray.get([st.ingest.remote(sp) for st, sp in zip(stores, splits)])
-    store_of = {tid: i for i, tids in enumerate(owned) for tid in tids}
+    stores, store_of = launch_shards(backlink_ds, _TileStoreActor, (tpx, tiles_x, spec.tiles_y), num_stores)
 
     r, c = int(start[0]), int(start[1])
     path = [(r, c)]

@@ -35,6 +35,7 @@ import heapq
 
 import numpy as np
 
+from .bsp import ShardBase, combine_tile_layers, run_bsp
 from .focal import DX8, DY8
 
 
@@ -100,38 +101,19 @@ def priority_flood(
 # ---------------------------------------------------------------------------
 
 
-class FillShardDS:
+class FillShardDS(ShardBase):
     """Shard actor for hierarchical depression filling."""
 
-    # frame rel codes: (dr+1)*3 + (dc+1) of the SENDING tile relative to
-    # the receiver; 4 (self) unused.
-
     def __init__(self, tile_px: int, tiles_x: int, tiles_y: int, nodata: float):
-        self.tpx = tile_px
-        self.tiles_x = tiles_x
-        self.tiles_y = tiles_y
+        super().__init__(tile_px, tiles_x, tiles_y)
         self.nodata = nodata
         self.z: dict[int, np.ndarray] = {}
         self.seed: dict[int, np.ndarray] = {}
         self.est: dict[int, np.ndarray] = {}
-        self.frames: dict[tuple[int, int], np.ndarray] = {}  # (tid, rel) → array
 
-    def ingest(self, split_ds) -> list[int]:
-        from ..kernels import codecs
-
-        owned = []
-        for batch in split_ds.iter_batches(batch_format="pyarrow", batch_size=64):
-            trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-            tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-            for i in range(batch.num_rows):
-                tid = int(trows[i]) * self.tiles_x + int(tcols[i])
-                self.z[tid] = codecs.decode_tile(
-                    batch["bytes"][i].as_py(), batch["fmt"][i].as_py()
-                ).astype(np.float64)
-                owned.append(tid)
-        for tid in owned:
-            self.seed[tid] = self._initial_seeds(tid)
-        return owned
+    def load_tile(self, tid: int, batch, i: int):
+        self.z[tid] = self.decode(batch, "bytes", i).astype(np.float64)
+        self.seed[tid] = self._initial_seeds(tid)
 
     def _initial_seeds(self, tid: int) -> np.ndarray:
         g = self.z[tid]
@@ -161,23 +143,7 @@ class FillShardDS:
         self.est[tid] = priority_flood(
             self.z[tid], self.nodata, self.seed[tid], mark_unreached_inf=True
         )
-        e = self.est[tid]
-        h, w = e.shape
-        msgs = []
-        tr, tc = tid // self.tiles_x, tid % self.tiles_x
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                ntr, ntc = tr + dr, tc + dc
-                if not (0 <= ntr < self.tiles_y and 0 <= ntc < self.tiles_x):
-                    continue
-                rs = slice(h - 1, h) if dr == 1 else (slice(0, 1) if dr == -1 else slice(None))
-                cs = slice(w - 1, w) if dc == 1 else (slice(0, 1) if dc == -1 else slice(None))
-                strip = np.ascontiguousarray(e[rs, cs]).ravel().copy()
-                rel = (1 - dr) * 3 + (1 - dc)  # position in RECEIVER's frame
-                msgs.append((ntr * self.tiles_x + ntc, rel, strip))
-        return msgs
+        return self.frames_out(tid, self.est[tid])
 
     def start(self):
         out = []
@@ -188,24 +154,10 @@ class FillShardDS:
     def push(self, msgs):
         from numpy.lib.stride_tricks import sliding_window_view
 
-        touched = set()
-        for tid, rel, strip in msgs:
-            self.frames[(tid, rel)] = strip
-            touched.add(tid)
         out = []
-        h = w = self.tpx
-        for tid in touched:
+        # external ring: +inf where no frame yet (blocked)
+        for tid, (ext,) in self.frames_in(msgs, np.inf).items():
             g = self.z[tid]
-            # assemble external ring: +inf where no frame yet (blocked)
-            ext = np.full((h + 2, w + 2), np.inf)
-            for (ftid, rel), strip in self.frames.items():
-                if ftid != tid:
-                    continue
-                rr = rel // 3 - 1
-                cc = rel % 3 - 1
-                rs = slice(0, 1) if rr == -1 else (slice(h + 1, h + 2) if rr == 1 else slice(1, h + 1))
-                cs = slice(0, 1) if cc == -1 else (slice(w + 1, w + 2) if cc == 1 else slice(1, w + 1))
-                ext[rs, cs] = strip.reshape(ext[rs, cs].shape)
             # external nodata drains freely (scene hole = scene edge)
             ext[ext == self.nodata] = -np.inf
             # min external estimate over each cell's 8-neighborhood —
@@ -220,21 +172,14 @@ class FillShardDS:
         return out
 
     def dump(self, path: str):
-        from .bsp import ShardBase
-
-        base = ShardBase(self.tpx, self.tiles_x, self.tiles_y)
-        ShardBase._dump_tiles(base, path, self.est, "f32")
+        self._dump_tiles(path, self.est, "f32")
 
 
 def fill_depressions_ds(dem_ds, spec, num_workers: int = 4, out_dir: str | None = None):
     """Dataset-native FillDepressions (fill_depressions.rs semantics via
     the hierarchical Barnes-style iteration): DEM tiles Dataset in,
     filled tiles Dataset out; only 1-cell border frames cross shards."""
-    import tempfile
 
-    from .bsp import run_bsp
-
-    out_dir = out_dir or tempfile.mkdtemp(prefix="filldep_", dir="/tmp")
     return run_bsp(
         dem_ds,
         FillShardDS,
@@ -253,7 +198,6 @@ def depth_in_sink_ds(dem_ds, spec, zero_background: bool = False,
     import pandas as pd
 
     from ..kernels import codecs
-    from .bsp import combine_tile_layers
 
     filled = fill_depressions_ds(dem_ds, spec, num_workers=num_workers)
     combined = combine_tile_layers(spec, deml=dem_ds, filll=filled)

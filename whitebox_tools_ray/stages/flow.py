@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..kernels import codecs
+from .bsp import ShardBase, run_bsp
 from .focal import DX8, DY8, _shifted, focal_op
 
 INFLOW_OF = np.array([4, 5, 6, 7, 0, 1, 2, 3], dtype=np.int8)  # d8_flow_accum.rs:355
@@ -124,35 +125,22 @@ def pointer_with_indegree(pointer_ds, spec):
     return margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
 
 
-class FlowShardDS:
+class FlowShardDS(ShardBase):
     """Shard actor for the Dataset-native accumulation: owns the flow
     state of the tiles in its Dataset split and runs the reference stack
     algorithm within them."""
 
     def __init__(self, tile_px: int, tiles_x: int, tiles_y: int, nodata_out: float):
-        from .bsp import ShardBase
-
-        self._base = ShardBase(tile_px, tiles_x, tiles_y)
-        self.tpx = tile_px
-        self.tiles_x = tiles_x
-        self.tiles_y = tiles_y
+        super().__init__(tile_px, tiles_x, tiles_y)
         self.nodata_out = nodata_out
         self.dirs: dict[int, np.ndarray] = {}
         self.indeg: dict[int, np.ndarray] = {}
         self.accum: dict[int, np.ndarray] = {}
 
-    def ingest(self, split_ds) -> list[int]:
-        owned = []
-        for batch in split_ds.iter_batches(batch_format="pyarrow", batch_size=64):
-            trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-            tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-            for i in range(batch.num_rows):
-                tid = int(trows[i]) * self.tiles_x + int(tcols[i])
-                self.dirs[tid] = codecs.decode_tile(batch["ptr"][i].as_py(), "i8").astype(np.int8)
-                self.indeg[tid] = codecs.decode_tile(batch["ind"][i].as_py(), "i8").astype(np.int8)
-                self.accum[tid] = np.ones((self.tpx, self.tpx), dtype=np.float64)
-                owned.append(tid)
-        return owned
+    def load_tile(self, tid: int, batch, i: int):
+        self.dirs[tid] = self.decode(batch, "ptr", i, "i8").astype(np.int8)
+        self.indeg[tid] = self.decode(batch, "ind", i, "i8").astype(np.int8)
+        self.accum[tid] = np.ones((self.tpx, self.tpx), dtype=np.float64)
 
     def _drain(self, seeds: list[tuple[int, int, int]]):
         """Run the reference stack algorithm from the given ready cells;
@@ -170,17 +158,15 @@ class FlowShardDS:
                 continue
             rn = r + int(DY8[d])
             cn = c + int(DX8[d])
-            tr, tc = tid // self.tiles_x, tid % self.tiles_x
             if 0 <= rn < tpx and 0 <= cn < tpx:
                 self.accum[tid][rn, cn] += fa
                 self.indeg[tid][rn, cn] -= 1
                 if self.indeg[tid][rn, cn] == 0:
                     stack.append((tid, rn, cn))
             else:
-                ntr = tr + (rn // tpx if rn >= 0 else -1) if (rn < 0 or rn >= tpx) else tr
-                ntc = tc + (cn // tpx if cn >= 0 else -1) if (cn < 0 or cn >= tpx) else tc
-                if 0 <= ntr < self.tiles_y and 0 <= ntc < self.tiles_x:
-                    out_msgs.append((ntr * self.tiles_x + ntc, rn % tpx, cn % tpx, fa))
+                nxt = self.seam_step(tid, r, c, d)
+                if nxt is not None:
+                    out_msgs.append((*nxt, fa))
         return out_msgs
 
     def _combined(self, raw):
@@ -212,14 +198,12 @@ class FlowShardDS:
         return self._combined(self._drain(seeds))
 
     def dump(self, path: str):
-        from .bsp import ShardBase
-
         out = {}
         for tid, acc in self.accum.items():
             a = acc.copy()
             a[self.dirs[tid] == -2] = self.nodata_out
             out[tid] = a
-        ShardBase._dump_tiles(self._base, path, out, "f32")
+        self._dump_tiles(path, out, "f32")
 
 
 def flow_accumulation_ds(pointer_ds, spec, num_workers: int = 4, out_dir: str | None = None,
@@ -227,12 +211,8 @@ def flow_accumulation_ds(pointer_ds, spec, num_workers: int = 4, out_dir: str | 
     """Dataset-native D8 accumulation (out_type=cells,
     d8_flow_accum.rs:399-431): pointer tiles Dataset →
     indeg halo pass → BSP shard actors → accumulation tiles Dataset."""
-    import tempfile
-
-    from .bsp import run_bsp
 
     nodata_out = spec.nodata if nodata_out is None else nodata_out
-    out_dir = out_dir or tempfile.mkdtemp(prefix="flowaccum_", dir="/tmp")
     combined = pointer_with_indegree(pointer_ds, spec)
     return run_bsp(
         combined,

@@ -41,14 +41,12 @@ DownslopeFlowpathLength / AverageFlowpathSlope (terminal-resolution
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs
+from .bsp import ShardBase, combine_tile_layers, run_bsp
 from .focal import DX8, DY8, _emit_tile_and_margins, _assemble_padded, f32_tiles
 
 # D8 direction i: (DY8[i], DX8[i]); distance factor
@@ -116,11 +114,9 @@ def _fractions(padded: np.ndarray, nodata: float, spec, method: str,
     elif method == "dinf":
         # Tarboton (1997) facets: (cardinal e1, diagonal e2) pairs.
         # ring order here: 0=NE 1=E 2=SE 3=S 4=SW 5=W 6=NW 7=N
-        card = {1: (0, 1), 3: (1, 0), 5: (0, -1), 7: (-1, 0)}
         facets = [  # (cardinal dir idx, diagonal dir idx)
             (1, 0), (7, 0), (7, 6), (5, 6), (5, 4), (3, 4), (3, 2), (1, 2)
         ]
-        _ = card
         d1 = res
         d2 = res
         diag_len = np.hypot(d1, d2)
@@ -205,17 +201,12 @@ def fractions_and_indeg_rows(dem_ds, spec, method: str, exponent: float = 1.1,
     return margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
 
 
-class MultiFlowShardDS:
+class MultiFlowShardDS(ShardBase):
     """BSP shard for multi-direction topological drains."""
 
     def __init__(self, tile_px: int, tiles_x: int, tiles_y: int, nodata_out: float,
                  mode: str, res: float):
-        from .bsp import ShardBase
-
-        self._base = ShardBase(tile_px, tiles_x, tiles_y)
-        self.tpx = tile_px
-        self.tiles_x = tiles_x
-        self.tiles_y = tiles_y
+        super().__init__(tile_px, tiles_x, tiles_y)
         self.nodata_out = nodata_out
         self.mode = mode
         self.res = res
@@ -225,30 +216,15 @@ class MultiFlowShardDS:
         self.state: dict[int, np.ndarray] = {}  # (K, t, t)
         self.aux: dict[int, dict[str, np.ndarray]] = {}
 
-    def ingest(self, split_ds) -> list[int]:
+    def load_tile(self, tid: int, batch, i: int):
         t = self.tpx
-        owned = []
-        for batch in split_ds.iter_batches(batch_format="pyarrow", batch_size=64):
-            trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-            tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-            extra = [
-                n for n in batch.schema.names
-                if n not in ("tile_row", "tile_col", "frac", "ind", "valid")
-            ]
-            for i in range(batch.num_rows):
-                tid = int(trows[i]) * self.tiles_x + int(tcols[i])
-                self.frac[tid] = np.frombuffer(
-                    batch["frac"][i].as_py(), dtype=np.float32
-                ).reshape(8, t, t).astype(np.float64)
-                self.ind[tid] = np.frombuffer(batch["ind"][i].as_py(), dtype=np.int8).reshape(t, t).astype(np.int16)
-                self.valid[tid] = np.frombuffer(batch["valid"][i].as_py(), dtype=np.int8).reshape(t, t).astype(bool)
-                aux = {}
-                for n in extra:
-                    aux[n] = codecs.decode_tile(batch[n][i].as_py(), "f32")
-                self.aux[tid] = aux
-                self.state[tid] = self._init_state(tid)
-                owned.append(tid)
-        return owned
+        self.frac[tid] = np.frombuffer(batch["frac"][i].as_py(), dtype=np.float32).reshape(8, t, t).astype(np.float64)
+        self.ind[tid] = np.frombuffer(batch["ind"][i].as_py(), dtype=np.int8).reshape(t, t).astype(np.int16)
+        self.valid[tid] = np.frombuffer(batch["valid"][i].as_py(), dtype=np.int8).reshape(t, t).astype(bool)
+        extra = [n for n in batch.schema.names
+                 if n not in ("tile_row", "tile_col", "frac", "ind", "valid") and not n.endswith("_fmt")]
+        self.aux[tid] = {n: self.decode(batch, n, i, "f32") for n in extra}
+        self.state[tid] = self._init_state(tid)
 
     def _init_state(self, tid):
         t = self.tpx
@@ -298,7 +274,14 @@ class MultiFlowShardDS:
 
     def _drain(self, seeds):
         """seeds: [(tid, r, c)]; returns border messages
-        [(dst_tid, r, c, vec bytes, n_edges)] combined per destination."""
+        [(dst_tid, r, c, src_tid, vec bytes, n_edges)] combined per
+        destination cell and source tile.
+
+        The float sums must not depend on which shard owns which tile
+        (``Dataset.split`` does not fix that): a message never merges
+        flow from two source tiles, ``push`` applies messages sorted by
+        (destination cell, source tile), and ``start`` seeds tiles in
+        id order."""
         t = self.tpx
         stack = list(seeds)
         out: dict[tuple, list] = {}
@@ -321,17 +304,15 @@ class MultiFlowShardDS:
                 else:
                     vec = ev * f
                 nr, nc = r + int(DY8[d]), c + int(DX8[d])
-                tr, tc = tid // self.tiles_x, tid % self.tiles_x
                 if 0 <= nr < t and 0 <= nc < t:
                     self._combine(tid, nr, nc, vec)
                     self.ind[tid][nr, nc] -= 1
                     if self.ind[tid][nr, nc] == 0:
                         stack.append((tid, nr, nc))
                 else:
-                    gr, gc = tr * t + nr, tc * t + nc
-                    if 0 <= gr < self.tiles_y * t and 0 <= gc < self.tiles_x * t:
-                        dtid = (gr // t) * self.tiles_x + (gc // t)
-                        k = (dtid, gr % t, gc % t)
+                    dst = self.seam_step(tid, r, c, d)
+                    if dst is not None:
+                        k = (*dst, tid)
                         if k in out:
                             if self.mode in ("maxlen", "trace"):
                                 out[k][0] = np.maximum(out[k][0], vec)
@@ -340,20 +321,18 @@ class MultiFlowShardDS:
                             out[k][1] += 1
                         else:
                             out[k] = [vec.copy(), 1]
-        return [(tid, r, c, v.tobytes(), n) for (tid, r, c), (v, n) in out.items()]
+        return [(*k, v.tobytes(), n) for k, (v, n) in out.items()]
 
     def start(self):
         seeds = []
-        for tid, ind in self.ind.items():
-            rr, cc = np.nonzero((ind == 0) & self.valid[tid])
+        for tid in sorted(self.ind):
+            rr, cc = np.nonzero((self.ind[tid] == 0) & self.valid[tid])
             seeds.extend((tid, int(r), int(c)) for r, c in zip(rr, cc))
         return self._drain(seeds)
 
     def push(self, msgs):
         seeds = []
-        for tid, r, c, vb, n_edges in msgs:
-            if tid not in self.ind:
-                continue
+        for tid, r, c, _src, vb, n_edges in sorted(msgs, key=lambda m: m[:4]):
             vec = np.frombuffer(vb, dtype=np.float64)
             self._combine(tid, r, c, vec)
             self.ind[tid][r, c] -= n_edges
@@ -362,8 +341,6 @@ class MultiFlowShardDS:
         return self._drain(seeds)
 
     def dump(self, path: str):
-        from .bsp import ShardBase
-
         out = {}
         for tid, st in self.state.items():
             if self.mode == "avglen":
@@ -377,80 +354,33 @@ class MultiFlowShardDS:
             out[tid] = g
         # f64: accumulation layers feed oracle gates and downstream
         # composes; f32 quantization (~1e-5 at acc~256) fails both
-        ShardBase._dump_tiles(self._base, path, out, "f64")
+        self._dump_tiles(path, out, "f64")
 
 
 def run_multiflow(rows_ds, spec, mode: str, num_workers: int = 4, out_dir: str | None = None):
-    import ray
-    import ray.data as rd
-
-    Worker = ray.remote(MultiFlowShardDS)
-    workers = [
-        Worker.remote(spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, mode, spec.res)
-        for _ in range(num_workers)
-    ]
-    splits = rows_ds.split(num_workers, locality_hints=workers)
-    owned_lists = ray.get([w.ingest.remote(s) for w, s in zip(workers, splits)])
-    owner = {}
-    for wi, tids in enumerate(owned_lists):
-        for tid in tids:
-            owner[tid] = wi
-    pending = ray.get([w.start.remote() for w in workers])
-    msgs = [m for part in pending for m in part]
-    while msgs:
-        by_worker: dict[int, list] = {}
-        for m in msgs:
-            wi = owner.get(m[0])
-            if wi is not None:
-                by_worker.setdefault(wi, []).append(m)
-        parts = ray.get([workers[wi].push.remote(ms) for wi, ms in by_worker.items()])
-        msgs = [m for part in parts for m in part]
-    out_dir = out_dir or tempfile.mkdtemp(prefix=f"mflow_{mode}_", dir="/tmp")
-    os.makedirs(out_dir, exist_ok=True)
-    ray.get([
-        w.dump.remote(os.path.join(out_dir, f"shard_{i}.parquet"))
-        for i, w in enumerate(workers)
-    ])
-    return rd.read_parquet(out_dir)
+    args = (spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, mode, spec.res)
+    return run_bsp(rows_ds, MultiFlowShardDS, args, num_workers, out_dir)
 
 
 def _with_layers(rows_ds, spec, **layer_dss):
-    """Zip extra tile layers (f32 bytes columns) onto fraction rows."""
-    from .bsp import combine_tile_layers
-    import pyarrow as _pa
+    """Zip extra tile layers (``<name>`` bytes + ``<name>_fmt`` columns)
+    onto fraction rows."""
+    extra = [c for n in layer_dss for c in (n, n + "_fmt")]
 
-    if not layer_dss:
-        return rows_ds
-    combined = combine_tile_layers(spec, **layer_dss)
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        cols = {n: batch[n] for n in ("tile_row", "tile_col")}
-        for n in layer_dss:
-            cols[n] = batch[n]
-        return pa.table(cols)
-
-    lay = combined.map_batches(adapt, batch_format="pyarrow")
-    # keyed zip of fraction rows and layer rows
-    tagged = rows_ds.map_batches(
-        lambda b: b.append_column("__side", _pa.array(np.zeros(b.num_rows, dtype=np.int64))),
-        batch_format="pyarrow",
-    )
+    def side(k):
+        return lambda b: b.append_column("__side", pa.array(np.full(b.num_rows, k, dtype=np.int64)))
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         f = g[g["__side"] == 0]
         l = g[g["__side"] == 1]
         row = f.iloc[[0]].drop(columns="__side").reset_index(drop=True)
-        for n in layer_dss:
+        for n in extra:
             row[n] = [l[n].iloc[0]]
         return row
 
-    lay2 = lay.map_batches(
-        lambda b: b.append_column("__side", _pa.array(np.ones(b.num_rows, dtype=np.int64))),
-        batch_format="pyarrow",
-    )
-    return tagged.union(lay2).groupby(["tile_row", "tile_col"]).map_groups(
-        merge, batch_format="pandas"
-    )
+    tagged = rows_ds.map_batches(side(0), batch_format="pyarrow")
+    lay = combine_tile_layers(spec, **layer_dss).map_batches(side(1), batch_format="pyarrow")
+    return tagged.union(lay).groupby(["tile_row", "tile_col"]).map_groups(merge, batch_format="pandas")
 
 
 # ------------------------------------------------------------ public ops
@@ -472,8 +402,7 @@ def d8_mass_flux(dem_ds, loading_ds, efficiency_ds, absorption_ds, spec,
     rows = fractions_and_indeg_rows(dem_ds, spec, "d8")
     rows = _with_layers(rows, spec, loading=loading_ds, efficiency=efficiency_ds,
                         absorption=absorption_ds)
-    return run_multiflow(_decode_layer_cols(rows, ("loading", "efficiency", "absorption")),
-                         spec, "massflux", num_workers, out_dir)
+    return run_multiflow(rows, spec, "massflux", num_workers, out_dir)
 
 
 def dinf_mass_flux(dem_ds, loading_ds, efficiency_ds, absorption_ds, spec,
@@ -481,19 +410,7 @@ def dinf_mass_flux(dem_ds, loading_ds, efficiency_ds, absorption_ds, spec,
     rows = fractions_and_indeg_rows(dem_ds, spec, "dinf")
     rows = _with_layers(rows, spec, loading=loading_ds, efficiency=efficiency_ds,
                         absorption=absorption_ds)
-    return run_multiflow(_decode_layer_cols(rows, ("loading", "efficiency", "absorption")),
-                         spec, "massflux", num_workers, out_dir)
-
-
-def _decode_layer_cols(rows_ds, names):
-    """combine_tile_layers leaves layer bytes + fmt pairs; shard.ingest
-    decodes via codecs — keep bytes, drop fmt columns (always f32)."""
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        keep = [n for n in batch.schema.names if not n.endswith("_fmt")]
-        return batch.select(keep)
-
-    return rows_ds.map_batches(adapt, batch_format="pyarrow")
+    return run_multiflow(rows, spec, "massflux", num_workers, out_dir)
 
 
 def max_upslope_flowpath_length(dem_ds, spec, num_workers: int = 4, out_dir: str | None = None):
@@ -512,8 +429,7 @@ def trace_downslope_flowpaths(dem_ds, seeds_ds, spec, num_workers: int = 4,
     """seeds_ds: tile layer with >0 at seed cells."""
     rows = fractions_and_indeg_rows(dem_ds, spec, "d8")
     rows = _with_layers(rows, spec, seeds=seeds_ds)
-    return run_multiflow(_decode_layer_cols(rows, ("seeds",)), spec, "trace",
-                         num_workers, out_dir)
+    return run_multiflow(rows, spec, "trace", num_workers, out_dir)
 
 
 def fd8_pointer(dem_ds, spec):
@@ -613,11 +529,6 @@ def breach_single_cell_pits(dem_ds, spec):
         tpx = spec_.tile_px
         halo = (pad.shape[0] - tpx) // 2
         z = _shifted(pad, halo, tpx, 0, 0)
-        mn = np.full(z.shape, np.inf)
-        for i in range(8):
-            zi = _shifted(pad, halo, tpx, int(DY8[i]), int(DX8[i]))
-            mn = np.minimum(mn, np.where(zi != nodata, zi, np.inf))
-        pit = np.isfinite(mn) & (z < mn)
         out = z.copy()
         # a neighbour between a pit (2 cells away) and this cell: lower
         # self if the 2-away pit exists and its far side is lower
@@ -632,7 +543,6 @@ def breach_single_cell_pits(dem_ds, spec):
             cond = is_pit_nb & (two < pit_nb) & (z > pit_nb) & (z > two)
             lower_to = (pit_nb + two) / 2.0
             out = np.where(cond & (lower_to < out), lower_to, out)
-        _ = pit
         return np.where(z != nodata, out, nodata)
 
     return focal_op(dem_ds, spec, kernel, 2)
@@ -735,37 +645,9 @@ def subbasins(pointer_ds, streams_link_ds, spec, num_workers: int = 4,
     """Subbasins (subbasins.rs): label = link id of the first stream cell
     downstream — watershed against the link-id target grid."""
     from .basins import _run_terminal_resolution
-    import ray
-    import ray.data as rd
-    from .bsp import combine_tile_layers
 
-    combined = combine_tile_layers(spec, ptrl=pointer_ds, tgtl=streams_link_ds)
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"],
-                "tile_col": batch["tile_col"],
-                "ptr": batch["ptrl"],
-                "ptr_fmt": batch["ptrl_fmt"],
-                "tgt": batch["tgtl"],
-                "tgt_fmt": batch["tgtl_fmt"],
-            }
-        )
-
-    rows = combined.map_batches(adapt, batch_format="pyarrow")
-    out_dir = out_dir or tempfile.mkdtemp(prefix="subbasins_", dir="/tmp")
-    os.makedirs(out_dir, exist_ok=True)
-    workers = _run_terminal_resolution(rows, spec, num_workers)
-    tid_map: dict[int, float] = {}
-    for part in ray.get([w.target_ids.remote() for w in workers]):
-        tid_map.update(part)
-    aux_ref = ray.put(tid_map)
-    ray.get([
-        w.dump_mode.remote(os.path.join(out_dir, f"shard_{i}.parquet"), "watershed", aux_ref)
-        for i, w in enumerate(workers)
-    ])
-    return rd.read_parquet(out_dir)
+    rows = combine_tile_layers(spec, ptr=pointer_ds, tgt=streams_link_ds)
+    return _run_terminal_resolution(rows, spec, num_workers, "watershed", out_dir)
 
 
 def strahler_order_basins(pointer_ds, streams_link_ds, link_order: dict, spec,

@@ -55,60 +55,30 @@ multi-direction drain (``flow2``), the exact EDT/allocation
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs
 from . import band_math
+from .bsp import ShardBase, combine_tile_layers, run_bsp
 from .focal import DX8, DY8, _shifted, focal_op, f32_tiles
 
 
-def _term_acc_ds(pointer_ds, spec, num_workers: int = 4, out_dir: str | None = None,
-                 mode: str = "acc", tgt_ds=None):
-    import ray
-    import ray.data as rd
+def _term_acc_ds(pointer_ds, spec, num_workers: int = 4, mode: str = "acc", tgt_ds=None):
+    """Terminal resolution of a pointer Dataset (against ``tgt_ds``
+    targets when given), dumped in ``mode``."""
+    from .basins import _run_terminal_resolution
 
-    from .basins import _ptr_only_rows, _run_terminal_resolution
-    from .bsp import combine_tile_layers
-
-    if tgt_ds is None:
-        rows = _ptr_only_rows(pointer_ds, spec)
-    else:
-        combined = combine_tile_layers(spec, ptrl=pointer_ds, tgtl=tgt_ds)
-
-        def adapt(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "tile_row": batch["tile_row"],
-                    "tile_col": batch["tile_col"],
-                    "ptr": batch["ptrl"],
-                    "ptr_fmt": batch["ptrl_fmt"],
-                    "tgt": batch["tgtl"],
-                    "tgt_fmt": batch["tgtl_fmt"],
-                }
-            )
-
-        rows = combined.map_batches(adapt, batch_format="pyarrow")
-    out_dir = out_dir or tempfile.mkdtemp(prefix="termacc_", dir="/tmp")
-    os.makedirs(out_dir, exist_ok=True)
-    workers = _run_terminal_resolution(rows, spec, num_workers)
-    ray.get([
-        w.dump_mode.remote(os.path.join(out_dir, f"shard_{i}.parquet"), mode)
-        for i, w in enumerate(workers)
-    ])
-    return rd.read_parquet(out_dir), workers
+    rows = pointer_ds if tgt_ds is None else combine_tile_layers(spec, ptr=pointer_ds, tgt=tgt_ds)
+    return _run_terminal_resolution(rows, spec, num_workers, mode)
 
 
 def downslope_flowpath_length(dem_ds, spec, num_workers: int = 4):
     from .flow import d8_pointer_masked
 
     ptr = d8_pointer_masked(dem_ds, spec)
-    ds, _w = _term_acc_ds(ptr, spec, num_workers)
-    return ds
+    return _term_acc_ds(ptr, spec, num_workers)
 
 
 def average_flowpath_slope(dem_ds, spec, num_workers: int = 4):
@@ -149,11 +119,10 @@ def longest_flowpath(dem_ds, spec, num_workers: int = 4):
     """Per-basin longest flowpath length — zonal max of head-cell L over
     the basin label (tiny table: one row per basin)."""
     from .basins import basins_ds
-    from .bsp import combine_tile_layers
     from .flow import d8_pointer_masked, pointer_with_indegree
 
     ptr = d8_pointer_masked(dem_ds, spec)
-    length, _ = _term_acc_ds(ptr, spec, num_workers)
+    length = _term_acc_ds(ptr, spec, num_workers)
     labels = basins_ds(ptr, spec, num_workers)
     ind = pointer_with_indegree(ptr, spec)
 
@@ -230,7 +199,6 @@ def burn_streams_at_roads(dem_ds, streams_ds, roads_ds, spec, depth: float = 10.
 
 def flatten_lakes(dem_ds, lakes_ds, spec):
     """Per-lake min z (tiny zonal) painted onto lake cells."""
-    from .bsp import combine_tile_layers
 
     combined = combine_tile_layers(spec, dem=dem_ds, lake=lakes_ds)
 
@@ -392,11 +360,9 @@ def hillslopes(pointer_ds, streams_link_ds, spec, num_workers: int = 4):
     (the reference uses the entry direction at the stream cell;
     hillslopes.rs)."""
     import ray
-    from .bsp import combine_tile_layers
 
     # terminal gid against the stream targets + the link-id watershed
-    gid_ds, workers = _term_acc_ds(pointer_ds, spec, num_workers, mode="term_gid",
-                                   tgt_ds=streams_link_ds)
+    gid_ds = _term_acc_ds(pointer_ds, spec, num_workers, mode="term_gid", tgt_ds=streams_link_ds)
     from .flow2 import subbasins as subbasins_op
 
     sub = subbasins_op(pointer_ds, streams_link_ds, spec, num_workers)
@@ -457,7 +423,6 @@ def hillslopes(pointer_ds, streams_link_ds, spec, num_workers: int = 4):
             outs.append(out)
         return f32_tiles(batch, outs)
 
-    _ = workers
     return zip3.map_batches(classify, batch_format="pyarrow")
 
 
@@ -513,11 +478,10 @@ def stream_slope_continuous(dem_ds, streams_ds, spec):
 
 def long_profile(dem_ds, streams_link_ds, spec, num_workers: int = 4):
     """Per-link (distance-to-terminal, z) rows for stream cells."""
-    from .bsp import combine_tile_layers
     from .flow import d8_pointer_masked
 
     ptr = d8_pointer_masked(dem_ds, spec)
-    acc_ds, _ = _term_acc_ds(ptr, spec, num_workers)
+    acc_ds = _term_acc_ds(ptr, spec, num_workers)
     zipd = combine_tile_layers(spec, dem=dem_ds, lnk=streams_link_ds, dist=acc_ds)
 
     def rows(batch: pa.Table) -> pa.Table:
@@ -623,7 +587,6 @@ def slope_vs_elevation_plot(dem_ds, spec, z_bins: int = 32, s_bins: int = 32):
 def elev_relative_to_watershed_min_max(dem_ds, spec, num_workers: int = 4):
     """(z − basin min)/(basin max − basin min); basin table is tiny."""
     from .basins import basins_ds
-    from .bsp import combine_tile_layers
     from .flow import d8_pointer_masked
     import ray
 
@@ -721,8 +684,6 @@ def fill_missing_data(dem_ds, spec, smooth_iters: int = 2):
     alloc = euclidean_allocation_ds(shifted, spec)
     # overlay_fn propagates nodata from either side and holes carry
     # nodata in z — use a direct zip instead
-    from .bsp import combine_tile_layers
-
     zipd = combine_tile_layers(spec, dem=dem_ds, al=alloc)
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -763,20 +724,16 @@ def _shift_valid(batch: pa.Table, spec) -> pa.Table:
     return f32_tiles(batch, outs)
 
 
-class _WalkShard:
+class _WalkShard(ShardBase):
     """BSP cursor walk: per-cell downstream walks that stop at a
-    cell-specific condition (z ≤ z0 − drop). Cursors crossing shard
-    boundaries travel as messages; finished walks route a result message
-    back to the origin's owner. Used by DownslopeIndex."""
+    cell-specific condition (z ≤ z0 − drop). Messages lead with the tile
+    they are bound for: a cursor (tid, r, c, dist, otid, orow, ocol, z0)
+    continues its walk in tile ``tid``; a result (otid, orow, ocol,
+    angle) lands at the walk's origin cell. Used by DownslopeIndex."""
 
     def __init__(self, tile_px: int, tiles_x: int, tiles_y: int, nodata: float,
                  res: float, drop: float):
-        from .bsp import ShardBase
-
-        self._base = ShardBase(tile_px, tiles_x, tiles_y)
-        self.tpx = tile_px
-        self.tiles_x = tiles_x
-        self.tiles_y = tiles_y
+        super().__init__(tile_px, tiles_x, tiles_y)
         self.nodata = nodata
         self.res = res
         self.drop = drop
@@ -784,33 +741,20 @@ class _WalkShard:
         self.z: dict[int, np.ndarray] = {}
         self.result: dict[int, np.ndarray] = {}
 
-    def ingest(self, split_ds) -> list[int]:
-        t = self.tpx
-        owned = []
-        for batch in split_ds.iter_batches(batch_format="pyarrow", batch_size=64):
-            for i in range(batch.num_rows):
-                tid = (int(batch["tile_row"][i].as_py()) * self.tiles_x
-                       + int(batch["tile_col"][i].as_py()))
-                self.ptr[tid] = codecs.decode_tile(batch["ptr"][i].as_py(),
-                                                   batch["ptr_fmt"][i].as_py() or "i8").astype(np.int8)
-                self.z[tid] = codecs.decode_tile(batch["dem"][i].as_py(),
-                                                 batch["dem_fmt"][i].as_py())
-                self.result[tid] = np.full((t, t), self.nodata)
-                owned.append(tid)
-        return owned
+    def load_tile(self, tid: int, batch, i: int):
+        self.ptr[tid] = self.decode(batch, "ptr", i, "i8").astype(np.int8)
+        self.z[tid] = self.decode(batch, "dem", i)
+        self.result[tid] = np.full((self.tpx, self.tpx), self.nodata)
 
     def _walk(self, cursors):
-        """cursors: [(otid, orow, ocol, z0, tid, r, c, dist)] — returns
-        (out_msgs, results) where out_msgs continue elsewhere and results
-        are (otid, orow, ocol, angle)."""
+        """Walk each cursor as far as this shard's tiles reach; returns
+        the messages for other shards (cursors continuing in their tiles,
+        results for their origin cells). A walk entering an in-scene tile
+        that no shard owns raises."""
         t = self.tpx
-        out, results = [], []
-        for otid, orow, ocol, z0, tid, r, c, dist in cursors:
+        out = []
+        for tid, r, c, dist, otid, orow, ocol, z0 in cursors:
             while True:
-                p = self.ptr.get(tid)
-                if p is None:
-                    out.append((otid, orow, ocol, z0, tid, r, c, dist))
-                    break
                 # arrival check FIRST (dist>0 ⇒ we stepped to get here) —
                 # at the loop top so it also covers cursors handed off
                 # from another shard, whose landing cell would otherwise
@@ -818,55 +762,52 @@ class _WalkShard:
                 # tile-boundary cells read the next cell's angle)
                 zt = self.z[tid][r, c]
                 if dist > 0 and zt != self.nodata and zt <= z0 - self.drop:
-                    results.append((otid, orow, ocol,
-                                    np.degrees(np.arctan2(self.drop, dist))))
+                    ang = np.degrees(np.arctan2(self.drop, dist))
                     break
-                d = int(p[r, c])
+                d = int(self.ptr[tid][r, c])
                 if d < 0:  # pit / edge terminal: use slope so far
                     ang = np.degrees(np.arctan2(max(z0 - zt, 0.0), max(dist, self.res)))
-                    results.append((otid, orow, ocol, ang))
                     break
                 step = self.res * (np.sqrt(2.0) if DY8[d] and DX8[d] else 1.0)
                 nr, nc = r + int(DY8[d]), c + int(DX8[d])
                 dist += step
-                if not (0 <= nr < t and 0 <= nc < t):
-                    tr, tc = tid // self.tiles_x, tid % self.tiles_x
-                    gr, gc = tr * t + nr, tc * t + nc
-                    if 0 <= gr < self.tiles_y * t and 0 <= gc < self.tiles_x * t:
-                        ntid = (gr // t) * self.tiles_x + (gc // t)
-                        tid, r, c = ntid, gr % t, gc % t
-                        if tid not in self.ptr:
-                            out.append((otid, orow, ocol, z0, tid, r, c, dist))
-                            break
-                        # fall through: loop top re-checks arrival
-                    else:
-                        ang = np.degrees(np.arctan2(self.drop, max(dist, self.res)))
-                        results.append((otid, orow, ocol, ang))
-                        break
-                else:
+                if 0 <= nr < t and 0 <= nc < t:
                     r, c = nr, nc
-        return out, results
+                    continue
+                nxt = self.seam_step(tid, r, c, d)
+                if nxt is None:  # steps off the scene
+                    ang = np.degrees(np.arctan2(self.drop, max(dist, self.res)))
+                    break
+                tid, r, c = nxt
+                if tid not in self.ptr:
+                    if tid not in self._shard_of:
+                        raise KeyError(f"downslope walk from tile {otid} enters tile {tid}, which no shard owns")
+                    out.append((tid, r, c, dist, otid, orow, ocol, z0))
+                    ang = None
+                    break
+            if ang is None:
+                continue
+            if otid in self.result:
+                self.result[otid][orow, ocol] = ang
+            else:
+                out.append((otid, orow, ocol, ang))
+        return out
 
     def start(self):
         cursors = []
         for tid, zg in self.z.items():
             rr, cc = np.nonzero((zg != self.nodata) & (self.ptr[tid] >= -1))
             for r, c in zip(rr, cc):
-                cursors.append((tid, int(r), int(c), float(zg[r, c]), tid, int(r), int(c), 0.0))
+                cursors.append((tid, int(r), int(c), 0.0, tid, int(r), int(c), float(zg[r, c])))
         return self._walk(cursors)
 
-    def push(self, cursors):
-        return self._walk(list(cursors))
-
-    def store(self, results):
-        for otid, r, c, ang in results:
-            if otid in self.result:
-                self.result[otid][r, c] = ang
+    def push(self, msgs):
+        for otid, r, c, ang in (m for m in msgs if len(m) == 4):
+            self.result[otid][r, c] = ang
+        return self._walk([m for m in msgs if len(m) == 8])
 
     def dump(self, path: str):
-        from .bsp import ShardBase
-
-        ShardBase._dump_tiles(self._base, path, self.result, "f32")
+        self._dump_tiles(path, self.result, "f32")
 
 
 def downslope_index(dem_ds, spec, drop: float = 2.0, num_workers: int = 4,
@@ -874,52 +815,11 @@ def downslope_index(dem_ds, spec, drop: float = 2.0, num_workers: int = 4,
     """DownslopeIndex (downslope_index.rs): angle = atan(drop / L) where
     L is the flowpath distance to the first cell ≥ ``drop`` below —
     BSP cursor walks with cross-shard continuation."""
-    import ray
-    import ray.data as rd
-
-    from .bsp import combine_tile_layers
     from .flow import d8_pointer_masked
 
-    ptr = d8_pointer_masked(dem_ds, spec)
-    combined = combine_tile_layers(spec, ptr=ptr, dem=dem_ds)
-    Worker = ray.remote(_WalkShard)
-    workers = [
-        Worker.remote(spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, spec.res, drop)
-        for _ in range(num_workers)
-    ]
-    splits = combined.split(num_workers, locality_hints=workers)
-    owned_lists = ray.get([w.ingest.remote(s) for w, s in zip(workers, splits)])
-    owner = {}
-    for wi, tids in enumerate(owned_lists):
-        for tid in tids:
-            owner[tid] = wi
-    pending = ray.get([w.start.remote() for w in workers])
-    cursors = []
-    for out, results in pending:
-        cursors.extend(out)
-        by_owner: dict[int, list] = {}
-        for res in results:
-            by_owner.setdefault(owner[res[0]], []).append(res)
-        ray.get([workers[wi].store.remote(rs) for wi, rs in by_owner.items()])
-    while cursors:
-        by_worker: dict[int, list] = {}
-        for cur in cursors:
-            by_worker.setdefault(owner[cur[4]], []).append(cur)
-        parts = ray.get([workers[wi].push.remote(cs) for wi, cs in by_worker.items()])
-        cursors = []
-        for out, results in parts:
-            cursors.extend(out)
-            by_owner = {}
-            for res in results:
-                by_owner.setdefault(owner[res[0]], []).append(res)
-            ray.get([workers[wi].store.remote(rs) for wi, rs in by_owner.items()])
-    import tempfile as _tf
-
-    out_dir = out_dir or _tf.mkdtemp(prefix="dsi_", dir="/tmp")
-    os.makedirs(out_dir, exist_ok=True)
-    ray.get([w.dump.remote(os.path.join(out_dir, f"shard_{i}.parquet"))
-             for i, w in enumerate(workers)])
-    return rd.read_parquet(out_dir)
+    combined = combine_tile_layers(spec, ptr=d8_pointer_masked(dem_ds, spec), dem=dem_ds)
+    args = (spec.tile_px, spec.tiles_x, spec.tiles_y, spec.nodata, spec.res, drop)
+    return run_bsp(combined, _WalkShard, args, num_workers, out_dir)
 
 
 def isobasins(dem_ds, spec, target_cells: int = 64, num_workers: int = 4):
@@ -998,7 +898,7 @@ def elevation_above_stream_ds(dem_ds, streams_ds, spec, num_workers: int = 4):
     from .flow import d8_pointer_masked
 
     ptr = d8_pointer_masked(dem_ds, spec)
-    gid_ds, _w = _term_acc_ds(ptr, spec, num_workers, mode="term_gid", tgt_ds=streams_ds)
+    gid_ds = _term_acc_ds(ptr, spec, num_workers, mode="term_gid", tgt_ds=streams_ds)
     W = spec.tiles_x * spec.tile_px
 
     def gids(batch: pa.Table) -> pa.Table:
@@ -1020,7 +920,6 @@ def elevation_above_stream_ds(dem_ds, streams_ds, spec, num_workers: int = 4):
             tr = int(batch["tile_row"][i].as_py())
             tc = int(batch["tile_col"][i].as_py())
             r0, c0 = tr * tpx, tc * tpx
-            lo = (r0 * W + c0)
             sel = wanted[(wanted // W >= r0) & (wanted // W < r0 + tpx)
                          & (wanted % W >= c0) & (wanted % W < c0 + tpx)]
             if not len(sel):
@@ -1029,7 +928,6 @@ def elevation_above_stream_ds(dem_ds, streams_ds, spec, num_workers: int = 4):
             for gg in sel:
                 hits_g.append(int(gg))
                 hits_z.append(float(g[gg // W - r0, gg % W - c0]))
-            _ = lo
         return pa.table({"gid": pa.array(hits_g, pa.int64()), "z": pa.array(hits_z, pa.float64())})
 
     pz = dem_ds.map_batches(probe, batch_format="pyarrow").to_pandas()

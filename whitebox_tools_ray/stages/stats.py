@@ -289,22 +289,16 @@ def reclass_equal_interval(ds, col: str, interval: float, start: float | None = 
                            out_col: str = "reclass"):
     """ReclassEqualInterval (reclass_equal_interval.rs): class value =
     lower edge of the interval bin containing the value."""
-    lo, hi = None, None
     if start is None:
-        from ray.data.aggregate import Max, Min
+        from ray.data.aggregate import Min
 
         def partial(batch):
             import pyarrow as _pa
 
             v = batch[col].to_numpy(zero_copy_only=False)
-            return _pa.table({"lo": [float(np.nanmin(v))], "hi": [float(np.nanmax(v))]})
+            return _pa.table({"lo": [float(np.nanmin(v))]})
 
-        agg = ds.map_batches(partial, batch_format="pyarrow").aggregate(
-            Min("lo", alias_name="lo"), Max("hi", alias_name="hi")
-        )
-        lo, hi = float(agg["lo"]), float(agg["hi"])
-        start = lo
-    _ = hi
+        start = float(ds.map_batches(partial, batch_format="pyarrow").aggregate(Min("lo", alias_name="lo"))["lo"])
 
     def remap(batch):
         import pyarrow as _pa

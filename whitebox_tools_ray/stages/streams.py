@@ -399,7 +399,7 @@ def distance_to_outlet_ds(stream_ds, pointer_ds, spec, num_workers: int = 4):
     from . import band_math
     from .hydro2 import _term_acc_ds
 
-    length, _w = _term_acc_ds(pointer_ds, spec, num_workers)
+    length = _term_acc_ds(pointer_ds, spec, num_workers)
     nod = spec.nodata
 
     def mask(ln, st):
@@ -459,7 +459,7 @@ def farthest_channel_head_ds(stream_ds, pointer_ds, spec, num_workers: int = 4):
     from . import band_math
     from .hydro2 import _term_acc_ds
 
-    length, _w = _term_acc_ds(pointer_ds, spec, num_workers)
+    length = _term_acc_ds(pointer_ds, spec, num_workers)
     painted, links = stream_links_ds(stream_ds, pointer_ds, spec)
 
     W = spec.tiles_x * spec.tile_px
@@ -718,7 +718,7 @@ def raster_streams_to_vector_ds(stream_ds, pointer_ds, spec, num_workers: int = 
     from .joins import hash_join_bucketed
 
     painted, link_ds = links_table_ds(stream_ds, pointer_ds, spec)
-    length, _w = _term_acc_ds(pointer_ds, spec, num_workers)
+    length = _term_acc_ds(pointer_ds, spec, num_workers)
     combined = combine_tile_layers(spec, lk=painted, ln=length)
     gs = spec.grid_spec()
     tpx, tiles_x = spec.tile_px, spec.tiles_x

@@ -433,27 +433,13 @@ def elev_above_pit(dem_ds, spec, num_workers: int = 4):
     with one broadcast-probe pass over the DEM (distinct terminals are
     few), then subtracted via the keyed tile zip."""
     import pyarrow as pa
-    import ray
 
     from ..kernels import codecs
     from . import band_math
-    from .basins import _ptr_only_rows, _run_terminal_resolution
+    from .basins import _run_terminal_resolution
     from .focal import d8_pointer
 
-    ptr_ds = d8_pointer(dem_ds, spec)
-    rows_ds = _ptr_only_rows(ptr_ds, spec)
-    workers = _run_terminal_resolution(rows_ds, spec, num_workers)
-    import os
-    import tempfile
-
-    out_dir = tempfile.mkdtemp(prefix="eap_")
-    ray.get([
-        w.dump_mode.remote(os.path.join(out_dir, f"shard_{i}.parquet"), "term_gid")
-        for i, w in enumerate(workers)
-    ])
-    import ray.data as rd
-
-    gid_ds = rd.read_parquet(out_dir)
+    gid_ds = _run_terminal_resolution(d8_pointer(dem_ds, spec), spec, num_workers, "term_gid")
 
     # distinct terminal gids (small: one per pit/outlet)
     def gids(batch: pa.Table) -> pa.Table:

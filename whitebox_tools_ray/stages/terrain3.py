@@ -128,8 +128,6 @@ def anisotropy_dev_kernel(radius: int):
         tpx = spec.tile_px
         halo = (pad.shape[0] - tpx) // 2
         z = _shifted(pad, halo, tpx, 0, 0)
-        valid = pad != nodata
-        v = np.where(valid, pad, 0.0)
         devs = []
         for axis in ("ns", "ew", "nesw", "nwse"):
             s1 = np.zeros_like(z)
@@ -158,7 +156,6 @@ def anisotropy_dev_kernel(radius: int):
             devs.append((z - mean) / sd)
         stack = np.stack(devs)
         out = stack.max(axis=0) - stack.min(axis=0)
-        _ = v
         return np.where(z != nodata, out, nodata)
 
     return kernel
