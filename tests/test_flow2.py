@@ -235,6 +235,23 @@ class TestPitFixes:
         mask[7, 7] = False
         np.testing.assert_allclose(got[mask], full[mask])
 
+    def test_breach_leaves_a_pit_free_plane_alone(self, ray_session):
+        spec = tsrc.SceneSpec(tiles_x=2, tiles_y=2, tile_px=8, seed=1)
+        _, xx = np.meshgrid(np.arange(16.0), np.arange(16.0), indexing="ij")
+        full = 100.0 - xx
+        got = assemble(flow2.breach_single_cell_pits(tiles_from_grid(full, spec), spec).to_pandas(), spec)
+        np.testing.assert_array_equal(got, full)
+
+    def test_breach_single_cell_pit_across_a_seam(self, ray_session):
+        spec = tsrc.SceneSpec(tiles_x=2, tiles_y=2, tile_px=8, seed=1)
+        full = np.full((16, 16), 50.0)
+        full[7, 7] = 10.0  # pit in tile (0, 0)
+        full[7, 9] = 5.0  # lower cell two steps east, in tile (0, 1)
+        got = assemble(flow2.breach_single_cell_pits(tiles_from_grid(full, spec), spec).to_pandas(), spec)
+        want = full.copy()
+        want[7, 8] = (10.0 + 5.0) / 2.0
+        np.testing.assert_array_equal(got, want)
+
 
 class TestPointers:
     def test_dinf_pointer_plane_east(self, ray_session):

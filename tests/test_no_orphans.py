@@ -148,3 +148,25 @@ def test_no_keep_alive_assignments():
             ):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno} _ = {node.value.id}")
     assert not found, "keep-alive assignments:\n" + "\n".join(found)
+
+
+def test_one_halo_pass_and_one_layer_zip():
+    """The halo exchange's emit/assemble pair lives in ``stages/focal.py``
+    only (every other pass calls ``focal.halo_map``), and the zip's
+    store actor in ``stages/bsp.py`` only."""
+    owners = {
+        "_emit_tile_and_margins": "focal.py",
+        "_assemble_padded": "focal.py",
+        "_MarginStore": "bsp.py",
+    }
+    found = []
+    for path in _non_test_sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for name, owner in owners.items():
+            if name in names and path.relative_to(ROOT).as_posix() != f"{PACKAGE}/stages/{owner}":
+                found.append(f"{path.relative_to(ROOT)} {name}")
+    assert not found, "named outside their one home:\n" + "\n".join(sorted(found))

@@ -2,6 +2,7 @@
 literal whole-raster run of the reference algorithms."""
 
 import numpy as np
+import pyarrow.compute as pc
 import pytest
 
 import ray.data as rd
@@ -252,41 +253,113 @@ class TestVisibility:
 
 
 class TestCombineTileLayers:
-    """Store-actor zip must equal the exchange groupby zip — including
-    a tile missing from a secondary layer (b"" payload)."""
+    """The store zip against a Python dict zip, over 81 tiles in 6
+    blocks per layer, with one tile missing from the secondary layer."""
 
-    def test_store_matches_exchange(self, ray_session):
-        from whitebox_tools_ray.stages.bsp import combine_tile_layers
-
+    @staticmethod
+    def _layers():
         spec = tsrc.SceneSpec(tiles_x=9, tiles_y=9, tile_px=8, seed=3)
         base_t = tsrc.generate_tiles(spec, fmt_cycle=("f32",))
         other_t = tsrc.generate_tiles(
             tsrc.SceneSpec(tiles_x=9, tiles_y=9, tile_px=8, seed=4),
             fmt_cycle=("f32",),
-        )
+        ).filter(~((pc.field("tile_row") == 2) & (pc.field("tile_col") == 5)))
+        return spec, base_t, other_t
 
-        def run(mode):
-            base = rd.from_arrow(base_t).repartition(6)
-            # drop one tile from the secondary layer
-            other = rd.from_arrow(other_t).repartition(6).filter(
-                lambda r: not (r["tile_row"] == 2 and r["tile_col"] == 5)
-            )
-            out = combine_tile_layers(
-                spec, mode=mode, a=base, b=other
-            ).to_pandas()
-            return out.sort_values(["tile_row", "tile_col"]).reset_index(drop=True)
+    @staticmethod
+    def _by_tile(table, name):
+        return {
+            (r["tile_row"], r["tile_col"]): {name: r["bytes"], name + "_fmt": r["fmt"]}
+            for r in table.to_pylist()
+        }
 
-        ex = run("exchange")
-        st = run("store")
-        assert list(ex.columns) == list(st.columns)
-        assert len(ex) == len(st) == 81
-        for col in ("a", "b", "a_fmt", "b_fmt"):
-            assert all(
-                bytes(x) == bytes(y) if isinstance(x, (bytes, bytearray)) else x == y
-                for x, y in zip(ex[col], st[col])
-            ), col
-        miss = st[(st.tile_row == 2) & (st.tile_col == 5)]
-        assert bytes(miss["b"].iloc[0]) == b"" and miss["b_fmt"].iloc[0] == ""
+    @staticmethod
+    def _rows(out):
+        out = out.sort_values(["tile_row", "tile_col"]).reset_index(drop=True)
+        return {
+            (int(r.tile_row), int(r.tile_col)): {
+                k: bytes(v) if isinstance(v, (bytes, bytearray)) else v
+                for k, v in r._asdict().items()
+                if k not in ("Index", "tile_row", "tile_col")
+            }
+            for r in out.itertuples()
+        }
+
+    def test_zip_matches_dict_zip(self, ray_session):
+        from whitebox_tools_ray.stages.bsp import combine_tile_layers
+
+        spec, base_t, other_t = self._layers()
+        assert other_t.num_rows == 80
+        a, b = self._by_tile(base_t, "a"), self._by_tile(other_t, "b")
+        want = {k: {**v, **b.get(k, {"b": b"", "b_fmt": ""})} for k, v in a.items()}
+        out = combine_tile_layers(
+            spec,
+            a=rd.from_arrow(base_t).repartition(6),
+            b=rd.from_arrow(other_t).repartition(6),
+        ).to_pandas()
+        assert list(out.columns) == ["tile_row", "tile_col", "a", "a_fmt", "b", "b_fmt"]
+        assert len(out) == 81
+        got = self._rows(out)
+        assert got == want
+        assert got[(2, 5)]["b"] == b"" and got[(2, 5)]["b_fmt"] == ""
+
+    def test_one_layer_is_a_rename(self, ray_session):
+        from whitebox_tools_ray.stages.bsp import combine_tile_layers
+
+        spec, base_t, _ = self._layers()
+        out = combine_tile_layers(spec, a=rd.from_arrow(base_t).repartition(6)).to_pandas()
+        assert list(out.columns) == ["tile_row", "tile_col", "a", "a_fmt"]
+        assert self._rows(out) == self._by_tile(base_t, "a")
+
+    def test_store_actors_outlive_gc(self, ray_session):
+        """The pull closure holds the store handles: a chained map run
+        twice after a ``gc.collect()`` still finds every payload."""
+        import gc
+
+        from whitebox_tools_ray.stages.bsp import combine_tile_layers
+
+        spec, base_t, other_t = self._layers()
+        chained = combine_tile_layers(
+            spec,
+            a=rd.from_arrow(base_t).repartition(6),
+            b=rd.from_arrow(other_t).repartition(6),
+        ).map_batches(lambda t: t.select(["tile_row", "tile_col", "b"]), batch_format="pyarrow")
+        gc.collect()
+        b = self._by_tile(other_t, "b")
+        want = {k: {"b": b.get(k, {"b": b""})["b"]} for k in self._by_tile(base_t, "a")}
+        for _ in range(2):
+            assert self._rows(chained.to_pandas()) == want
+
+    def test_outputs_carry_no_schema_metadata(self, ray_session):
+        """Ray's ``unify_schemas`` hashes block schemas; a schema with
+        metadata (a dict) cannot be hashed, so zip and halo outputs
+        carry none, whether the per-tile function returns pandas or
+        Arrow."""
+        import pandas as pd
+        import pyarrow as pa
+        import ray
+
+        from whitebox_tools_ray.stages.bsp import combine_tile_layers
+        from whitebox_tools_ray.stages.focal import halo_map
+
+        spec, base_t, other_t = self._layers()
+        src = rd.from_arrow(base_t).repartition(6)
+
+        def as_pandas(tr, tc, pad):
+            return pd.DataFrame({"tile_row": [tr], "tile_col": [tc], "s": [float(pad.sum())]})
+
+        def as_arrow(tr, tc, pad):
+            return pa.Table.from_pandas(as_pandas(tr, tc, pad))
+
+        outs = [
+            combine_tile_layers(spec, a=src, b=rd.from_arrow(other_t).repartition(6)),
+            halo_map(src, spec, 1, as_pandas),
+            halo_map(src, spec, 2, as_arrow),
+        ]
+        for ds in outs:
+            blocks = ray.get(ds.to_arrow_refs())
+            assert sum(t.num_rows for t in blocks) == 81
+            assert all(t.schema.metadata is None for t in blocks)
 
 
 class TestHillshadeQuirk:

@@ -119,10 +119,11 @@ class TestVisibilityDatasetForms:
         assert np.array_equal(got, vis.horizon_angle(full, NOD, 90.0, 15.0))
 
 
-class TestFocalMarginStore:
-    def test_store_vs_exchange_bitexact(self, ray_session):
-        """The margin-store path (tile bodies stay put, only strips move)
-        must match the exchange path bit-for-bit, nodata holes included."""
+class TestFocalOp:
+    def test_matches_kernel_on_whole_scene(self, ray_session):
+        """Each tile of ``focal_op`` equals the same kernel run once on
+        the whole nodata-padded scene, nodata holes included, at halo 1
+        and 2 and with one input block or many."""
         import ray.data as rd
 
         from whitebox_tools_ray.kernels import codecs
@@ -130,6 +131,7 @@ class TestFocalMarginStore:
         from whitebox_tools_ray.stages import focal
 
         spec = SceneSpec(tiles_x=9, tiles_y=9, tile_px=8, nodata=NOD, res=90.0)
+        whole = SceneSpec(tiles_x=1, tiles_y=1, tile_px=72, nodata=NOD, res=90.0)
         rng = np.random.default_rng(21)
         full = rng.integers(0, 80, (72, 72)).astype(float)
         full[rng.random((72, 72)) < 0.04] = NOD
@@ -145,14 +147,16 @@ class TestFocalMarginStore:
             for tr in range(9)
             for tc in range(9)
         ]
-        for kern, halo in ((focal.slope_kernel, 1), (focal.hillshade_kernel, 1)):
-            a = focal.focal_op(rd.from_items(rows), spec, kern, halo,
-                               out_fmt="f64", mode="exchange").to_pandas()
-            b = focal.focal_op(rd.from_items(rows), spec, kern, halo,
-                               out_fmt="f64", mode="store").to_pandas()
-            a = a.sort_values(["tile_row", "tile_col"]).reset_index(drop=True)
-            b = b.sort_values(["tile_row", "tile_col"]).reset_index(drop=True)
-            assert (a["bytes"] == b["bytes"]).all()
+        for kern, halo in ((focal.slope_kernel, 1), (focal.make_window_kernel("max", 2), 2)):
+            want = kern(np.pad(full, halo, constant_values=NOD), NOD, whole)
+            for blocks in (1, 27):
+                got = focal.focal_op(
+                    rd.from_items(rows, override_num_blocks=blocks), spec, kern, halo, out_fmt="f64"
+                ).to_pandas()
+                assert len(got) == 81
+                for tr, tc, data in zip(got["tile_row"], got["tile_col"], got["bytes"]):
+                    tile = want[tr * 8 : (tr + 1) * 8, tc * 8 : (tc + 1) * 8]
+                    assert bytes(data) == codecs.encode_tile(tile, "f64"), (halo, blocks, tr, tc)
 
 
 class TestCoPartitionFallbacks:

@@ -270,134 +270,98 @@ class ShardBase:
         )
 
 
-def _combine_store(spec, names: list[str], layers: dict, n_stores: int):
-    """Shuffle-free zip: the FIRST layer's blocks stream through in
-    place; every other layer pushes (tkey, layer_idx, bytes, fmt) once
-    into a small pool of store actors (the focal ``_MarginStore`` —
-    its schema fits verbatim with ``rel`` = layer index), with a
-    ``materialize()`` barrier per secondary layer so every payload is
-    registered before any primary block pulls. Moves N-1 of N layers
-    exactly once and pays no union fan-in / groupby sort.
+class _MarginStore:
+    """Actor holding the secondary-layer payloads of a
+    ``combine_tile_layers`` zip for the tiles hashed to it. Puts are
+    idempotent ((tile, layer) overwrites), so a re-executed push stage
+    cannot register a payload twice."""
 
-    Assumes every output tile is present in the first layer — true for
-    all engine callers, where each layer is a per-tile map over the
-    same scene tiling. Tiles missing from a secondary layer yield
-    ``b""`` payloads, matching the exchange path."""
-    import ray
+    def __init__(self):
+        self._packs: dict[int, dict[int, tuple[bytes, str]]] = {}
 
-    from .focal import _MarginStore
+    def put(self, items: list[tuple[int, int, bytes, str]]) -> int:
+        for tkey, li, data, fmt in items:
+            self._packs.setdefault(tkey, {})[li] = (data, fmt)
+        return len(items)
 
-    tiles_x = spec.tiles_x
-    stores = [ray.remote(num_cpus=0)(_MarginStore).remote() for _ in range(n_stores)]
-
-    barriers = []
-    for li, name in enumerate(names[1:], start=1):
-        def push(batch: pa.Table, li=li) -> pa.Table:
-            tr = batch["tile_row"].to_numpy(zero_copy_only=False).astype(np.int64)
-            tc = batch["tile_col"].to_numpy(zero_copy_only=False).astype(np.int64)
-            tkeys = tr * tiles_x + tc
-            blobs = batch["bytes"].to_pylist()
-            fmts = batch["fmt"].to_pylist()
-            per_store: dict[int, list] = {}
-            for i in range(batch.num_rows):
-                k = int(tkeys[i])
-                per_store.setdefault(k % n_stores, []).append((k, li, blobs[i], fmts[i]))
-            ray.get([stores[si].put.remote(items) for si, items in per_store.items()])
-            return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
-
-        barriers.append(layers[name].map_batches(push, batch_format="pyarrow").materialize())
-
-    def pull(batch: pa.Table) -> pa.Table:
-        tr = batch["tile_row"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tc = batch["tile_col"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tkeys = tr * tiles_x + tc
-        per_store: dict[int, list[int]] = {}
-        for k in tkeys:
-            per_store.setdefault(int(k) % n_stores, []).append(int(k))
-        packs: dict[int, list] = {}
-        for res in ray.get([stores[si].get.remote(ks) for si, ks in per_store.items()]):
-            packs.update(res)
-        cols = {
-            "tile_row": pa.array(tr.astype(np.int32), pa.int32()),
-            "tile_col": pa.array(tc.astype(np.int32), pa.int32()),
-            names[0]: batch["bytes"],
-            names[0] + "_fmt": batch["fmt"],
-        }
-        for li, name in enumerate(names[1:], start=1):
-            data: list[bytes] = []
-            fmt: list[str] = []
-            for k in tkeys:
-                hit = next(
-                    ((d, f) for rel, d, f in packs.get(int(k), []) if rel == li), None
-                )
-                data.append(hit[0] if hit else b"")
-                fmt.append(hit[1] if hit else "")
-            cols[name] = pa.array(data, pa.binary())
-            cols[name + "_fmt"] = pa.array(fmt, pa.string())
-        return pa.table(cols)
-
-    out = layers[names[0]].map_batches(pull, batch_format="pyarrow")
-    # keep the actors alive for as long as the (lazy) result can execute
-    out._combine_stores = (stores, barriers)
-    return out
+    def get(self, tkeys: list[int]) -> dict[int, dict[int, tuple[bytes, str]]]:
+        return {k: self._packs.get(k, {}) for k in tkeys}
 
 
-def combine_tile_layers(spec, mode: str = "auto", **layers):
+def combine_tile_layers(spec, **layers):
     """Zip N tile Datasets on (tile_row, tile_col) into one Dataset with
     a bytes column per layer name. Each input must be
     Dataset[tile_row, tile_col, bytes, fmt]; output rows carry
     ``<name>`` bytes columns (payloads keep their original fmt strings
-    in ``<name>_fmt``).
+    in ``<name>_fmt``), int32 tile keys and no schema metadata.
 
-    ``mode``: "exchange" unions all layers and zips through one
-    ``groupby(tkey)`` shuffle — simple, but the shuffle carries 100% of
-    every layer's payload and the union fan-in measurably anti-scales;
-    "store" streams the first layer in place and routes the others
-    through a store-actor pool (see ``_combine_store``) — the 100-TB
-    path. "auto" picks "store" for scenes of ≥ 64 tiles."""
-    import pandas as pd
+    The FIRST layer's blocks stream through in place. Every other layer
+    pushes (tile, layer index, bytes, fmt) once into a small pool of
+    store actors, with a ``materialize()`` barrier per secondary layer,
+    so every payload is registered before any first-layer block pulls.
+    This moves N−1 of N layers exactly once and pays no union fan-in or
+    groupby sort. It is the only zip: measured with 2 f32 layers on 2
+    Ray CPUs of a 4-vCPU host, it was as fast as a union + ``groupby``
+    zip or faster at every size tried (16 tiles: 1.3–1.5 s against
+    1.9–2.6 s; 256 tiles in ~200 blocks: 6.0–7.5 s against 119–129 s;
+    1024 tiles in 64 blocks: 3.2–3.8 s against 21 s).
+
+    Precondition: every output tile is in the first layer — true for
+    all engine callers, where each layer is a per-tile map over the
+    same scene tiling. A tile missing from a secondary layer gets a
+    ``b""`` payload and a ``""`` fmt; a tile only in a secondary layer
+    is dropped. A one-layer call is a column rename and starts no
+    actor. The pull closure holds the store handles, so the actors live
+    as long as the returned Dataset can execute."""
+    import ray
 
     names = list(layers)
-    n_tiles = spec.tiles_x * spec.tiles_y
-    if len(names) >= 2 and (mode == "store" or (mode == "auto" and n_tiles >= 64)):
-        n_stores = max(1, min(64, n_tiles // 512 + 1))
-        return _combine_store(spec, names, layers, n_stores)
-    tagged = []
-    for name, ds in layers.items():
-        def tag(batch: pa.Table, name=name) -> pa.Table:
-            return pa.table(
-                {
-                    "tkey": pa.compute.add(
-                        pa.compute.multiply(
-                            batch["tile_row"].cast(pa.int64()), pa.scalar(spec.tiles_x, pa.int64())
-                        ),
-                        batch["tile_col"].cast(pa.int64()),
-                    ),
-                    "role": pa.array([name] * batch.num_rows, pa.string()),
-                    "data": batch["bytes"],
-                    "fmt": batch["fmt"],
-                }
-            )
+    tiles_x = spec.tiles_x
 
-        tagged.append(ds.map_batches(tag, batch_format="pyarrow"))
-    u = tagged[0]
-    for t in tagged[1:]:
-        u = u.union(t)
-
-    def merge(g: pd.DataFrame):
-        tkey = int(g["tkey"].iloc[0])
-        cols = {
-            "tile_row": pa.array([tkey // spec.tiles_x], pa.int32()),
-            "tile_col": pa.array([tkey % spec.tiles_x], pa.int32()),
+    def keyed(batch: pa.Table, name: str) -> dict:
+        return {
+            "tile_row": batch["tile_row"].cast(pa.int32()),
+            "tile_col": batch["tile_col"].cast(pa.int32()),
+            name: batch["bytes"],
+            name + "_fmt": batch["fmt"],
         }
-        for name in names:
-            sel = g[g["role"] == name]
-            cols[name] = pa.array(
-                [bytes(sel["data"].iloc[0]) if len(sel) else b""], pa.binary()
-            )
-            cols[name + "_fmt"] = pa.array(
-                [sel["fmt"].iloc[0] if len(sel) else ""], pa.string()
-            )
+
+    if len(names) == 1:
+        return layers[names[0]].map_batches(
+            lambda b: pa.table(keyed(b, names[0])), batch_format="pyarrow"
+        )
+
+    n_stores = max(1, min(64, spec.tiles_x * spec.tiles_y // 512 + 1))
+    stores = [ray.remote(num_cpus=0)(_MarginStore).remote() for _ in range(n_stores)]
+
+    def tile_keys(batch: pa.Table) -> list[int]:
+        tr = batch["tile_row"].to_numpy(zero_copy_only=False).astype(np.int64)
+        tc = batch["tile_col"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return (tr * tiles_x + tc).tolist()
+
+    for li, name in enumerate(names[1:], start=1):
+        def push(batch: pa.Table, li=li) -> pa.Table:
+            per_store: dict[int, list] = {}
+            for k, data, fmt in zip(tile_keys(batch), batch["bytes"].to_pylist(), batch["fmt"].to_pylist()):
+                per_store.setdefault(k % n_stores, []).append((k, li, data, fmt))
+            ray.get([stores[si].put.remote(items) for si, items in per_store.items()])
+            return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
+
+        layers[name].map_batches(push, batch_format="pyarrow").materialize()
+
+    def pull(batch: pa.Table) -> pa.Table:
+        tkeys = tile_keys(batch)
+        per_store: dict[int, list[int]] = {}
+        for k in tkeys:
+            per_store.setdefault(k % n_stores, []).append(k)
+        packs: dict[int, dict] = {}
+        for res in ray.get([stores[si].get.remote(ks) for si, ks in per_store.items()]):
+            packs.update(res)
+        cols = keyed(batch, names[0])
+        for li, name in enumerate(names[1:], start=1):
+            hits = [packs[k].get(li, (b"", "")) for k in tkeys]
+            cols[name] = pa.array([d for d, _ in hits], pa.binary())
+            cols[name + "_fmt"] = pa.array([f for _, f in hits], pa.string())
         return pa.table(cols)
 
-    return u.groupby("tkey").map_groups(merge, batch_format="pandas")
+    return layers[names[0]].map_batches(pull, batch_format="pyarrow")

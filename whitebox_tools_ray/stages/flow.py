@@ -35,7 +35,7 @@ import pyarrow as pa
 
 from ..kernels import codecs
 from .bsp import ShardBase, run_bsp
-from .focal import DX8, DY8, _shifted, focal_op
+from .focal import DX8, DY8, _shifted, focal_op, halo_map
 
 INFLOW_OF = np.array([4, 5, 6, 7, 0, 1, 2, 3], dtype=np.int8)  # d8_flow_accum.rs:355
 
@@ -92,21 +92,9 @@ def pointer_with_indegree(pointer_ds, spec):
     num_inflowing grid (d8_flow_accum.rs:343-397) — the distributed form
     of the reference's phase 2, replacing the old driver-side 9-decode
     loop."""
-    import pandas as pd
+    tpx = spec.tile_px
 
-    from .focal import _assemble_padded, _emit_tile_and_margins
-
-    tiles_x, tiles_y, tpx = spec.tiles_x, spec.tiles_y, spec.tile_px
-    nodata = spec.nodata
-
-    margins = pointer_ds.map_batches(
-        lambda b: _emit_tile_and_margins(b, 1, tiles_x, tiles_y),
-        batch_format="pyarrow",
-        batch_size=16,
-    )
-
-    def per_tile(g: pd.DataFrame) -> pd.DataFrame:
-        tkey, pad = _assemble_padded(g, 1, tpx, nodata)
+    def per_tile(tr: int, tc: int, pad: np.ndarray) -> pa.Table:
         d = pad[1:-1, 1:-1]
         count = np.zeros(d.shape, dtype=np.int8)
         for i in range(8):
@@ -115,14 +103,14 @@ def pointer_with_indegree(pointer_ds, spec):
         ind = np.where(d != -2.0, count, -1).astype(np.float64)
         return pa.table(
             {
-                "tile_row": pa.array([tkey // tiles_x], pa.int32()),
-                "tile_col": pa.array([tkey % tiles_x], pa.int32()),
+                "tile_row": pa.array([tr], pa.int32()),
+                "tile_col": pa.array([tc], pa.int32()),
                 "ptr": pa.array([codecs.encode_tile(d, "i8")], pa.binary()),
                 "ind": pa.array([codecs.encode_tile(ind, "i8")], pa.binary()),
             }
         )
 
-    return margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
+    return halo_map(pointer_ds, spec, 1, per_tile)
 
 
 class FlowShardDS(ShardBase):

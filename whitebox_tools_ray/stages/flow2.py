@@ -47,7 +47,7 @@ import pyarrow as pa
 
 from ..kernels import codecs
 from .bsp import ShardBase, combine_tile_layers, run_bsp
-from .focal import DX8, DY8, _emit_tile_and_margins, _assemble_padded, f32_tiles
+from .focal import DX8, DY8, f32_tiles, halo_map
 
 # D8 direction i: (DY8[i], DX8[i]); distance factor
 _DIAG = np.sqrt(2.0)
@@ -160,22 +160,13 @@ def fractions_and_indeg_rows(dem_ds, spec, method: str, exponent: float = 1.1,
     """Halo-2 pass → Dataset rows: tile_row, tile_col, frac (8ch f32
     bytes), ind (i8 bytes), valid (i8 bytes) + optional extra layers
     zipped in (loading/efficiency/absorption/seed grids)."""
-    tiles_x, tiles_y, tpx = spec.tiles_x, spec.tiles_y, spec.tile_px
+    tpx = spec.tile_px
     nodata = spec.nodata
-    halo = 2
 
-    margins = dem_ds.map_batches(
-        lambda b: _emit_tile_and_margins(b, halo, tiles_x, tiles_y),
-        batch_format="pyarrow",
-    )
-
-    def per_tile(g: pd.DataFrame) -> pd.DataFrame:
-        tkey, pad = _assemble_padded(g, halo, tpx, nodata)
-        trow, tcol = tkey // tiles_x, tkey % tiles_x
-        # fractions on the (tpx+2)² region (1-halo pad of the expanded grid)
-        sub = pad[halo - 2 : halo + tpx + 2, halo - 2 : halo + tpx + 2]
+    def per_tile(trow: int, tcol: int, pad: np.ndarray) -> pa.Table:
+        # fractions on the (tpx+2)² region (1-halo pad of the halo-2 grid)
         frac_ext = _fractions(
-            sub, nodata, spec, method, exponent,
+            pad, nodata, spec, method, exponent,
             tile_origin=(trow * tpx, tcol * tpx), seed=seed,
         )  # (8, tpx+2, tpx+2)
         frac = frac_ext[:, 1:-1, 1:-1]
@@ -186,7 +177,7 @@ def fractions_and_indeg_rows(dem_ds, spec, method: str, exponent: float = 1.1,
             opp = (i + 4) % 8
             nb_frac = frac_ext[opp, 1 + DY8[i] : 1 + DY8[i] + tpx, 1 + DX8[i] : 1 + DX8[i] + tpx]
             ind += (nb_frac > 0).astype(np.int8)
-        z = pad[halo : halo + tpx, halo : halo + tpx]
+        z = pad[2 : 2 + tpx, 2 : 2 + tpx]
         valid = (z != nodata).astype(np.int8)
         return pa.table(
             {
@@ -198,7 +189,7 @@ def fractions_and_indeg_rows(dem_ds, spec, method: str, exponent: float = 1.1,
             }
         )
 
-    return margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
+    return halo_map(dem_ds, spec, 2, per_tile)
 
 
 class MultiFlowShardDS(ShardBase):
@@ -520,9 +511,10 @@ def fill_single_cell_pits(dem_ds, spec):
 
 
 def breach_single_cell_pits(dem_ds, spec):
-    """BreachSingleCellPits (breach_single_cell_pits.rs): for a pit, if
-    some cell TWO steps away in a straight/diagonal line is lower, lower
-    the intermediate neighbour to the mean of pit and that cell."""
+    """BreachSingleCellPits (breach_single_cell_pits.rs): for a pit (a
+    cell whose 8 neighbours are all higher or nodata), if the cell TWO
+    steps away in a straight/diagonal line is lower, lower the
+    intermediate neighbour to the mean of pit and that cell."""
     from .focal import focal_op, _shifted
 
     def kernel(pad, nodata, spec_):
@@ -530,18 +522,18 @@ def breach_single_cell_pits(dem_ds, spec):
         halo = (pad.shape[0] - tpx) // 2
         z = _shifted(pad, halo, tpx, 0, 0)
         out = z.copy()
-        # a neighbour between a pit (2 cells away) and this cell: lower
-        # self if the 2-away pit exists and its far side is lower
+        # from the wall's view: neighbour i is the pit, and the opposite
+        # neighbour (two steps from the pit, through this cell) is lower
         for i in range(8):
-            two = _shifted(pad, halo, tpx, 2 * int(DY8[i]), 2 * int(DX8[i]))
-            pit_nb = _shifted(pad, halo, tpx, int(DY8[i]), int(DX8[i]))
-            # centre cell is the intermediate when the neighbour at i is a
-            # pit? The reference lowers the wall cell; from the wall's view:
-            # neighbour i is the pit, neighbour opposite-of-i (2 away from
-            # pit) is lower than the pit
-            is_pit_nb = (pit_nb != nodata) & (two != nodata)
-            cond = is_pit_nb & (two < pit_nb) & (z > pit_nb) & (z > two)
-            lower_to = (pit_nb + two) / 2.0
+            dy, dx = int(DY8[i]), int(DX8[i])
+            pit = _shifted(pad, halo, tpx, dy, dx)
+            low = _shifted(pad, halo, tpx, -dy, -dx)
+            is_pit = pit != nodata
+            for j in range(8):
+                nb = _shifted(pad, halo, tpx, dy + int(DY8[j]), dx + int(DX8[j]))
+                is_pit &= (nb > pit) | (nb == nodata)
+            cond = is_pit & (low != nodata) & (low < pit)
+            lower_to = (pit + low) / 2.0
             out = np.where(cond & (lower_to < out), lower_to, out)
         return np.where(z != nodata, out, nodata)
 

@@ -4,8 +4,9 @@ The reference's filter/terrain toolboxes (SURVEY.md §2.6/§2.10) are
 whole-raster row-striped scans with out-of-bounds reads returning the
 nodata sentinel. The engine form is the HALO EXCHANGE pattern:
 
-1. per tile (``map_batches``): decode once, emit (a) the tile itself and
-   (b) margin strips of width ``halo`` keyed to each of its 8 neighbors;
+1. per batch of 16 tiles (``map_batches``): decode once, emit (a) the
+   tile itself and (b) margin strips of width ``halo`` keyed to each of
+   its 8 neighbors;
 2. ``groupby(tile_key).map_groups``: assemble the padded array — tile in
    the middle, neighbor margins around it, missing neighbors = nodata
    (exactly the reference's out-of-bounds semantics,
@@ -16,7 +17,29 @@ nodata sentinel. The engine form is the HALO EXCHANGE pattern:
 One shuffle whose payload is margins + one tile copy — at 100 TB the
 margin fraction is 2*halo/tile_px (≈3% for halo 2 at 128²). Kernels are
 NumPy-vectorized over the whole padded array (shifted-view arithmetic,
-no per-pixel Python).
+no per-pixel Python). :func:`halo_map` is that exchange; ``focal_op``
+and every other halo pass (flow in-degree, multi-flow fractions, stream
+cells, raster-to-lines) call it.
+
+The exchange is the only path. A margin-store variant (tile bodies stay
+in their blocks, only the strips move through store actors) was
+measured against it with ``slope_kernel`` on 2 Ray CPUs of a 4-vCPU
+host, seconds, exchange → store:
+
+=============================  ==========================
+scene (input blocks)           halo 1 focal
+=============================  ==========================
+16 tiles of 16² (16)           0.24–0.35 → 1.07–1.66
+256 tiles of 128² (~200)       2.3–3.1 → 5.9–7.7
+256 tiles of 128² (8)          1.3–1.8 → 1.6–1.7
+1024 tiles of 64² (8)          2.3–2.4 → 2.2–2.6
+1024 tiles of 64² (64)         7.5 → 4.1–4.3
+=============================  ==========================
+
+The store pays 0.6–1.3 s of actor start-up per call, so it loses at
+gate scale and ties at 8 blocks; it wins only at many blocks, where the
+exchange's M×N sort-shuffle dominates. The block count, not the tile
+count, picks the winner, so a tile-count switch cannot choose well.
 
 Kernels provided (reference semantics, file:line in each):
 - slope / aspect / hillshade — terrain_analysis/slope.rs:256-292 Horn
@@ -108,8 +131,7 @@ def _assemble_padded(g: pd.DataFrame, halo: int, tile_px: int, nodata: float) ->
     """Rebuild the (tile_px + 2*halo)² padded grid from margin records."""
     pad = np.full((tile_px + 2 * halo, tile_px + 2 * halo), nodata, dtype=np.float64)
     tkey = int(g["tkey"].iloc[0])
-    fmts = g["pfmt"] if "pfmt" in g.columns else ["f32"] * len(g)
-    for rel, data, pfmt in zip(g["rel"], g["data"], fmts):
+    for rel, data, pfmt in zip(g["rel"], g["data"], g["pfmt"]):
         strip = codecs.decode_tile(bytes(data), pfmt)
         rr = int(rel) // 3 - 1  # -1, 0, 1 = strip sits above/at/below
         cc = int(rel) % 3 - 1
@@ -122,114 +144,33 @@ def _assemble_padded(g: pd.DataFrame, halo: int, tile_px: int, nodata: float) ->
     return tkey, pad
 
 
-class _MarginStore:
-    """Actor holding margin strips for a range of tiles (margin-only
-    shuffle path). Pushes are idempotent ((tkey, rel) overwrites), so a
-    re-executed push stage cannot double-register a strip."""
+def halo_map(tiles_ds, spec, halo: int, fn: Callable, fill: float | None = None):
+    """The halo exchange every focal pass runs on.
 
-    def __init__(self):
-        self._packs: dict[int, dict[int, tuple[bytes, str]]] = {}
+    Each tile's margins (and the tile itself) are emitted in batches of
+    16 tiles and grouped by tile key; per tile, ``fn(tile_row, tile_col,
+    pad)`` gets the (tile_px + 2·halo)² padded grid, with ``fill``
+    (default ``spec.nodata``) where the scene ends, and returns that
+    tile's output rows as an Arrow table or a DataFrame. Output blocks
+    are Arrow with no schema metadata: Ray's ``unify_schemas`` hashes
+    schemas, and a schema that carries metadata (a dict) cannot be
+    hashed."""
+    fill = spec.nodata if fill is None else fill
+    tpx, tiles_x, tiles_y = spec.tile_px, spec.tiles_x, spec.tiles_y
+    margins = tiles_ds.map_batches(
+        lambda b: _emit_tile_and_margins(b, halo, tiles_x, tiles_y),
+        batch_format="pyarrow",
+        batch_size=16,
+    )
 
-    def put(self, items: list[tuple[int, int, bytes, str]]) -> int:
-        for tkey, rel, data, fmt in items:
-            self._packs.setdefault(tkey, {})[rel] = (data, fmt)
-        return len(items)
+    def per_tile(g: pd.DataFrame) -> pa.Table:
+        tkey, pad = _assemble_padded(g, halo, tpx, fill)
+        out = fn(tkey // tiles_x, tkey % tiles_x, pad)
+        if isinstance(out, pd.DataFrame):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        return out.replace_schema_metadata(None)
 
-    def get(self, tkeys: list[int]) -> dict[int, list[tuple[int, bytes, str]]]:
-        return {
-            k: [(rel, d, f) for rel, (d, f) in self._packs.get(k, {}).items()]
-            for k in tkeys
-        }
-
-
-def _focal_op_store(tiles_ds, spec, kernel, halo, out_fmt, n_stores: int):
-    """Margin-only shuffle: tile bodies never leave their blocks. Margin
-    strips (2·halo/tile_px of the data, ~3% at 128²/halo 2) are pushed
-    to a small pool of store actors keyed by tile hash; a
-    ``materialize()`` between push and pull is the barrier that
-    guarantees every neighbour's strips are registered before any tile
-    computes. The pull stage assembles body + pulled strips and runs
-    the kernel — bit-identical to the exchange path."""
-    import ray
-
-    nodata = spec.nodata
-    tpx = spec.tile_px
-    tiles_x, tiles_y = spec.tiles_x, spec.tiles_y
-    stores = [
-        ray.remote(num_cpus=0)(_MarginStore).remote() for _ in range(n_stores)
-    ]
-
-    def push(batch: pa.Table) -> pa.Table:
-        trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-        tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        per_store: dict[int, list] = {}
-        for i in range(batch.num_rows):
-            tr, tc = int(trows[i]), int(tcols[i])
-            grid = codecs.decode_tile(blobs[i], fmts[i])
-            h, w = grid.shape
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    ntr, ntc = tr + dr, tc + dc
-                    if not (0 <= ntr < tiles_y and 0 <= ntc < tiles_x):
-                        continue
-                    rs = slice(h - halo, h) if dr == 1 else (slice(0, halo) if dr == -1 else slice(None))
-                    cs = slice(w - halo, w) if dc == 1 else (slice(0, halo) if dc == -1 else slice(None))
-                    strip = grid[rs, cs]
-                    tkey = ntr * tiles_x + ntc
-                    rel = (1 - dr) * 3 + (1 - dc)
-                    per_store.setdefault(tkey % n_stores, []).append(
-                        (tkey, rel, codecs.encode_tile(np.ascontiguousarray(strip), "f32"), "f32")
-                    )
-        ray.get([stores[si].put.remote(items) for si, items in per_store.items()])
-        return batch
-
-    def pull(batch: pa.Table) -> pa.Table:
-        trows = batch["tile_row"].to_numpy(zero_copy_only=False)
-        tcols = batch["tile_col"].to_numpy(zero_copy_only=False)
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        tkeys = [int(trows[i]) * tiles_x + int(tcols[i]) for i in range(batch.num_rows)]
-        per_store: dict[int, list[int]] = {}
-        for k in tkeys:
-            per_store.setdefault(k % n_stores, []).append(k)
-        packs: dict[int, list] = {}
-        for res in ray.get(
-            [stores[si].get.remote(ks) for si, ks in per_store.items()]
-        ):
-            packs.update(res)
-        out_tr, out_tc, out_b = [], [], []
-        for i in range(batch.num_rows):
-            pad = np.full((tpx + 2 * halo, tpx + 2 * halo), nodata, dtype=np.float64)
-            pad[halo : halo + tpx, halo : halo + tpx] = codecs.decode_tile(blobs[i], fmts[i])
-            for rel, data, pfmt in packs.get(tkeys[i], []):
-                strip = codecs.decode_tile(data, pfmt)
-                rr = rel // 3 - 1
-                cc = rel % 3 - 1
-                rs = slice(0, halo) if rr == -1 else (slice(halo + tpx, None) if rr == 1 else slice(halo, halo + tpx))
-                cs = slice(0, halo) if cc == -1 else (slice(halo + tpx, None) if cc == 1 else slice(halo, halo + tpx))
-                pad[rs, cs] = strip
-            out = kernel(pad, nodata, spec)
-            out_tr.append(int(trows[i]))
-            out_tc.append(int(tcols[i]))
-            out_b.append(codecs.encode_tile(out, out_fmt))
-        return pa.table(
-            {
-                "tile_row": pa.array(out_tr, pa.int32()),
-                "tile_col": pa.array(out_tc, pa.int32()),
-                "bytes": pa.array(out_b, pa.binary()),
-                "fmt": pa.array([out_fmt] * len(out_b), pa.string()),
-            }
-        )
-
-    pushed = tiles_ds.map_batches(push, batch_format="pyarrow").materialize()
-    out = pushed.map_batches(pull, batch_format="pyarrow")
-    # keep the actors alive for as long as the (lazy) result can execute
-    out._focal_margin_stores = stores
-    return out
+    return margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
 
 
 def focal_op(
@@ -238,43 +179,19 @@ def focal_op(
     kernel: Callable[[np.ndarray, float, "SceneSpecLike"], np.ndarray],
     halo: int,
     out_fmt: str = "f32",
-    mode: str = "auto",
 ):
     """Generic halo-exchange focal stage.
 
     ``kernel(padded, nodata, spec) -> (tile_px, tile_px) output`` runs on
     the padded array; out-of-scene area arrives as nodata.
     Returns Dataset[tile_row, tile_col, bytes, fmt].
-
-    ``mode``: "exchange" ships self + margins through one groupby
-    shuffle (simple, but the shuffle carries 100% of the tile payload);
-    "store" keeps tile bodies in their blocks and moves ONLY the margin
-    strips through a pool of store actors (see ``_focal_op_store``) —
-    the 100-TB path, where the exchange's full-data shuffle is the
-    dominant cost. "auto" picks "store" for scenes of ≥ 64 tiles.
     """
-    nodata = spec.nodata
-    tpx = spec.tile_px
-    tiles_x, tiles_y = spec.tiles_x, spec.tiles_y
 
-    if mode == "store" or (mode == "auto" and tiles_x * tiles_y >= 64):
-        n_stores = max(1, min(64, (tiles_x * tiles_y) // 512 + 1))
-        return _focal_op_store(tiles_ds, spec, kernel, halo, out_fmt, n_stores)
+    def per_tile(tr: int, tc: int, pad: np.ndarray) -> pa.Table:
+        out = kernel(pad, spec.nodata, spec)
+        return codecs.tile_row_table(tr, tc, codecs.encode_tile(out, out_fmt), out_fmt)
 
-    margins = tiles_ds.map_batches(
-        lambda b: _emit_tile_and_margins(b, halo, tiles_x, tiles_y),
-        batch_format="pyarrow",
-        batch_size=16,
-    )
-
-    def per_tile(g: pd.DataFrame) -> pd.DataFrame:
-        tkey, pad = _assemble_padded(g, halo, tpx, nodata)
-        out = kernel(pad, nodata, spec)
-        return codecs.tile_row_table(
-            tkey // tiles_x, tkey % tiles_x, codecs.encode_tile(out, out_fmt), out_fmt
-        )
-
-    return margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
+    return halo_map(tiles_ds, spec, halo, per_tile)
 
 
 def _shifted(pad: np.ndarray, halo: int, tpx: int, dy: int, dx: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Raster patch / class metrics — the gis_analysis patch-shape family.
 
 Patch rasters hold one class id per cell (e.g. ``Clump`` output). All
-tools here follow the same scale shape: a single halo (or plain) pass
-emits tiny per-tile per-class PARTIAL rows; a driver-side combine over
+tools here follow the same scale shape: a single per-tile (or focal)
+pass emits tiny per-tile per-class PARTIAL rows; a driver-side combine over
 the (small) class table finishes the statistic; when the output is a
 raster, one more broadcast-map pass paints per-class values back onto
 the tiles.
@@ -35,37 +35,24 @@ import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs, geometry
-from .focal import _assemble_padded, _emit_tile_and_margins, f32_tiles
+from .focal import f32_tiles
 
 
-def _class_pass(tiles_ds, spec, per_tile_fn, halo: int = 0):
-    """Run ``per_tile_fn(tile_row, tile_col, grid_or_pad) -> DataFrame``
-    over every tile (with halo margins when halo > 0) and return the
-    concatenated Dataset of partial rows."""
-    if halo == 0:
+def _class_pass(tiles_ds, per_tile_fn):
+    """Run ``per_tile_fn(tile_row, tile_col, grid) -> DataFrame`` over
+    every tile and return the concatenated Dataset of partial rows."""
 
-        def batch_fn(batch: pa.Table) -> pa.Table:
-            frames = []
-            for i in range(batch.num_rows):
-                g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
-                frames.append(
-                    per_tile_fn(int(batch["tile_row"][i].as_py()), int(batch["tile_col"][i].as_py()), g)
-                )
-            out = pd.concat(frames, ignore_index=True) if frames else per_tile_fn(0, 0, None)
-            return pa.Table.from_pandas(out, preserve_index=False)
+    def batch_fn(batch: pa.Table) -> pa.Table:
+        frames = []
+        for i in range(batch.num_rows):
+            g = codecs.decode_tile(batch["bytes"][i].as_py(), batch["fmt"][i].as_py())
+            frames.append(
+                per_tile_fn(int(batch["tile_row"][i].as_py()), int(batch["tile_col"][i].as_py()), g)
+            )
+        out = pd.concat(frames, ignore_index=True) if frames else per_tile_fn(0, 0, None)
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-        return tiles_ds.map_batches(batch_fn, batch_format="pyarrow")
-
-    margins = tiles_ds.map_batches(
-        lambda b: _emit_tile_and_margins(b, halo, spec.tiles_x, spec.tiles_y),
-        batch_format="pyarrow",
-    )
-
-    def group_fn(g: pd.DataFrame) -> pd.DataFrame:
-        tkey, pad = _assemble_padded(g, halo, spec.tile_px, spec.nodata)
-        return per_tile_fn(tkey // spec.tiles_x, tkey % spec.tiles_x, pad)
-
-    return margins.groupby("tkey").map_groups(group_fn, batch_format="pandas")
+    return tiles_ds.map_batches(batch_fn, batch_format="pyarrow")
 
 
 def _paint(tiles_ds, spec, mapping: dict, default: float | None = None):
@@ -103,7 +90,7 @@ def class_counts(tiles_ds, spec):
         cls, cnt = np.unique(v, return_counts=True)
         return pd.DataFrame({"cls": cls, "n": cnt.astype(np.int64)})
 
-    parts = _class_pass(tiles_ds, spec, per_tile).to_pandas()
+    parts = _class_pass(tiles_ds, per_tile).to_pandas()
     return parts.groupby("cls")["n"].sum()
 
 
@@ -126,7 +113,7 @@ def _class_centroids(tiles_ds, spec):
         agg = df.groupby("cls").agg(n=("r", "size"), sr=("r", "sum"), sc=("c", "sum"))
         return agg.reset_index()
 
-    parts = _class_pass(tiles_ds, spec, per_tile).to_pandas()
+    parts = _class_pass(tiles_ds, per_tile).to_pandas()
     agg = parts.groupby("cls").agg(n=("n", "sum"), sr=("sr", "sum"), sc=("sc", "sum"))
     agg["cr"] = agg["sr"] / agg["n"]
     agg["cc"] = agg["sc"] / agg["n"]
@@ -172,7 +159,7 @@ def radius_of_gyration(tiles_ds, spec, round_to: int = 6):
             rows.append({"cls": cls, "n": len(grp), "sd": float(d.sum())})
         return pd.DataFrame(rows, columns=["cls", "n", "sd"])
 
-    parts = _class_pass(tiles_ds, spec, per_tile).to_pandas()
+    parts = _class_pass(tiles_ds, per_tile).to_pandas()
     a2 = parts.groupby("cls").agg(n=("n", "sum"), sd=("sd", "sum"))
     return pd.DataFrame(
         {
@@ -286,7 +273,7 @@ def shape_complexity_index_raster(tiles_ds, spec, round_to: int = 6):
             rows.append({"cls": cls, "n": len(grp), "hx": hx.tolist(), "hy": hy.tolist()})
         return pd.DataFrame(rows, columns=["cls", "n", "hx", "hy"])
 
-    parts = _class_pass(tiles_ds, spec, per_tile).to_pandas()
+    parts = _class_pass(tiles_ds, per_tile).to_pandas()
     out_cls, out_sci = [], []
     for cls, grp in parts.groupby("cls"):
         xs = np.concatenate([np.asarray(v, dtype=np.float64) for v in grp["hx"]])
@@ -332,7 +319,7 @@ def find_lowest_or_highest_points(tiles_ds, spec, out_type: str = "both"):
             )
         return pd.DataFrame(rows)
 
-    parts = _class_pass(tiles_ds, spec, per_tile).to_pandas()
+    parts = _class_pass(tiles_ds, per_tile).to_pandas()
     rows = []
     if out_type in ("both", "lowest"):
         lo = parts[parts["kind"] == "low"].sort_values(["z", "r", "c"]).iloc[0]

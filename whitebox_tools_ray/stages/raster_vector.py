@@ -9,7 +9,9 @@
 - ``vector_points_to_raster`` — data_tools/vector_points_to_raster.rs:
   point burn-in with collision policy first/last/min/max/sum; cell by the
   floor rule. Expressed as a groupby-aggregate on cell id (**SJ+GBA**).
-- ``raster_to_vector_lines``-style tracing is deferred (SURVEY.md §2.3).
+- ``raster_to_vector_lines`` — data_tools/raster_to_vector_lines.rs:
+  boundaries between differing cell values, one 1-cell halo pass, then
+  segments stitched into polylines by ``overlay.merge_line_segments``.
 """
 
 from __future__ import annotations
@@ -143,66 +145,47 @@ def vector_points_to_raster(
     return cells_ds.groupby("__cell").map_groups(reduce_group, batch_format="pandas")
 
 
-def raster_to_vector_lines(tiles_ds, scene_spec, concurrency=(1, 4)):
+def raster_to_vector_lines(tiles_ds, scene_spec):
     """RasterToVectorLines (data_tools/raster_to_vector_lines.rs): trace
     the cell-edge boundaries between differing categorical values into
     polylines.
 
-    Engine form: a 1-cell halo exchange (the focal margin machinery) so
-    each tile sees its neighbors' edge cells; every tile emits exactly
-    the boundary segments whose LEFT (vertical) / TOP (horizontal) cell
-    it owns — cross-tile boundaries included, no duplicates — then
-    chains stitch with merge_line_segments (endpoint-key GBA,
-    SURVEY §2.3)."""
-    import pandas as pd
-
-    from .focal import _assemble_padded, _emit_tile_and_margins
+    Engine form: a 1-cell halo exchange (``focal.halo_map``) so each
+    tile sees its neighbors' edge cells; every tile emits exactly the
+    boundary segments whose LEFT (vertical) / TOP (horizontal) cell it
+    owns — cross-tile boundaries included, no duplicates — then chains
+    stitch with merge_line_segments (endpoint-key GBA, SURVEY §2.3)."""
+    from .focal import halo_map
 
     gs = scene_spec.grid_spec()
     tpx = scene_spec.tile_px
     nodata = gs.nodata
-    tiles_x, tiles_y = scene_spec.tiles_x, scene_spec.tiles_y
+    tiles_x = scene_spec.tiles_x
 
-    margins = tiles_ds.map_batches(
-        lambda b: _emit_tile_and_margins(b, 1, tiles_x, tiles_y),
-        batch_format="pyarrow",
-        batch_size=16,
-    )
-
-    def per_tile(g: pd.DataFrame) -> pd.DataFrame:
-        tkey, pad = _assemble_padded(g, 1, tpx, nodata)
-        tr, tc = tkey // tiles_x, tkey % tiles_x
+    def per_tile(tr: int, tc: int, pad: np.ndarray) -> pa.Table:
         r0, c0 = tr * tpx, tc * tpx
         own = pad[1:-1, 1:-1]
         right = pad[1:-1, 2:]
         below = pad[2:, 1:-1]
-        out = {"ax": [], "ay": [], "bx": [], "by": []}
         # vertical edges owned by this tile: between own (r,c) and its
         # right neighbor (which may live in the next tile via the halo)
-        diff = (own != right) & (own != nodata) & (right != nodata)
-        rr, cc = np.nonzero(diff)
-        ex = gs.west + (c0 + cc + 1) * gs.res_x
-        out["ax"].extend(ex.tolist())
-        out["ay"].extend((gs.north - (r0 + rr) * gs.res_y).tolist())
-        out["bx"].extend(ex.tolist())
-        out["by"].extend((gs.north - (r0 + rr + 1) * gs.res_y).tolist())
+        vr, vc = np.nonzero((own != right) & (own != nodata) & (right != nodata))
+        ex = gs.west + (c0 + vc + 1) * gs.res_x
         # horizontal edges owned by this tile: own (r,c) vs cell below
-        diff = (own != below) & (own != nodata) & (below != nodata)
-        rr, cc = np.nonzero(diff)
-        ey = gs.north - (r0 + rr + 1) * gs.res_y
-        out["ax"].extend((gs.west + (c0 + cc) * gs.res_x).tolist())
-        out["ay"].extend(ey.tolist())
-        out["bx"].extend((gs.west + (c0 + cc + 1) * gs.res_x).tolist())
-        out["by"].extend(ey.tolist())
-        n = len(out["ax"])
-        return pd.DataFrame(
+        hr, hc = np.nonzero((own != below) & (own != nodata) & (below != nodata))
+        ey = gs.north - (r0 + hr + 1) * gs.res_y
+        ax = np.concatenate([ex, gs.west + (c0 + hc) * gs.res_x])
+        return pa.table(
             {
-                "ax": out["ax"], "ay": out["ay"], "bx": out["bx"], "by": out["by"],
-                "seg_key": [tkey * 10_000_000 + k for k in range(n)],
+                "ax": ax,
+                "ay": np.concatenate([gs.north - (r0 + vr) * gs.res_y, ey]),
+                "bx": np.concatenate([ex, gs.west + (c0 + hc + 1) * gs.res_x]),
+                "by": np.concatenate([gs.north - (r0 + vr + 1) * gs.res_y, ey]),
+                "seg_key": (tr * tiles_x + tc) * 10_000_000 + np.arange(len(ax), dtype=np.int64),
             }
         )
 
-    segs = margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
+    segs = halo_map(tiles_ds, scene_spec, 1, per_tile)
 
     def to_records(batch: pd.DataFrame) -> pd.DataFrame:
         recs = []

@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 
 from ..kernels import codecs
-from .focal import DX8, DY8, f32_tiles
+from .focal import DX8, DY8, f32_tiles, halo_map
 
 
 _SMALL_SCENE_CELL_CAP = 64_000_000  # ~512 MB of f64 — driver-side ceiling
@@ -779,16 +779,13 @@ def stream_cell_rows(stream_ds, pointer_ds, spec):
     inflow counts INFLOWING STREAM neighbours (needs each neighbour's
     pointer + stream flag — recovered from a 1-cell halo on both
     layers)."""
-    import pandas as pd
     import pyarrow as pa
 
     from .bsp import combine_tile_layers
-    from .focal import _assemble_padded, _emit_tile_and_margins
 
     tpx = spec.tile_px
-    tiles_x, tiles_y = spec.tiles_x, spec.tiles_y
-    W = tiles_x * tpx
-    H = tiles_y * tpx
+    W = spec.tiles_x * tpx
+    H = spec.tiles_y * tpx
     INFLOW_OF = np.array([4, 5, 6, 7, 0, 1, 2, 3], dtype=np.int8)
 
     combined = combine_tile_layers(spec, st=stream_ds, pt=pointer_ds)
@@ -804,21 +801,10 @@ def stream_cell_rows(stream_ds, pointer_ds, spec):
             outs.append(packed)
         return f32_tiles(batch, outs)
 
-    packed_ds = combined.map_batches(pack, batch_format="pyarrow")
-    margins = packed_ds.map_batches(
-        lambda b: _emit_tile_and_margins(b, 1, tiles_x, tiles_y), batch_format="pyarrow"
-    )
-
-    def per_tile(g: pd.DataFrame) -> pd.DataFrame:
-        tkey, pad = _assemble_padded(g, 1, tpx, 0.0)
-        trow, tcol = tkey // tiles_x, tkey % tiles_x
+    def per_tile(trow: int, tcol: int, pad: np.ndarray) -> pd.DataFrame:
         stream = pad >= 16.0
         ptr = np.round(pad % 16.0).astype(np.int8) - 2
         core_s = stream[1:-1, 1:-1]
-        if not core_s.any():
-            return pd.DataFrame(
-                {"gid": [], "ptr": [], "inflow": [], "down_gid": [], "down_is_stream": []}
-            )
         inflow = np.zeros((tpx, tpx), dtype=np.int8)
         for i in range(8):
             np_n = ptr[1 + DY8[i] : 1 + DY8[i] + tpx, 1 + DX8[i] : 1 + DX8[i] + tpx]
@@ -846,7 +832,8 @@ def stream_cell_rows(stream_ds, pointer_ds, spec):
             }
         )
 
-    return margins.groupby("tkey").map_groups(per_tile, batch_format="pandas")
+    packed_ds = combined.map_batches(pack, batch_format="pyarrow")
+    return halo_map(packed_ds, spec, 1, per_tile, fill=0.0)
 
 
 def stream_links_ds(stream_ds, pointer_ds, spec):
