@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitebox_tools_ray.kernels import codecs
-from whitebox_tools_ray.stages.assign import CHUNK_BYTES, DecodeVerifyReencode
+from whitebox_tools_ray.stages.assign import CHUNK_BYTES, MIN_PSNR_DB, DecodeVerifyReencode, q16_cleared
 
 SET = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -114,20 +114,37 @@ def png_filtered(img: np.ndarray, ftypes, level: int = -1, parts: int = 1, cut=N
     return codecs._PNG_SIG + codecs._chunk(b"IHDR", ihdr) + idat + codecs._chunk(b"IEND", b"")
 
 
-def oracle(batch: pa.Table, out_fmt) -> pa.Table:
-    """The stage's output, tile by tile through decode_tile/encode_tile."""
-    stats, blobs, fmts = [], [], []
-    for b, f in zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist()):
+def oracle(batch: pa.Table, out_fmt, strict: bool = True) -> tuple[pa.Table, dict]:
+    """The stage's output table and counts, tile by tile through
+    decode_tile/encode_tile/psnr: a tile whose re-encode decodes back
+    below 40 dB keeps its input (or raises the stage's error under
+    ``strict``)."""
+    stats, blobs, fmts, failed = [], [], [], 0
+    for i, (b, f) in enumerate(zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())):
         g = codecs.decode_tile(b, f)
         stats.append((g.min(), g.max(), g.mean()))
-        blobs.append(b if out_fmt is None else codecs.encode_tile(g, out_fmt))
-        fmts.append(f if out_fmt is None else out_fmt)
+        if out_fmt is None:
+            blobs.append(b)
+            fmts.append(f)
+            continue
+        enc = codecs.encode_tile(g, out_fmt)
+        db = codecs.psnr(g, codecs.decode_tile(enc, out_fmt))
+        if db >= 40.0:
+            blobs.append(enc)
+            fmts.append(out_fmt)
+            continue
+        if strict:
+            raise ValueError(f"row {i}: {f} tile re-encoded to {out_fmt} at {db:.1f} dB PSNR, below 40.0")
+        failed += 1
+        blobs.append(b)
+        fmts.append(f)
     cols = np.array(stats, dtype=np.float64).reshape(-1, 3).T
     t = (batch.append_column("px_min", pa.array(cols[0]))
          .append_column("px_max", pa.array(cols[1]))
          .append_column("px_mean", pa.array(cols[2])))
     t = t.set_column(t.schema.get_field_index("bytes"), "bytes", pa.array(blobs, pa.binary()))
-    return t.set_column(t.schema.get_field_index("fmt"), "fmt", pa.array(fmts, pa.string()))
+    t = t.set_column(t.schema.get_field_index("fmt"), "fmt", pa.array(fmts, pa.string()))
+    return t, {"undecodable": 0, "reencode_psnr_failed": failed}
 
 
 FAST = ["png", "f32", "q16", "f64", "i8"]
@@ -176,7 +193,7 @@ class TestDecodeVerifyReencode:
         batch, images = tb
         dec = DecodeVerifyReencode(out_fmt, strict=True)
         got = dec(batch)
-        assert got.equals(oracle(batch, out_fmt), check_metadata=True)
+        assert got.equals(oracle(batch, out_fmt)[0], check_metadata=True)
         assert dec.counts == {"undecodable": 0, "reencode_psnr_failed": 0}
         # filtered PNGs decode to the image they were written from
         blobs = batch["bytes"].to_pylist()
@@ -189,14 +206,14 @@ class TestDecodeVerifyReencode:
         grids = [rng.normal(size=(128, 128)).cumsum(axis=1) for _ in range(2 * per_chunk + 3)]
         batch = pa.table({"bytes": pa.array([codecs.encode_tile(g, "png") for g in grids], pa.binary()),
                           "fmt": ["png"] * len(grids)})
-        assert DecodeVerifyReencode("q16")(batch).equals(oracle(batch, "q16"))
+        assert DecodeVerifyReencode("q16")(batch).equals(oracle(batch, "q16")[0])
 
     def test_empty_batch(self):
         batch = pa.table({"bytes": pa.array([], pa.binary()), "fmt": pa.array([], pa.string())})
         for out_fmt in (None, "q16"):
             got = DecodeVerifyReencode(out_fmt)(batch)
             assert got.num_rows == 0
-            assert got.equals(oracle(batch, out_fmt))
+            assert got.equals(oracle(batch, out_fmt)[0])
 
     def test_nan_tile_fails_verify(self):
         g = np.arange(64.0).reshape(8, 8)
@@ -233,6 +250,153 @@ class TestDecodeVerifyReencode:
         assert out["bytes"][0].as_py() == blob and out["fmt"][0].as_py() == "jpeg"
         assert np.isnan(out["px_mean"][0].as_py())
 
+
+
+def exact_db(g: np.ndarray) -> float:
+    """PSNR of one tile's q16 re-encode decoded back, tile by tile."""
+    with np.errstate(all="ignore"):
+        return codecs.psnr(g, codecs.decode_tile(codecs.encode_tile(g, "q16"), "q16"))
+
+
+KINDS = ["scaled", "offset_edge", "near_2e400", "constant", "subnormal"]
+
+
+def adversarial_tile(kind: str, shape, rng, exponent: float, offset: float, holes) -> np.ndarray:
+    """One float64 tile that stresses the q16 bound: ``exponent`` sets
+    the range (10**exponent, or 2**(±400 + ...) near the range guard),
+    ``offset`` shifts it, ``holes`` are (value, flat index) overwrites."""
+    u = rng.random(shape)
+    if kind == "scaled":
+        g = offset + 10.0**exponent * u
+    elif kind == "offset_edge":  # offset of 10¹¹–10¹⁶ ranges: the bound's c₂ term decides
+        span = 10.0 ** (exponent % 40 - 20)
+        g = np.copysign(span * 10.0 ** (11 + exponent % 5), offset) + span * u
+    elif kind == "near_2e400":
+        g = offset + 2.0 ** (np.copysign(400.0, exponent) + exponent % 4 - 2) * u
+    elif kind == "constant":
+        g = np.full(shape, offset)
+    else:  # a few subnormal steps
+        g = np.round(u * 100 - 50) * 5e-324
+    for value, at in holes:
+        g.flat[at % g.size] = value
+    return g
+
+
+@st.composite
+def adversarial_blocks(draw):
+    """A (k, h, w) block of adversarial tiles: offsets up to ±1e300,
+    ranges from 1e-320 to 1e300, constant and subnormal tiles, NaN and
+    ±inf pixels, ranges near 2^±400."""
+    k, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tiles = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(KINDS))
+        exponent = draw(st.floats(-320.0, 300.0))
+        offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-320.0, 300.0))
+        holes = draw(st.lists(st.tuples(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 24)),
+                              max_size=2))
+        tiles.append(adversarial_tile(kind, (h, w), rng, exponent, offset, holes))
+    return np.stack(tiles)
+
+
+def stage_batch(tiles) -> pa.Table:
+    """A tile table of exact f64 payloads, so the stage decodes each
+    tile's pixels bit for bit."""
+    blobs = [codecs.encode_tile(g, "f64") for g in tiles]
+    return pa.table({"bytes": pa.array(blobs, pa.binary()), "fmt": ["f64"] * len(blobs)})
+
+
+class TestVerifyByBound:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(block=adversarial_blocks())
+    def test_cleared_tiles_pass_the_exact_check(self, block):
+        flat = block.reshape(len(block), -1)
+        cleared = q16_cleared(flat.min(axis=1), flat.max(axis=1))
+        for g in block[cleared]:
+            assert exact_db(g) >= MIN_PSNR_DB
+
+    def test_sweep_of_random_tiles(self):
+        """The same decision on 16,000 random 4×4 tiles, vectorized with
+        the stage's block forms (bit-equal to the per-tile codecs)."""
+        rng = np.random.default_rng(17)
+        k = 16_000
+        kinds = rng.integers(0, len(KINDS), k)
+        exps = rng.uniform(-320, 300, k)
+        offs = rng.choice([0.0, 1.0, -1.0], k) * 10.0 ** rng.uniform(-320, 300, k)
+        block = np.stack([adversarial_tile(KINDS[kinds[j]], (4, 4), rng, exps[j], offs[j],
+                                           [(np.nan, 3)] if j % 50 == 0 else []) for j in range(k)])
+        flat = block.reshape(k, -1)
+        lo, hi = flat.min(axis=1), flat.max(axis=1)
+        cleared = q16_cleared(lo, hi)
+        with np.errstate(all="ignore"):
+            enc = codecs.q16_encode_block(block.copy(), lo, hi)
+            back = codecs.decode_block(enc.reshape(-1), np.arange(k + 1) * enc.shape[1], "q16", (4, 4))
+            passed = codecs.psnr(block, back, hi - lo) >= MIN_PSNR_DB
+        assert not (cleared & ~passed).any()
+        # both sides of the decision are exercised
+        assert cleared.sum() > 3000 and (~cleared & passed).sum() > 300 and (~passed).sum() > 3000
+
+    @SET
+    @given(kinds=st.lists(st.sampled_from(["smooth", "png", "constant", "offset", "nan", "inf", "tiny",
+                                            "huge"]), min_size=1, max_size=12), strict=st.booleans())
+    def test_mixed_batch_matches_per_tile_oracle(self, kinds, strict):
+        """Tiles the bound clears and tiles only the exact check decides,
+        passing and failing, in one batch: output, counts and the strict
+        error are the per-tile oracle's."""
+        rng = np.random.default_rng(len(kinds))
+        blobs, fmts = [], []
+        for kind in kinds:
+            g = rng.normal(size=(8, 8)).cumsum(axis=1)
+            if kind == "constant":
+                g[:] = 7.25
+            elif kind == "offset":  # 5e13 ranges: beyond the bound, within 40 dB
+                g += 5e13 * np.ptp(g)
+            elif kind == "nan":
+                g[3, 4] = np.nan
+            elif kind == "inf":
+                g[0, 0] = -np.inf
+            elif kind == "tiny":  # ranges below and above the guard
+                g *= 1e-125
+            elif kind == "huge":  # psnr's squared error overflows: fails
+                g *= 1e300
+            blobs.append(codecs.encode_tile(g, "png" if kind == "png" else "f64"))
+            fmts.append("png" if kind == "png" else "f64")
+        batch = pa.table({"bytes": pa.array(blobs, pa.binary()), "fmt": fmts})
+        flat = np.stack([codecs.decode_tile(b, f) for b, f in zip(blobs, fmts)]).reshape(len(kinds), -1)
+        cleared = q16_cleared(flat.min(axis=1), flat.max(axis=1))
+        assert list(cleared) == [k in ("smooth", "png", "constant") for k in kinds]
+        dec = DecodeVerifyReencode("q16", strict)
+        try:
+            want, counts = oracle(batch, "q16", strict)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                dec(batch)
+            assert str(got.value) == str(e)
+            return
+        got = dec(batch)
+        stats = ["px_min", "px_max", "px_mean"]  # NaN for NaN tiles, which Table.equals tells apart
+        assert got.drop_columns(stats).equals(want.drop_columns(stats), check_metadata=True)
+        for c in stats:
+            np.testing.assert_array_equal(got[c].to_numpy(), want[c].to_numpy())
+        assert dec.counts == counts
+
+    def test_bound_clears_a_png_scene_without_the_exact_check(self, monkeypatch):
+        """Every tile of a smooth PNG scene is cleared by the bound, so
+        the stage never calls ``codecs.psnr`` on it."""
+        rng = np.random.default_rng(5)
+        grids = [rng.normal(size=(128, 128)).cumsum(axis=0) * 3.0 + 250.0 for _ in range(19)]
+        batch = pa.table({"bytes": pa.array([codecs.encode_tile(g, "png") for g in grids], pa.binary()),
+                          "fmt": ["png"] * len(grids)})
+        want, counts = oracle(batch, "q16")
+
+        def no_psnr(*args, **kwargs):
+            raise AssertionError("the exact check ran on a tile the bound clears")
+
+        monkeypatch.setattr(codecs, "psnr", no_psnr)
+        dec = DecodeVerifyReencode("q16", strict=True)
+        assert dec(batch).equals(want, check_metadata=True)
+        assert dec.counts == counts == {"undecodable": 0, "reencode_psnr_failed": 0}
 
 class TestUnfilter:
     @pytest.mark.parametrize("bpp", [1, 2, 3, 6])

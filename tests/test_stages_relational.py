@@ -50,6 +50,19 @@ class TestBucketedJoin:
         pd.testing.assert_frame_equal(out[sorted(out.columns)], expect[sorted(expect.columns)])
 
 
+    def test_outputs_carry_no_schema_metadata(self, ray_session):
+        """Ray's ``unify_schemas`` hashes block schemas; the ``pandas``
+        metadata dict of a block built by ``pa.Table.from_pandas`` cannot
+        be hashed, so the merged buckets carry no metadata."""
+        import ray
+
+        left = pa.table({"k": np.arange(40) % 7, "lv": np.arange(40.0)})
+        right = pa.table({"k": np.arange(7), "rv": [f"r{i}" for i in range(7)]})
+        out = hash_join_bucketed(rd.from_arrow(left), rd.from_arrow(right), key="k", num_buckets=4)
+        blocks = ray.get(out.to_arrow_refs())
+        assert sum(t.num_rows for t in blocks) == 40
+        assert all(t.schema.metadata is None for t in blocks)
+
 class TestMathOps:
     def test_vectorized_ops(self, ray_session):
         v = np.linspace(0.5, 10.0, 100)

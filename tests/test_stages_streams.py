@@ -184,6 +184,40 @@ class TestFillDepressions:
         assert out[3, 4] == nod
 
 
+    def test_depth_in_sink_and_sink_ds(self, ray_session):
+        """DepthInSink over a plane with one pit on a tile seam equals
+        ``filled - dem`` from a NumPy fixed-point fill, and Sink labels
+        that pit as the one depression."""
+        from whitebox_tools_ray.stages.fill import depth_in_sink_ds, sink_ds
+
+        spec = SceneSpec(tiles_x=2, tiles_y=2, tile_px=8)
+        rr, cc = np.mgrid[0:16, 0:16]
+        dem = (rr + cc).astype(np.float64)
+        dem[7, 8] = 2.0  # its lowest neighbour is 13
+        # F = max(z, min over 8 neighbours of F), F = z on the scene edge,
+        # iterated down from +inf
+        filled = np.full(dem.shape, np.inf)
+        edge = np.zeros(dem.shape, bool)
+        edge[[0, -1], :] = edge[:, [0, -1]] = True
+        while True:
+            pad = np.pad(filled, 1, constant_values=np.inf)
+            low = np.min([pad[1 + dy : 17 + dy, 1 + dx : 17 + dx] for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+                          if dy or dx], axis=0)
+            nxt = np.where(edge, dem, np.maximum(dem, low))
+            if np.array_equal(nxt, filled):
+                break
+            filled = nxt
+        assert filled[7, 8] == 13.0 and (filled - dem).sum() == 11.0
+        want = np.where(filled - dem > 1e-9, filled - dem, spec.nodata)
+        got = _assemble_full(depth_in_sink_ds(_tiles_ds_from_full(dem, spec), spec, num_workers=2), spec)
+        np.testing.assert_array_equal(got, want)
+
+        labels, n = sink_ds(_tiles_ds_from_full(dem, spec), spec, num_workers=2)
+        assert n == 1
+        lab = _assemble_full(labels, spec)
+        assert lab[7, 8] == 1 and np.count_nonzero(lab == 1) == 1
+
+
 class TestCostDistance:
     def test_tiled_matches_global(self, ray_session):
         from whitebox_tools_ray.stages.cost import cost_distance, cost_distance_ds

@@ -24,8 +24,10 @@ The block forms (:func:`block_shape`, :func:`decode_block`,
 from an Arrow binary column's data buffer, bit-equal to the per-tile
 :func:`decode_tile` / :func:`encode_tile`, which stay as their oracles.
 PNG pixels byte-swap once into a native ``uint16`` block, which then
-scales into the float64 block; the q16 encode rounds straight into the
-payload rows' pixel bytes and builds the decoded grids from them.
+scales into the float64 block; the q16 encode quantizes that block in
+place and rounds it straight into the payload rows' pixel bytes, and
+builds no decoded grid (a caller that verifies decodes the payload rows
+it needs with :func:`decode_block`).
 
 PNG IDAT streams inflate through :func:`_inflate_into`, straight into a
 preallocated ``uint8`` array, with the system libdeflate
@@ -448,30 +450,30 @@ def decode_block(data: np.ndarray, offsets: np.ndarray, fmt: str, shape: tuple[i
     return block
 
 
-def q16_encode_block(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def q16_encode_block(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """:func:`encode_tile` to ``q16`` over a (k, h, w) float64 block whose
     tiles have minima ``lo`` and maxima ``hi``.
 
     Returns the payloads as a (k, 24 + 2hw) uint8 matrix, row j
-    byte-equal to ``encode_tile(block[j], "q16")``, and the (k, h, w)
-    grids they decode to. Non-finite pixels quantize to arbitrary
-    values, which the decoded grids expose."""
+    byte-equal to ``encode_tile(block[j], "q16")``. Quantizes in place:
+    ``block`` is overwritten (subtract, divide, round) and holds the
+    rounded quantization levels on return, so a caller that still needs
+    the pixels copies them first. Non-finite pixels quantize to
+    arbitrary values; decoding the payload rows
+    (:func:`decode_block`) exposes them."""
     k, h, w = block.shape
     out = np.empty((k, 24 + 2 * h * w), np.uint8)
-    # the payload rows' pixel bytes as (k, hw) uint16: rounding casts
-    # straight into them, and the decoded grids read them back
-    q16 = out[:, 24:].view("<u2")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(hi > lo, (hi - lo) / 65535.0, 1.0)
-        q = block - lo[:, None, None]
-        q /= scale[:, None, None]
-        np.copyto(q16, np.round(q, out=q).reshape(k, -1), casting="unsafe")
+        block -= lo[:, None, None]
+        block /= scale[:, None, None]
+        np.round(block, out=block)
+        # rounding casts straight into the payload rows' pixel bytes
+        np.copyto(out[:, 24:].view("<u2"), block.reshape(k, -1), casting="unsafe")
     head = np.empty(k, dtype=[("h", "<u4"), ("w", "<u4"), ("lo", "<f8"), ("scale", "<f8")])
     head["h"], head["w"], head["lo"], head["scale"] = h, w, lo, scale
     out[:, :24] = head.view(np.uint8).reshape(k, 24)
-    back = np.multiply(q16, scale[:, None]).reshape(k, h, w)
-    back += lo[:, None, None]
-    return out, back
+    return out
 
 
 def psnr(ref: np.ndarray, test: np.ndarray, peak=None):

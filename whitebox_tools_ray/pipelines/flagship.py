@@ -22,7 +22,9 @@ counts (``DecodeVerifyReencode.counts``, both 0 when ``decode`` is off)
 - ``undecodable``: tiles whose codec is not implemented (a non-baseline
   jpeg), written with their input payload and NaN ``px_*``;
 - ``reencode_psnr_failed``: tiles whose q16 re-encode decodes back below
-  40 dB PSNR (NaN or inf pixels), written with their input payload;
+  40 dB PSNR (NaN or inf pixels, ranges near 1e±300), written with their
+  input payload. Only tiles that an error bound on their min and max
+  cannot clear are decoded back and compared (``stages/assign.py``);
 
 and the CPU seconds (``time.process_time()`` of the task's worker
 process, so Arrow's reader and writer threads count) of each layer:

@@ -194,9 +194,7 @@ def depth_in_sink_ds(dem_ds, spec, zero_background: bool = False,
     """DepthInSink (hydro_analysis/depth_in_sink.rs): filled − dem per
     cell; cells outside sinks get 0 (``zero_background``) or nodata.
     Composition: Dataset-native fill, then a keyed tile zip with the DEM
-    (one groupby — both layers stream)."""
-    import pandas as pd
-
+    (:func:`combine_tile_layers`: the DEM streams, the fill is stored)."""
     from ..kernels import codecs
 
     filled = fill_depressions_ds(dem_ds, spec, num_workers=num_workers)
@@ -204,21 +202,18 @@ def depth_in_sink_ds(dem_ds, spec, zero_background: bool = False,
     nodata = spec.nodata
     bg = 0.0 if zero_background else nodata
 
-    def depth(g: pd.DataFrame) -> pd.DataFrame:
-        row = g.iloc[0]
-        dem = codecs.decode_tile(bytes(row["deml"]), row["deml_fmt"])
-        fil = codecs.decode_tile(bytes(row["filll"]), row["filll_fmt"])
-        d = fil - dem
-        out = np.where(d > 1e-9, d, bg)
-        out[dem == nodata] = nodata
-        return codecs.tile_row_table(
-            row["tile_row"], row["tile_col"], codecs.encode_tile(out, "f32"), "f32"
-        )
+    def depth(t):
+        blobs = []
+        for dem_b, dem_f, fil_b, fil_f in zip(t["deml"].to_pylist(), t["deml_fmt"].to_pylist(),
+                                              t["filll"].to_pylist(), t["filll_fmt"].to_pylist()):
+            dem = codecs.decode_tile(dem_b, dem_f)
+            d = codecs.decode_tile(fil_b, fil_f) - dem
+            out = np.where(d > 1e-9, d, bg)
+            out[dem == nodata] = nodata
+            blobs.append(codecs.encode_tile(out, "f32"))
+        return codecs.tile_table(t["tile_row"].to_numpy(), t["tile_col"].to_numpy(), blobs, ["f32"] * len(blobs))
 
-    return combined.map_batches(
-        lambda b: pd.concat([depth(b.iloc[[i]]) for i in range(len(b))], ignore_index=True),
-        batch_format="pandas",
-    )
+    return combined.map_batches(depth, batch_format="pyarrow")
 
 
 def sink_ds(dem_ds, spec, num_workers: int = 4):
@@ -226,33 +221,21 @@ def sink_ds(dem_ds, spec, num_workers: int = 4):
     cells where the filled surface exceeds the DEM — with a unique id
     (connected-component labeling of the depth mask via the
     Dataset-native clump). Returns (labels Dataset, n_sinks)."""
+    from ..kernels import codecs
     from .cc import clump_ds
 
     depth = depth_in_sink_ds(dem_ds, spec, zero_background=True, num_workers=num_workers)
-
-    # binarize the depth tiles (clump groups by VALUE equality)
-    import pandas as pd
-
-    from ..kernels import codecs
-
     nodata = spec.nodata
 
-    def binarize(b: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, row in b.iterrows():
-            g = codecs.decode_tile(bytes(row["bytes"]), row["fmt"])
-            m = np.where(g == nodata, nodata, (g > 0).astype(np.float64))
-            out.append(
-                {
-                    "tile_row": int(row["tile_row"]),
-                    "tile_col": int(row["tile_col"]),
-                    "bytes": codecs.encode_tile(m, "f32"),
-                    "fmt": "f32",
-                }
-            )
-        return pd.DataFrame(out)
+    # binarize the depth tiles (clump groups by VALUE equality)
+    def binarize(t):
+        blobs = []
+        for b, f in zip(t["bytes"].to_pylist(), t["fmt"].to_pylist()):
+            g = codecs.decode_tile(b, f)
+            blobs.append(codecs.encode_tile(np.where(g == nodata, nodata, (g > 0).astype(np.float64)), "f32"))
+        return codecs.tile_table(t["tile_row"].to_numpy(), t["tile_col"].to_numpy(), blobs, ["f32"] * len(blobs))
 
-    mask = depth.map_batches(binarize, batch_format="pandas")
+    mask = depth.map_batches(binarize, batch_format="pyarrow")
     return clump_ds(mask, spec, diag=True, zero_background=True)
 
 

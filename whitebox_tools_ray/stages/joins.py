@@ -222,7 +222,9 @@ def hash_join_bucketed(
         if rk_out != key and rk_out in out.columns:
             out = out.drop(columns=[rk_out])
         # emit ARROW blocks: downstream groupby/aggregate over pandas
-        # blocks measured ~4x slower than over arrow blocks
-        return pa.Table.from_pandas(out, preserve_index=False)
+        # blocks measured ~4x slower than over arrow blocks. No schema
+        # metadata: Ray's unify_schemas hashes block schemas, and the
+        # pandas metadata dict is unhashable
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pandas")
