@@ -152,16 +152,26 @@ def test_no_keep_alive_assignments():
 
 def test_one_halo_pass_and_one_layer_zip():
     """The halo exchange's emit/assemble pair lives in ``stages/focal.py``
-    only (every other pass calls ``focal.halo_map``), and the zip's
-    store actor in ``stages/bsp.py`` only."""
+    only (every other pass calls ``focal.halo_map``), and no module zips
+    tiles with a ``groupby`` on the tile key pair: every tile zip is
+    ``bsp.combine_tile_layers``."""
     owners = {
         "_emit_tile_and_margins": "focal.py",
         "_assemble_padded": "focal.py",
-        "_MarginStore": "bsp.py",
     }
     found = []
     for path in _non_test_sources():
         tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "groupby"
+                and node.args
+                and isinstance(node.args[0], (ast.List, ast.Tuple))
+                and [getattr(e, "value", None) for e in node.args[0].elts] == ["tile_row", "tile_col"]
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} groupby(tile_row, tile_col)")
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
@@ -169,7 +179,7 @@ def test_one_halo_pass_and_one_layer_zip():
         for name, owner in owners.items():
             if name in names and path.relative_to(ROOT).as_posix() != f"{PACKAGE}/stages/{owner}":
                 found.append(f"{path.relative_to(ROOT)} {name}")
-    assert not found, "named outside their one home:\n" + "\n".join(sorted(found))
+    assert not found, "named outside their one home, or a groupby tile zip:\n" + "\n".join(sorted(found))
 
 
 def test_verify_keeps_one_home():

@@ -88,6 +88,32 @@ class TestCountIf:
         assert (g == 2.0).all()
 
 
+class TestMissingTile:
+    """A tile missing from a later layer fails loudly instead of reducing
+    over fewer layers (PickFromList would pick the wrong layer). Ray Data
+    re-raises the ValueError wrapped in a ``UserCodeException`` that
+    carries its text."""
+
+    @staticmethod
+    def _dropped(table):
+        import pyarrow.compute as pc
+
+        return table.filter(~((pc.field("tile_row") == 1) & (pc.field("tile_col") == 0)))
+
+    def test_count_if(self, layers):
+        spec, ta, tb = layers
+        with pytest.raises(Exception, match=r"ValueError: tile \(1,0\) is missing from input layer 1"):
+            count_if([rd.from_arrow(ta), rd.from_arrow(self._dropped(tb))], spec, value=5.0).to_pandas()
+
+    def test_pick_from_list(self, layers):
+        from whitebox_tools_ray.stages.band_math import pick_from_list
+
+        spec, ta, tb = layers
+        with pytest.raises(Exception, match=r"ValueError: tile \(1,0\) is missing from input layer 2"):
+            pick_from_list([rd.from_arrow(ta), rd.from_arrow(self._dropped(tb))], rd.from_arrow(ta),
+                           spec).to_pandas()
+
+
 class TestRasterOps:
     def test_nodata_ops(self, ray_session):
         from whitebox_tools_ray.stages.raster_ops import (

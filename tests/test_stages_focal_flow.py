@@ -2,6 +2,7 @@
 literal whole-raster run of the reference algorithms."""
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
@@ -253,8 +254,8 @@ class TestVisibility:
 
 
 class TestCombineTileLayers:
-    """The store zip against a Python dict zip, over 81 tiles in 6
-    blocks per layer, with one tile missing from the secondary layer."""
+    """The zip against a Python dict zip, over 81 tiles in 6 blocks per
+    layer, with one tile missing from the secondary layer."""
 
     @staticmethod
     def _layers():
@@ -268,8 +269,13 @@ class TestCombineTileLayers:
 
     @staticmethod
     def _by_tile(table, name):
+        """Row of each tile, keys aside, with ``bytes``/``fmt`` renamed
+        to ``<name>``/``<name>_fmt``."""
+        rename = {"bytes": name, "fmt": name + "_fmt"}
         return {
-            (r["tile_row"], r["tile_col"]): {name: r["bytes"], name + "_fmt": r["fmt"]}
+            (r["tile_row"], r["tile_col"]): {
+                rename.get(k, k): v for k, v in r.items() if k not in ("tile_row", "tile_col")
+            }
             for r in table.to_pylist()
         }
 
@@ -291,13 +297,17 @@ class TestCombineTileLayers:
         spec, base_t, other_t = self._layers()
         assert other_t.num_rows == 80
         a, b = self._by_tile(base_t, "a"), self._by_tile(other_t, "b")
-        want = {k: {**v, **b.get(k, {"b": b"", "b_fmt": ""})} for k, v in a.items()}
+        want = {
+            k: {**v, "b": b[k]["b"] if k in b else b"", "b_fmt": b[k]["b_fmt"] if k in b else ""}
+            for k, v in a.items()
+        }
         out = combine_tile_layers(
             spec,
             a=rd.from_arrow(base_t).repartition(6),
             b=rd.from_arrow(other_t).repartition(6),
         ).to_pandas()
-        assert list(out.columns) == ["tile_row", "tile_col", "a", "a_fmt", "b", "b_fmt"]
+        first = [{"bytes": "a", "fmt": "a_fmt"}.get(c, c) for c in base_t.column_names]
+        assert list(out.columns) == first + ["b", "b_fmt"]
         assert len(out) == 81
         got = self._rows(out)
         assert got == want
@@ -308,12 +318,40 @@ class TestCombineTileLayers:
 
         spec, base_t, _ = self._layers()
         out = combine_tile_layers(spec, a=rd.from_arrow(base_t).repartition(6)).to_pandas()
-        assert list(out.columns) == ["tile_row", "tile_col", "a", "a_fmt"]
+        assert list(out.columns) == [{"bytes": "a", "fmt": "a_fmt"}.get(c, c) for c in base_t.column_names]
         assert self._rows(out) == self._by_tile(base_t, "a")
 
-    def test_store_actors_outlive_gc(self, ray_session):
-        """The pull closure holds the store handles: a chained map run
-        twice after a ``gc.collect()`` still finds every payload."""
+    def test_empty_secondary_block(self, ray_session):
+        """A materialized layer can hold a block with no rows and no
+        columns; the index skips it."""
+        from whitebox_tools_ray.stages.bsp import combine_tile_layers
+
+        spec, base_t, other_t = self._layers()
+        out = combine_tile_layers(
+            spec, a=rd.from_arrow(base_t), b=rd.from_arrow([other_t, pa.table({})])
+        ).to_pandas()
+        b = self._by_tile(other_t, "b")
+        assert {k: v["b"] for k, v in self._rows(out).items()} == {
+            k: b[k]["b"] if k in b else b"" for k in self._by_tile(base_t, "a")
+        }
+
+    def test_duplicate_secondary_key_raises(self, ray_session):
+        """The index task raises ValueError; Ray Data re-raises it wrapped
+        in a ``UserCodeException`` that carries its text."""
+        from whitebox_tools_ray.stages.bsp import combine_tile_layers
+
+        spec, base_t, other_t = self._layers()
+        twice = pa.concat_tables([other_t, other_t.slice(40, 1)])
+        with pytest.raises(Exception, match=r"ValueError: tile \(4,5\) appears twice in layer 'b'"):
+            combine_tile_layers(
+                spec,
+                a=rd.from_arrow(base_t).repartition(6),
+                b=rd.from_arrow(twice).repartition(6),
+            ).to_pandas()
+
+    def test_block_refs_outlive_gc(self, ray_session):
+        """The pull closure holds the block and index refs: a chained map
+        run twice after a ``gc.collect()`` still finds every payload."""
         import gc
 
         from whitebox_tools_ray.stages.bsp import combine_tile_layers
@@ -330,15 +368,16 @@ class TestCombineTileLayers:
         for _ in range(2):
             assert self._rows(chained.to_pandas()) == want
 
-    def test_outputs_carry_no_schema_metadata(self, ray_session):
+    def test_outputs_carry_no_schema_metadata(self, ray_session, monkeypatch):
         """Ray's ``unify_schemas`` hashes block schemas; a schema with
-        metadata (a dict) cannot be hashed, so zip and halo outputs
+        metadata (a dict) cannot be hashed, so zip, halo and band-math
+        outputs, and the layered rows D8 mass flux hands to its drain,
         carry none, whether the per-tile function returns pandas or
         Arrow."""
         import pandas as pd
-        import pyarrow as pa
         import ray
 
+        from whitebox_tools_ray.stages import band_math, flow2
         from whitebox_tools_ray.stages.bsp import combine_tile_layers
         from whitebox_tools_ray.stages.focal import halo_map
 
@@ -351,10 +390,17 @@ class TestCombineTileLayers:
         def as_arrow(tr, tc, pad):
             return pa.Table.from_pandas(as_pandas(tr, tc, pad))
 
+        handed = []
+        monkeypatch.setattr(flow2, "run_multiflow", lambda rows, *args, **kw: handed.append(rows))
+        flow2.d8_mass_flux(src, src, src, src, spec)
         outs = [
             combine_tile_layers(spec, a=src, b=rd.from_arrow(other_t).repartition(6)),
             halo_map(src, spec, 1, as_pandas),
             halo_map(src, spec, 2, as_arrow),
+            band_math.overlay([src, src], spec, op="sum"),
+            band_math.normalized_difference(src, src, spec),
+            band_math.pick_from_list([src, src], src, spec),
+            *handed,
         ]
         for ds in outs:
             blocks = ray.get(ds.to_arrow_refs())

@@ -6,20 +6,20 @@ Reference tools: Max/Min/Sum/Average/WeightedSum overlays
 guard), HighestPosition/LowestPosition (argmax/argmin across a stack),
 CountIf / PercentEqualTo (per-cell stack stats), ChangeVectorAnalysis.
 
-Engine form: the aligned tile tables are zipped ON THE TILE KEY — every
-input layer's batch carries (tile_row, tile_col, bytes, fmt); layers are
-co-keyed by construction (same scene grid), so the combine is a groupby
-on the tile key with one decoded stack per tile. For two layers with one
-small side, the small side broadcasts instead (no shuffle).
+Engine form: every op is one :func:`bsp.combine_tile_layers` zip of its
+aligned tile layers (tile_row, tile_col, bytes, fmt; co-keyed by
+construction, same scene grid), then a per-tile ``fn(grids)`` on the
+decoded stack (:func:`_zip_map`). A tile missing from any input layer
+raises ValueError.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs
+from .bsp import combine_tile_layers, decode
 
 # Per-layer-nodata-SKIP stack reducers, matching the reference's overlay
 # family loops (max_overlay.rs / min_overlay.rs / sum_overlay.rs /
@@ -42,22 +42,27 @@ _STACK_OPS = {
     "min_absolute": lambda s, v: np.where(v, np.abs(s), _PINF).min(axis=0),
 }
 
-def _tag_layer(i):
-    """Tag a tile table with a layer index; casts keys to the canonical
-    int32 so unions of mixed-dtype layer inputs keep ONE schema."""
+def _zip_map(layer_dss: list, spec, fn, out_fmt: str = "f32"):
+    """Zip ``layer_dss`` on the tile key, decode each tile's grids in
+    layer order and emit ``fn(grids)`` encoded as ``out_fmt``: Dataset
+    [tile_row, tile_col, bytes, fmt] with one row per tile of the first
+    layer. A tile missing from a later layer raises ValueError."""
+    names = [f"layer{k}" for k in range(len(layer_dss))]
+    zipped = combine_tile_layers(spec, **dict(zip(names, layer_dss)))
 
-    def fn(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "tile_row": batch["tile_row"].cast(pa.int32()),
-                "tile_col": batch["tile_col"].cast(pa.int32()),
-                "bytes": batch["bytes"],
-                "fmt": batch["fmt"],
-                "__layer": pa.array(np.full(batch.num_rows, i, dtype=np.int64)),
-            }
-        )
+    def per_batch(batch: pa.Table) -> pa.Table:
+        trs = batch["tile_row"].to_numpy(zero_copy_only=False)
+        tcs = batch["tile_col"].to_numpy(zero_copy_only=False)
+        blobs = []
+        for i in range(batch.num_rows):
+            grids = [decode(batch, n, i) for n in names]
+            missing = [k for k, g in enumerate(grids) if g is None]
+            if missing:
+                raise ValueError(f"tile ({trs[i]},{tcs[i]}) is missing from input layer {missing[0]}")
+            blobs.append(codecs.encode_tile(fn(grids), out_fmt))
+        return codecs.tile_table(trs, tcs, blobs, [out_fmt] * len(blobs))
 
-    return fn
+    return zipped.map_batches(per_batch, batch_format="pyarrow")
 
 
 def overlay(layer_dss: list, spec, op: str = "max", weights: list[float] | None = None):
@@ -77,25 +82,14 @@ def overlay(layer_dss: list, spec, op: str = "max", weights: list[float] | None 
     if op == "weighted_sum":
         if weights is None or len(weights) != len(layer_dss):
             raise ValueError("weighted_sum needs one weight per layer")
+        w = np.asarray(weights, dtype=np.float64)
+        w = w / w.sum()  # the reference normalizes (weighted_sum.rs:219-224)
     elif op not in _STACK_OPS:
         raise ValueError(f"unknown overlay op {op!r}")
     nodata = spec.nodata
 
-    tagged = layer_dss[0].map_batches(_tag_layer(0), batch_format="pyarrow")
-    for i, ds in enumerate(layer_dss[1:], 1):
-        tagged = tagged.union(ds.map_batches(_tag_layer(i), batch_format="pyarrow"))
-
-    n_layers = len(layer_dss)
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        w = w / w.sum()  # the reference normalizes (weighted_sum.rs:219-224)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__layer")
-        if len(g) != n_layers:
-            raise ValueError(f"tile ({g['tile_row'].iloc[0]},{g['tile_col'].iloc[0]}) has {len(g)} layers")
-        stack = np.stack([codecs.decode_tile(bytes(b), f) for b, f in zip(g["bytes"], g["fmt"])])
+    def combine(grids):
+        stack = np.stack(grids)
         valid = stack != nodata
         if op == "weighted_sum":
             out = np.tensordot(w, stack, axes=1)
@@ -103,43 +97,28 @@ def overlay(layer_dss: list, spec, op: str = "max", weights: list[float] | None 
         else:
             out = _STACK_OPS[op](stack, valid)
             out[~valid.any(axis=0)] = nodata
-        return codecs.tile_row_table(
-            g["tile_row"].iloc[0], g["tile_col"].iloc[0],
-            codecs.encode_tile(out, "f32"), "f32",
-        )
+        return out
 
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(combine, batch_format="pandas")
+    return _zip_map(layer_dss, spec, combine)
 
 
 def normalized_difference(ds_a, ds_b, spec, clip: float = 0.0):
     """NDI = (A−B)/(A+B); 0/0 → 0 (normalized_difference_index.rs
-    convention); nodata in either input propagates.
-
-    Routed through the same keyed tile zip as ``overlay`` (one groupby
-    shuffle, both layers STREAM) — the broadcast-B driver dict of round 1
-    capped B at driver memory and is gone (VERDICT r1)."""
+    convention); nodata in either input propagates. One tile zip of the
+    two layers, like ``overlay``."""
     nodata = spec.nodata
 
-    tagged = ds_a.map_batches(_tag_layer(0), batch_format="pyarrow").union(
-        ds_b.map_batches(_tag_layer(1), batch_format="pyarrow")
-    )
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__layer")
-        a = codecs.decode_tile(bytes(g["bytes"].iloc[0]), g["fmt"].iloc[0])
-        b = codecs.decode_tile(bytes(g["bytes"].iloc[1]), g["fmt"].iloc[1])
+    def combine(grids):
+        a, b = grids
         denom = a + b
         with np.errstate(all="ignore"):
             nd = np.where(denom != 0.0, (a - b) / denom, 0.0)
         nd[(a == nodata) | (b == nodata)] = nodata
         if clip > 0:
             nd = np.clip(nd, -clip, clip)
-        return codecs.tile_row_table(
-            g["tile_row"].iloc[0], g["tile_col"].iloc[0],
-            codecs.encode_tile(nd, "f32"), "f32",
-        )
+        return nd
 
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(combine, batch_format="pandas")
+    return _zip_map([ds_a, ds_b], spec, combine)
 
 
 def count_if(layer_dss: list, spec, value: float):
@@ -147,49 +126,27 @@ def count_if(layer_dss: list, spec, value: float):
     equal ``value``. Reference semantics: a layer's nodata cell is simply
     skipped (``z == comparison_value && z != in_nodata``), and a cell that
     never matched in any layer stays NODATA in the output (the output is
-    initialised to nodata and only set on the first match). Same
-    zip-by-tile-key shape as overlay."""
+    initialised to nodata and only set on the first match)."""
     nodata = spec.nodata
 
-    tagged = layer_dss[0].map_batches(_tag_layer(0), batch_format="pyarrow")
-    for i, ds in enumerate(layer_dss[1:], 1):
-        tagged = tagged.union(ds.map_batches(_tag_layer(i), batch_format="pyarrow"))
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        stack = np.stack([codecs.decode_tile(bytes(b), f) for b, f in zip(g["bytes"], g["fmt"])])
+    def combine(grids):
+        stack = np.stack(grids)
         cnt = ((stack == value) & (stack != nodata)).sum(axis=0).astype(np.float64)
-        out = np.where(cnt > 0, cnt, nodata)
-        return codecs.tile_row_table(
-            g["tile_row"].iloc[0], g["tile_col"].iloc[0],
-            codecs.encode_tile(out, "f32"), "f32",
-        )
+        return np.where(cnt > 0, cnt, nodata)
 
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(combine, batch_format="pandas")
+    return _zip_map(layer_dss, spec, combine)
 
 
 def overlay_fn(ds_a, ds_b, spec, fn, out_fmt: str = "f32"):
     """Binary per-cell combine ``fn(a, b) -> out`` of two aligned tile
-    Datasets via the keyed tile zip (one groupby shuffle, both layers
-    stream). Nodata in either input propagates."""
+    Datasets via one tile zip. Nodata in either input propagates."""
     nodata = spec.nodata
 
-    tagged = ds_a.map_batches(_tag_layer(0), batch_format="pyarrow").union(
-        ds_b.map_batches(_tag_layer(1), batch_format="pyarrow")
-    )
+    def combine(grids):
+        a, b = grids
+        return np.where((a == nodata) | (b == nodata), nodata, fn(a, b))
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__layer")
-        a = codecs.decode_tile(bytes(g["bytes"].iloc[0]), g["fmt"].iloc[0])
-        b = codecs.decode_tile(bytes(g["bytes"].iloc[1]), g["fmt"].iloc[1])
-        bad = (a == nodata) | (b == nodata)
-        out = fn(a, b)
-        out = np.where(bad, nodata, out)
-        return codecs.tile_row_table(
-            g["tile_row"].iloc[0], g["tile_col"].iloc[0],
-            codecs.encode_tile(out, out_fmt), out_fmt,
-        )
-
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(combine, batch_format="pandas")
+    return _zip_map([ds_a, ds_b], spec, combine, out_fmt)
 
 
 def compare_overlay(layer_dss: list, cmp_ds, spec, op: str = "eq", out_fmt: str = "f32"):
@@ -203,13 +160,8 @@ def compare_overlay(layer_dss: list, cmp_ds, spec, op: str = "eq", out_fmt: str 
     }
     cmp_fn = fns[op]
     nodata = spec.nodata
-    n_layers = len(layer_dss)
 
-    tagged = cmp_ds.map_batches(_tag_layer(-1), batch_format="pyarrow")
-    for i, ds in enumerate(layer_dss):
-        tagged = tagged.union(ds.map_batches(_tag_layer(i), batch_format="pyarrow"))
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
+    def combine(grids):
         # percent_equal_to.rs:236-266 semantics: per-layer nodata SKIP
         # with the percentage normalized by the VALID layer count
         # (n_images), comparison-nodata cells nodata, zero valid layers
@@ -219,9 +171,7 @@ def compare_overlay(layer_dss: list, cmp_ds, spec, op: str = "eq", out_fmt: str 
         # so its published outputs carry `100*(nodata+matches)/n` at
         # every matched cell — an initialization bug this engine does
         # not reproduce.
-        g = g.sort_values("__layer")
-        grids = [codecs.decode_tile(bytes(b), f) for b, f in zip(g["bytes"], g["fmt"])]
-        cmp_g = grids[0]  # __layer == -1 sorts first
+        cmp_g = grids[0]
         stack = np.stack(grids[1:])
         valid = stack != nodata
         matches = (cmp_fn(stack, cmp_g[None]) & valid).sum(axis=0)
@@ -229,12 +179,9 @@ def compare_overlay(layer_dss: list, cmp_ds, spec, op: str = "eq", out_fmt: str 
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(n_img > 0, 100.0 * matches / np.maximum(n_img, 1), 0.0)
         out[cmp_g == nodata] = nodata
-        return codecs.tile_row_table(
-            g["tile_row"].iloc[0], g["tile_col"].iloc[0],
-            codecs.encode_tile(out, out_fmt), out_fmt,
-        )
+        return out
 
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(combine, batch_format="pandas")
+    return _zip_map([cmp_ds, *layer_dss], spec, combine, out_fmt)
 
 
 def pick_from_list(layer_dss: list, pos_ds, spec, out_fmt: str = "f32"):
@@ -246,26 +193,16 @@ def pick_from_list(layer_dss: list, pos_ds, spec, out_fmt: str = "f32"):
     value that is itself nodata all leave the cell nodata."""
     nodata = spec.nodata
 
-    tagged = pos_ds.map_batches(_tag_layer(-1), batch_format="pyarrow")
-    for i, ds in enumerate(layer_dss):
-        tagged = tagged.union(ds.map_batches(_tag_layer(i), batch_format="pyarrow"))
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__layer")
-        grids = [codecs.decode_tile(bytes(b), f) for b, f in zip(g["bytes"], g["fmt"])]
+    def combine(grids):
         pos = grids[0]
         stack = np.stack(grids[1:])
         ip = pos.astype(np.int64)
         idx = np.clip(ip, 0, stack.shape[0] - 1)
         out = np.take_along_axis(stack, idx[None], 0)[0]
         bad = (pos == nodata) | (ip < 0) | (ip > stack.shape[0] - 1)
-        out = np.where(bad, nodata, out)
-        return codecs.tile_row_table(
-            g["tile_row"].iloc[0], g["tile_col"].iloc[0],
-            codecs.encode_tile(out, out_fmt), out_fmt,
-        )
+        return np.where(bad, nodata, out)
 
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(combine, batch_format="pandas")
+    return _zip_map([pos_ds, *layer_dss], spec, combine, out_fmt)
 
 
 def weighted_overlay(layer_dss: list, spec, weights: list[float],
@@ -282,16 +219,10 @@ def weighted_overlay(layer_dss: list, spec, weights: list[float],
     ranges = [_pixel_minmax(ds) for ds in layer_dss]
     nodata = spec.nodata
 
-    tagged = layer_dss[0].map_batches(_tag_layer(0), batch_format="pyarrow")
-    for i, ds in enumerate(layer_dss[1:], 1):
-        tagged = tagged.union(ds.map_batches(_tag_layer(i), batch_format="pyarrow"))
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__layer")
+    def combine(grids):
         out = None
         bad = None
-        for (_, row), wi, ci, (lo, hi) in zip(g.iterrows(), w, costs, ranges):
-            grid = codecs.decode_tile(bytes(row["bytes"]), row["fmt"])
+        for grid, wi, ci, (lo, hi) in zip(grids, w, costs, ranges):
             span = (hi - lo) or 1.0
             norm = (grid - lo) / span
             if ci:
@@ -301,9 +232,6 @@ def weighted_overlay(layer_dss: list, spec, weights: list[float],
             out = term if out is None else out + term
             bad = b if bad is None else (bad | b)
         out[bad] = nodata
-        return codecs.tile_row_table(
-            g["tile_row"].iloc[0], g["tile_col"].iloc[0],
-            codecs.encode_tile(out, out_fmt), out_fmt,
-        )
+        return out
 
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(combine, batch_format="pandas")
+    return _zip_map(layer_dss, spec, combine, out_fmt)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import codecs
-from .bsp import ShardBase, combine_tile_layers, dump_shards, launch_shards
+from .bsp import ShardBase, combine_tile_layers, decode, dump_shards, launch_shards
 from .focal import DX8, DY8
 
 
@@ -204,8 +204,8 @@ class TermShardDS(ShardBase):
 
     def load_tile(self, tid: int, batch, i: int):
         names = batch.schema.names
-        self.ptr[tid] = self.decode(batch, "ptr" if "ptr" in names else "bytes", i, "i8").astype(np.int8)
-        tgt = self.decode(batch, "tgt", i, "f64") if "tgt" in names else None
+        self.ptr[tid] = decode(batch, "ptr" if "ptr" in names else "bytes", i, "i8").astype(np.int8)
+        tgt = decode(batch, "tgt", i, "f64") if "tgt" in names else None
         if tgt is not None:
             self.tgt[tid] = tgt
 

@@ -46,6 +46,7 @@ the actors after ingest.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -168,6 +169,19 @@ def run_bsp(tiles_ds, worker_cls, worker_args: tuple, num_workers: int, out_dir:
     return dump_shards(workers, out_dir)
 
 
+def decode(batch: pa.Table, col: str, i: int, fmt: str | None = None):
+    """Tile of column ``col`` in row ``i``, in the format its
+    ``<col>_fmt`` column names (``fmt`` for ``bytes``), else ``fmt``;
+    None for an empty payload."""
+    data = batch[col][i].as_py()
+    if not data:
+        return None
+    fcol = "fmt" if col == "bytes" else col + "_fmt"
+    if fcol in batch.schema.names:
+        fmt = batch[fcol][i].as_py() or fmt
+    return codecs.decode_tile(data, fmt)
+
+
 class ShardBase:
     """Tile-owning shard worker: ingest, D8 seam steps, border frames and
     the parquet dump that every BSP shard shares."""
@@ -191,19 +205,6 @@ class ShardBase:
 
     def load_tile(self, tid: int, batch: pa.Table, i: int):  # pragma: no cover
         raise NotImplementedError
-
-    @staticmethod
-    def decode(batch: pa.Table, col: str, i: int, fmt: str | None = None):
-        """Tile of column ``col`` in row ``i``, in the format its
-        ``<col>_fmt`` column names (``fmt`` for ``bytes``), else ``fmt``;
-        None for an empty payload."""
-        data = batch[col][i].as_py()
-        if not data:
-            return None
-        fcol = "fmt" if col == "bytes" else col + "_fmt"
-        if fcol in batch.schema.names:
-            fmt = batch[fcol][i].as_py() or fmt
-        return codecs.decode_tile(data, fmt)
 
     def seam_step(self, tid: int, r: int, c: int, d: int):
         """(tile, row, col) of the D8 neighbour ``d`` of cell (r, c) of
@@ -270,98 +271,111 @@ class ShardBase:
         )
 
 
-class _MarginStore:
-    """Actor holding the secondary-layer payloads of a
-    ``combine_tile_layers`` zip for the tiles hashed to it. Puts are
-    idempotent ((tile, layer) overwrites), so a re-executed push stage
-    cannot register a payload twice."""
+def _arrow(block) -> pa.Table:
+    # to_arrow_refs converts no block when the Dataset's schema is Arrow,
+    # so a layer that mixes Arrow and pandas blocks still yields DataFrames
+    return block if isinstance(block, pa.Table) else pa.Table.from_pandas(block, preserve_index=False)
 
-    def __init__(self):
-        self._packs: dict[int, dict[int, tuple[bytes, str]]] = {}
 
-    def put(self, items: list[tuple[int, int, bytes, str]]) -> int:
-        for tkey, li, data, fmt in items:
-            self._packs.setdefault(tkey, {})[li] = (data, fmt)
-        return len(items)
+def _tile_keys(batch: pa.Table, tiles_x: int) -> np.ndarray:
+    tr = batch["tile_row"].to_numpy(zero_copy_only=False).astype(np.int64)
+    tc = batch["tile_col"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return tr * tiles_x + tc
 
-    def get(self, tkeys: list[int]) -> dict[int, dict[int, tuple[bytes, str]]]:
-        return {k: self._packs.get(k, {}) for k in tkeys}
+
+def _block_keys(block, tiles_x: int) -> np.ndarray:
+    block = _arrow(block)  # an empty block may have no columns at all
+    return _tile_keys(block, tiles_x) if block.num_rows else np.zeros(0, np.int64)
+
+
+def _key_index(name: str, tiles_x: int, *block_keys: np.ndarray):
+    """(tile key, block, row) of every row of one layer's blocks, sorted
+    by tile key; ValueError on a tile key that appears twice."""
+    keys = np.concatenate([np.zeros(0, np.int64), *block_keys])
+    blk = np.repeat(np.arange(len(block_keys)), [len(k) for k in block_keys])
+    row = np.concatenate([np.zeros(0, np.int64)] + [np.arange(len(k)) for k in block_keys])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    dup = np.flatnonzero(np.diff(keys) == 0)
+    if len(dup):
+        k = int(keys[dup[0]])
+        raise ValueError(f"tile ({k // tiles_x},{k % tiles_x}) appears twice in layer {name!r}")
+    return keys, blk[order], row[order]
 
 
 def combine_tile_layers(spec, **layers):
     """Zip N tile Datasets on (tile_row, tile_col) into one Dataset with
-    a bytes column per layer name. Each input must be
-    Dataset[tile_row, tile_col, bytes, fmt]; output rows carry
-    ``<name>`` bytes columns (payloads keep their original fmt strings
-    in ``<name>_fmt``), int32 tile keys and no schema metadata.
+    a bytes column per layer name. Each secondary layer must be
+    Dataset[tile_row, tile_col, bytes, fmt]; output rows carry the first
+    layer's columns (a ``bytes``/``fmt`` pair on it renamed to
+    ``<name>``/``<name>_fmt``), then ``<name>`` bytes + ``<name>_fmt``
+    columns for every other layer (payloads keep their fmt strings),
+    int32 tile keys and no schema metadata.
 
     The FIRST layer's blocks stream through in place. Every other layer
-    pushes (tile, layer index, bytes, fmt) once into a small pool of
-    store actors, with a ``materialize()`` barrier per secondary layer,
-    so every payload is registered before any first-layer block pulls.
-    This moves N−1 of N layers exactly once and pays no union fan-in or
-    groupby sort. It is the only zip: measured with 2 f32 layers on 2
-    Ray CPUs of a 4-vCPU host, it was as fast as a union + ``groupby``
-    zip or faster at every size tried (16 tiles: 1.3–1.5 s against
-    1.9–2.6 s; 256 tiles in ~200 blocks: 6.0–7.5 s against 119–129 s;
-    1024 tiles in 64 blocks: 3.2–3.8 s against 21 s).
+    is materialized once; one small task per block reads its tile keys
+    and one task builds that layer's sorted (tile key, block, row)
+    index, so the driver holds only object refs. Each first-layer batch
+    then fetches the index and ``ray.get``s only the blocks that hold
+    its keys. This moves N−1 of N layers once, starts no actor and pays
+    no union fan-in or groupby sort. The n block refs of a layer sit in
+    √n boxes: a task pays for every ref it unpickles (about 35 µs), and
+    a batch opens only the boxes that hold its blocks.
+    Measured with 2 materialized f32 layers of 64² tiles on 2 Ray CPUs
+    of a 4-vCPU host, 5 runs a size, against the store-actor zip it
+    replaced and a union + ``groupby`` zip (3 runs): 4 tiles in 1 block
+    0.05–0.07 s (1.0–1.2 s, 0.13 s); 64 tiles in 1 block 0.06–0.08 s
+    (1.0–1.4 s, 0.19–0.20 s); 256 tiles in 200 blocks 3.0–3.8 s
+    (4.6–5.4 s, 60–66 s); 1024 tiles in 64 blocks 0.9–1.7 s (3.0–3.3 s,
+    11.6–11.7 s).
 
     Precondition: every output tile is in the first layer — true for
     all engine callers, where each layer is a per-tile map over the
     same scene tiling. A tile missing from a secondary layer gets a
     ``b""`` payload and a ``""`` fmt; a tile only in a secondary layer
-    is dropped. A one-layer call is a column rename and starts no
-    actor. The pull closure holds the store handles, so the actors live
-    as long as the returned Dataset can execute."""
+    is dropped; a tile twice in one secondary layer raises ValueError.
+    A one-layer call is a column rename. The pull closure holds the
+    block and index refs, so they live as long as the returned Dataset
+    can execute."""
+    import pyarrow.compute as pc
     import ray
 
     names = list(layers)
     tiles_x = spec.tiles_x
+    rename = {"bytes": names[0], "fmt": names[0] + "_fmt"}
 
-    def keyed(batch: pa.Table, name: str) -> dict:
-        return {
-            "tile_row": batch["tile_row"].cast(pa.int32()),
-            "tile_col": batch["tile_col"].cast(pa.int32()),
-            name: batch["bytes"],
-            name + "_fmt": batch["fmt"],
-        }
-
-    if len(names) == 1:
-        return layers[names[0]].map_batches(
-            lambda b: pa.table(keyed(b, names[0])), batch_format="pyarrow"
-        )
-
-    n_stores = max(1, min(64, spec.tiles_x * spec.tiles_y // 512 + 1))
-    stores = [ray.remote(num_cpus=0)(_MarginStore).remote() for _ in range(n_stores)]
-
-    def tile_keys(batch: pa.Table) -> list[int]:
-        tr = batch["tile_row"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tc = batch["tile_col"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return (tr * tiles_x + tc).tolist()
-
-    for li, name in enumerate(names[1:], start=1):
-        def push(batch: pa.Table, li=li) -> pa.Table:
-            per_store: dict[int, list] = {}
-            for k, data, fmt in zip(tile_keys(batch), batch["bytes"].to_pylist(), batch["fmt"].to_pylist()):
-                per_store.setdefault(k % n_stores, []).append((k, li, data, fmt))
-            ray.get([stores[si].put.remote(items) for si, items in per_store.items()])
-            return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
-
-        layers[name].map_batches(push, batch_format="pyarrow").materialize()
+    block_keys = ray.remote(_block_keys)
+    key_index = ray.remote(_key_index)
+    sides = []
+    for name in names[1:]:
+        refs = layers[name].materialize().to_arrow_refs()
+        index = key_index.remote(name, tiles_x, *[block_keys.remote(r, tiles_x) for r in refs])
+        per = max(1, math.isqrt(len(refs)))
+        sides.append((name, per, [ray.put(refs[i:i + per]) for i in range(0, len(refs), per)], index))
 
     def pull(batch: pa.Table) -> pa.Table:
-        tkeys = tile_keys(batch)
-        per_store: dict[int, list[int]] = {}
-        for k in tkeys:
-            per_store.setdefault(k % n_stores, []).append(k)
-        packs: dict[int, dict] = {}
-        for res in ray.get([stores[si].get.remote(ks) for si, ks in per_store.items()]):
-            packs.update(res)
-        cols = keyed(batch, names[0])
-        for li, name in enumerate(names[1:], start=1):
-            hits = [packs[k].get(li, (b"", "")) for k in tkeys]
-            cols[name] = pa.array([d for d, _ in hits], pa.binary())
-            cols[name + "_fmt"] = pa.array([f for _, f in hits], pa.string())
+        cols = {rename.get(c, c): batch[c] for c in batch.column_names}
+        for c in ("tile_row", "tile_col"):
+            cols[c] = batch[c].cast(pa.int32())
+        keys = _tile_keys(batch, tiles_x)
+        for name, per, boxes, index in sides:
+            skeys, sblk, srow = ray.get(index)
+            at = np.searchsorted(skeys, keys)
+            hit = np.flatnonzero(at < len(skeys))
+            hit = hit[skeys[at[hit]] == keys[hit]]
+            hb, hr = sblk[at[hit]], srow[at[hit]]
+            need = np.unique(hb)
+            groups = np.unique(need // per)
+            opened = dict(zip(groups, ray.get([boxes[g] for g in groups])))
+            blocks = ray.get([opened[b // per][b % per] for b in need])
+            pieces = [_arrow(t).select(["bytes", "fmt"]).take(hr[hb == b]) for b, t in zip(need, blocks)]
+            src = np.full(len(keys), -1)
+            src[hit[np.argsort(hb, kind="stable")]] = np.arange(len(hit))
+            idx = pa.array(src, mask=src < 0)
+            for col, out, typ, empty in (("bytes", name, pa.binary(), b""),
+                                         ("fmt", name + "_fmt", pa.string(), "")):
+                arr = pa.chunked_array([p[col].cast(typ) for p in pieces], typ).take(idx)
+                cols[out] = pc.fill_null(arr, pa.scalar(empty, typ))
         return pa.table(cols)
 
     return layers[names[0]].map_batches(pull, batch_format="pyarrow")

@@ -23,7 +23,7 @@ import heapq
 
 import numpy as np
 
-from .bsp import ShardBase, combine_tile_layers, launch_shards, run_bsp
+from .bsp import ShardBase, combine_tile_layers, decode, launch_shards, run_bsp
 from .focal import DX8, DY8
 
 
@@ -124,8 +124,8 @@ class CostShardDS(ShardBase):
         self.bl_out: dict[int, np.ndarray] = {}
 
     def load_tile(self, tid: int, batch, i: int):
-        self.cost[tid] = self.decode(batch, "costl", i)
-        self.src[tid] = self.decode(batch, "srcl", i).astype(np.int64)
+        self.cost[tid] = decode(batch, "costl", i)
+        self.src[tid] = decode(batch, "srcl", i).astype(np.int64)
         self.seed[tid] = np.full(self.cost[tid].shape, np.inf)
         self.seed_alloc[tid] = np.zeros(self.cost[tid].shape, dtype=np.int64)
         self.seed_bl[tid] = np.full(self.cost[tid].shape, -1, dtype=np.int8)
@@ -242,7 +242,7 @@ class _TileStoreActor(ShardBase):
         self.tiles: dict[int, np.ndarray] = {}
 
     def load_tile(self, tid: int, batch, i: int):
-        self.tiles[tid] = self.decode(batch, "bytes", i)
+        self.tiles[tid] = decode(batch, "bytes", i)
 
     def get(self, tid: int):
         return self.tiles.get(tid)

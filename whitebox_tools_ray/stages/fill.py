@@ -35,7 +35,7 @@ import heapq
 
 import numpy as np
 
-from .bsp import ShardBase, combine_tile_layers, run_bsp
+from .bsp import ShardBase, combine_tile_layers, decode, run_bsp
 from .focal import DX8, DY8
 
 
@@ -112,7 +112,7 @@ class FillShardDS(ShardBase):
         self.est: dict[int, np.ndarray] = {}
 
     def load_tile(self, tid: int, batch, i: int):
-        self.z[tid] = self.decode(batch, "bytes", i).astype(np.float64)
+        self.z[tid] = decode(batch, "bytes", i).astype(np.float64)
         self.seed[tid] = self._initial_seeds(tid)
 
     def _initial_seeds(self, tid: int) -> np.ndarray:
@@ -194,7 +194,7 @@ def depth_in_sink_ds(dem_ds, spec, zero_background: bool = False,
     """DepthInSink (hydro_analysis/depth_in_sink.rs): filled − dem per
     cell; cells outside sinks get 0 (``zero_background``) or nodata.
     Composition: Dataset-native fill, then a keyed tile zip with the DEM
-    (:func:`combine_tile_layers`: the DEM streams, the fill is stored)."""
+    (:func:`combine_tile_layers`: the DEM streams, the fill is indexed)."""
     from ..kernels import codecs
 
     filled = fill_depressions_ds(dem_ds, spec, num_workers=num_workers)

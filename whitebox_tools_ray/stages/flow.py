@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..kernels import codecs
-from .bsp import ShardBase, run_bsp
+from .bsp import ShardBase, decode, run_bsp
 from .focal import DX8, DY8, _shifted, focal_op, halo_map
 
 INFLOW_OF = np.array([4, 5, 6, 7, 0, 1, 2, 3], dtype=np.int8)  # d8_flow_accum.rs:355
@@ -126,8 +126,8 @@ class FlowShardDS(ShardBase):
         self.accum: dict[int, np.ndarray] = {}
 
     def load_tile(self, tid: int, batch, i: int):
-        self.dirs[tid] = self.decode(batch, "ptr", i, "i8").astype(np.int8)
-        self.indeg[tid] = self.decode(batch, "ind", i, "i8").astype(np.int8)
+        self.dirs[tid] = decode(batch, "ptr", i, "i8").astype(np.int8)
+        self.indeg[tid] = decode(batch, "ind", i, "i8").astype(np.int8)
         self.accum[tid] = np.ones((self.tpx, self.tpx), dtype=np.float64)
 
     def _drain(self, seeds: list[tuple[int, int, int]]):

@@ -42,11 +42,10 @@ DownslopeFlowpathLength / AverageFlowpathSlope (terminal-resolution
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..kernels import codecs
-from .bsp import ShardBase, combine_tile_layers, run_bsp
+from .bsp import ShardBase, combine_tile_layers, decode, run_bsp
 from .focal import DX8, DY8, f32_tiles, halo_map
 
 # D8 direction i: (DY8[i], DX8[i]); distance factor
@@ -155,11 +154,9 @@ def _fractions(padded: np.ndarray, nodata: float, spec, method: str,
     return frac
 
 
-def fractions_and_indeg_rows(dem_ds, spec, method: str, exponent: float = 1.1,
-                             layers: dict | None = None, seed: int = 42):
+def fractions_and_indeg_rows(dem_ds, spec, method: str, exponent: float = 1.1, seed: int = 42):
     """Halo-2 pass → Dataset rows: tile_row, tile_col, frac (8ch f32
-    bytes), ind (i8 bytes), valid (i8 bytes) + optional extra layers
-    zipped in (loading/efficiency/absorption/seed grids)."""
+    bytes), ind (i8 bytes), valid (i8 bytes)."""
     tpx = spec.tile_px
     nodata = spec.nodata
 
@@ -214,7 +211,7 @@ class MultiFlowShardDS(ShardBase):
         self.valid[tid] = np.frombuffer(batch["valid"][i].as_py(), dtype=np.int8).reshape(t, t).astype(bool)
         extra = [n for n in batch.schema.names
                  if n not in ("tile_row", "tile_col", "frac", "ind", "valid") and not n.endswith("_fmt")]
-        self.aux[tid] = {n: self.decode(batch, n, i, "f32") for n in extra}
+        self.aux[tid] = {n: decode(batch, n, i, "f32") for n in extra}
         self.state[tid] = self._init_state(tid)
 
     def _init_state(self, tid):
@@ -353,27 +350,6 @@ def run_multiflow(rows_ds, spec, mode: str, num_workers: int = 4, out_dir: str |
     return run_bsp(rows_ds, MultiFlowShardDS, args, num_workers, out_dir)
 
 
-def _with_layers(rows_ds, spec, **layer_dss):
-    """Zip extra tile layers (``<name>`` bytes + ``<name>_fmt`` columns)
-    onto fraction rows."""
-    extra = [c for n in layer_dss for c in (n, n + "_fmt")]
-
-    def side(k):
-        return lambda b: b.append_column("__side", pa.array(np.full(b.num_rows, k, dtype=np.int64)))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        f = g[g["__side"] == 0]
-        l = g[g["__side"] == 1]
-        row = f.iloc[[0]].drop(columns="__side").reset_index(drop=True)
-        for n in extra:
-            row[n] = [l[n].iloc[0]]
-        return row
-
-    tagged = rows_ds.map_batches(side(0), batch_format="pyarrow")
-    lay = combine_tile_layers(spec, **layer_dss).map_batches(side(1), batch_format="pyarrow")
-    return tagged.union(lay).groupby(["tile_row", "tile_col"]).map_groups(merge, batch_format="pandas")
-
-
 # ------------------------------------------------------------ public ops
 
 
@@ -391,16 +367,16 @@ def dinf_flow_accumulation(dem_ds, spec, num_workers: int = 4, out_dir: str | No
 def d8_mass_flux(dem_ds, loading_ds, efficiency_ds, absorption_ds, spec,
                  num_workers: int = 4, out_dir: str | None = None):
     rows = fractions_and_indeg_rows(dem_ds, spec, "d8")
-    rows = _with_layers(rows, spec, loading=loading_ds, efficiency=efficiency_ds,
-                        absorption=absorption_ds)
+    rows = combine_tile_layers(spec, rows=rows, loading=loading_ds, efficiency=efficiency_ds,
+                               absorption=absorption_ds)
     return run_multiflow(rows, spec, "massflux", num_workers, out_dir)
 
 
 def dinf_mass_flux(dem_ds, loading_ds, efficiency_ds, absorption_ds, spec,
                    num_workers: int = 4, out_dir: str | None = None):
     rows = fractions_and_indeg_rows(dem_ds, spec, "dinf")
-    rows = _with_layers(rows, spec, loading=loading_ds, efficiency=efficiency_ds,
-                        absorption=absorption_ds)
+    rows = combine_tile_layers(spec, rows=rows, loading=loading_ds, efficiency=efficiency_ds,
+                               absorption=absorption_ds)
     return run_multiflow(rows, spec, "massflux", num_workers, out_dir)
 
 
@@ -419,7 +395,7 @@ def trace_downslope_flowpaths(dem_ds, seeds_ds, spec, num_workers: int = 4,
                               out_dir: str | None = None):
     """seeds_ds: tile layer with >0 at seed cells."""
     rows = fractions_and_indeg_rows(dem_ds, spec, "d8")
-    rows = _with_layers(rows, spec, seeds=seeds_ds)
+    rows = combine_tile_layers(spec, rows=rows, seeds=seeds_ds)
     return run_multiflow(rows, spec, "trace", num_workers, out_dir)
 
 

@@ -61,7 +61,7 @@ import pyarrow as pa
 
 from ..kernels import codecs
 from . import band_math
-from .bsp import ShardBase, combine_tile_layers, run_bsp
+from .bsp import ShardBase, combine_tile_layers, decode, run_bsp
 from .focal import DX8, DY8, _shifted, focal_op, f32_tiles
 
 
@@ -142,8 +142,8 @@ def longest_flowpath(dem_ds, spec, num_workers: int = 4):
     def partial(batch: pa.Table) -> pa.Table:
         frames = []
         for i in range(batch.num_rows):
-            lab = codecs.decode_tile(batch["lab"][i].as_py(), batch["lab_fmt"][i].as_py())
-            ln = codecs.decode_tile(batch["ln"][i].as_py(), batch["ln_fmt"][i].as_py())
+            lab = decode(batch, "lab", i)
+            ln = decode(batch, "ln", i)
             ig = codecs.decode_tile(batch["ind"][i].as_py(), "i8")
             m = (ig == 0) & (lab != spec.nodata)
             if m.any():
@@ -205,8 +205,8 @@ def flatten_lakes(dem_ds, lakes_ds, spec):
     def partial(batch: pa.Table) -> pa.Table:
         frames = []
         for i in range(batch.num_rows):
-            z = codecs.decode_tile(batch["dem"][i].as_py(), batch["dem_fmt"][i].as_py())
-            lk = codecs.decode_tile(batch["lake"][i].as_py(), batch["lake_fmt"][i].as_py())
+            z = decode(batch, "dem", i)
+            lk = decode(batch, "lake", i)
             m = lk > 0
             if m.any():
                 frames.append(pd.DataFrame({"lake": lk[m], "z": z[m]}).groupby("lake", as_index=False)["z"].min())
@@ -375,8 +375,8 @@ def hillslopes(pointer_ds, streams_link_ds, spec, num_workers: int = 4):
     def stream_dirs(batch: pa.Table) -> pa.Table:
         gids, dirs = [], []
         for i in range(batch.num_rows):
-            p = codecs.decode_tile(batch["ptr"][i].as_py(), batch["ptr_fmt"][i].as_py() or "i8")
-            lk = codecs.decode_tile(batch["lnk"][i].as_py(), batch["lnk_fmt"][i].as_py())
+            p = decode(batch, "ptr", i, "i8")
+            lk = decode(batch, "lnk", i)
             tr = int(batch["tile_row"][i].as_py())
             tc = int(batch["tile_col"][i].as_py())
             rr, cc = np.nonzero(lk > 0)
@@ -395,8 +395,8 @@ def hillslopes(pointer_ds, streams_link_ds, spec, num_workers: int = 4):
         lut = ray.get(ref)
         outs = []
         for i in range(batch.num_rows):
-            sb = codecs.decode_tile(batch["sub"][i].as_py(), batch["sub_fmt"][i].as_py())
-            gg = codecs.decode_tile(batch["gid"][i].as_py(), batch["gid_fmt"][i].as_py())
+            sb = decode(batch, "sub", i)
+            gg = decode(batch, "gid", i)
             tr = int(batch["tile_row"][i].as_py())
             tc = int(batch["tile_col"][i].as_py())
             out = np.where(sb != spec.nodata, sb * 3.0, spec.nodata)
@@ -487,9 +487,9 @@ def long_profile(dem_ds, streams_link_ds, spec, num_workers: int = 4):
     def rows(batch: pa.Table) -> pa.Table:
         out = {"link": [], "dist": [], "z": []}
         for i in range(batch.num_rows):
-            z = codecs.decode_tile(batch["dem"][i].as_py(), batch["dem_fmt"][i].as_py())
-            lk = codecs.decode_tile(batch["lnk"][i].as_py(), batch["lnk_fmt"][i].as_py())
-            d = codecs.decode_tile(batch["dist"][i].as_py(), batch["dist_fmt"][i].as_py())
+            z = decode(batch, "dem", i)
+            lk = decode(batch, "lnk", i)
+            d = decode(batch, "dist", i)
             m = lk > 0
             out["link"].extend(lk[m].tolist())
             out["dist"].extend(d[m].tolist())
@@ -597,8 +597,8 @@ def elev_relative_to_watershed_min_max(dem_ds, spec, num_workers: int = 4):
     def partial(batch: pa.Table) -> pa.Table:
         frames = []
         for i in range(batch.num_rows):
-            z = codecs.decode_tile(batch["dem"][i].as_py(), batch["dem_fmt"][i].as_py())
-            lb = codecs.decode_tile(batch["lab"][i].as_py(), batch["lab_fmt"][i].as_py())
+            z = decode(batch, "dem", i)
+            lb = decode(batch, "lab", i)
             m = lb != spec.nodata
             if m.any():
                 frames.append(
@@ -689,8 +689,8 @@ def fill_missing_data(dem_ds, spec, smooth_iters: int = 2):
     def fn(batch: pa.Table) -> pa.Table:
         outs = []
         for i in range(batch.num_rows):
-            z = codecs.decode_tile(batch["dem"][i].as_py(), batch["dem_fmt"][i].as_py())
-            a = codecs.decode_tile(batch["al"][i].as_py(), batch["al_fmt"][i].as_py())
+            z = decode(batch, "dem", i)
+            a = decode(batch, "al", i)
             o = np.where(z == spec.nodata, a - 1.0e4, z)
             outs.append(o)
         return f32_tiles(batch, outs)
@@ -704,9 +704,9 @@ def fill_missing_data(dem_ds, spec, smooth_iters: int = 2):
         def fn2(batch: pa.Table) -> pa.Table:
             outs = []
             for i in range(batch.num_rows):
-                cur = codecs.decode_tile(batch["cur"][i].as_py(), batch["cur_fmt"][i].as_py())
-                smo = codecs.decode_tile(batch["sm"][i].as_py(), batch["sm_fmt"][i].as_py())
-                orig = codecs.decode_tile(batch["orig"][i].as_py(), batch["orig_fmt"][i].as_py())
+                cur = decode(batch, "cur", i)
+                smo = decode(batch, "sm", i)
+                orig = decode(batch, "orig", i)
                 o = np.where(orig == spec.nodata, smo, cur)
                 outs.append(o)
             return f32_tiles(batch, outs)
@@ -742,8 +742,8 @@ class _WalkShard(ShardBase):
         self.result: dict[int, np.ndarray] = {}
 
     def load_tile(self, tid: int, batch, i: int):
-        self.ptr[tid] = self.decode(batch, "ptr", i, "i8").astype(np.int8)
-        self.z[tid] = self.decode(batch, "dem", i)
+        self.ptr[tid] = decode(batch, "ptr", i, "i8").astype(np.int8)
+        self.z[tid] = decode(batch, "dem", i)
         self.result[tid] = np.full((self.tpx, self.tpx), self.nodata)
 
     def _walk(self, cursors):

@@ -190,15 +190,15 @@ def edge_cells(tiles_ds, spec):
 def edge_proportion(tiles_ds, spec, output_raster: bool = True, round_to: int = 6):
     """EdgeProportion: per-class edge/total share."""
     ec = edge_cells(tiles_ds, spec)
-    from .bsp import combine_tile_layers
+    from .bsp import combine_tile_layers, decode
 
     combined = combine_tile_layers(spec, cls=tiles_ds, edge=ec)
 
     def per_tile_pair(batch: pa.Table) -> pa.Table:
         frames = []
         for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["cls"][i].as_py(), batch["cls_fmt"][i].as_py())
-            e = codecs.decode_tile(batch["edge"][i].as_py(), batch["edge_fmt"][i].as_py())
+            g = decode(batch, "cls", i)
+            e = decode(batch, "edge", i)
             m = g != spec.nodata
             df = pd.DataFrame({"cls": g[m], "e": e[m]})
             agg = df.groupby("cls").agg(n=("e", "size"), ne=("e", "sum")).reset_index()
@@ -219,7 +219,7 @@ def edge_proportion(tiles_ds, spec, output_raster: bool = True, round_to: int = 
 def narrowness_index(tiles_ds, spec, round_to: int = 6):
     """NarrownessIndex: A/(π·MD²), MD = max distance-to-edge per class
     (EDT against the edge-cell mask; boundary cells are distance 0)."""
-    from .bsp import combine_tile_layers
+    from .bsp import combine_tile_layers, decode
     from .distance import euclidean_distance_ds
 
     ec = edge_cells(tiles_ds, spec)
@@ -229,8 +229,8 @@ def narrowness_index(tiles_ds, spec, round_to: int = 6):
     def per_tile(batch: pa.Table) -> pa.Table:
         frames = []
         for i in range(batch.num_rows):
-            g = codecs.decode_tile(batch["cls"][i].as_py(), batch["cls_fmt"][i].as_py())
-            d = codecs.decode_tile(batch["d"][i].as_py(), batch["d_fmt"][i].as_py())
+            g = decode(batch, "cls", i)
+            d = decode(batch, "d", i)
             m = g != spec.nodata
             df = pd.DataFrame({"cls": g[m], "d": d[m]})
             agg = df.groupby("cls").agg(n=("d", "size"), md=("d", "max")).reset_index()

@@ -25,6 +25,8 @@ import pyarrow as pa
 
 from ..kernels import codecs
 from ..kernels.grid import GridSpec
+from ..sources.tiles import SceneSpec
+from .bsp import combine_tile_layers, decode
 
 
 def _gather_src(
@@ -380,7 +382,7 @@ def mosaic(src_tables: list, dest_gs: GridSpec, dest_tile_px: int = 64, method: 
 
 
 def mosaic_with_feathering(
-    src_tables: list[tuple[pa.Table, "SceneSpec"]],
+    src_tables: list[tuple[pa.Table, SceneSpec]],
     dest_gs: GridSpec,
     dest_tile_px: int = 64,
     method: str = "bilinear",
@@ -391,71 +393,47 @@ def mosaic_with_feathering(
     source's distance-to-its-own-edge, so seams fade instead of cutting.
 
     Engine form: resample every source onto the destination grid (the
-    existing per-tile gather), compute each source's edge-distance weight
-    analytically from its extent (distance from the sample point to the
-    source's nearest edge in dest units — the reference computes the same
-    from valid-data margins), then a weighted per-cell combine of the
-    layer stack (one keyed tile zip)."""
-    import pandas as pd
-
-    from ..kernels import codecs
-
+    existing per-tile gather; each resampled layer holds every dest
+    tile), zip the resampled layers on the dest tile key
+    (:func:`bsp.combine_tile_layers` over the dest tiling), then blend
+    each tile's stack in source order, weighting each source by the
+    distance from the sample point to its nearest extent edge in dest
+    units (the reference computes the same from valid-data margins)."""
     nod = dest_gs.nodata
-    layers = []
-    for table, spec in src_tables:
-        layer = resample(table, spec, dest_gs, dest_tile_px, method, concurrency=concurrency)
+    tpx = dest_tile_px
+    layers, extents = {}, []
+    for k, (table, spec) in enumerate(src_tables):
+        layers[f"layer{k}"] = resample(table, spec, dest_gs, tpx, method, concurrency=concurrency)
         sgs = spec.grid_spec()
-        extent = (
+        extents.append((
             sgs.west,
             sgs.north - sgs.rows * sgs.res_y,
             sgs.west + sgs.columns * sgs.res_x,
             sgs.north,
-        )
-        layers.append((layer, extent))
+        ))
+    dest_spec = SceneSpec(tiles_x=int(np.ceil(dest_gs.columns / tpx)),
+                          tiles_y=int(np.ceil(dest_gs.rows / tpx)), tile_px=tpx)
 
-    def tag(i, extent):
-        def fn(batch: pa.Table) -> pa.Table:
-            t = batch.select(["tile_row", "tile_col", "bytes", "fmt"])
-            t = t.append_column("__layer", pa.array(np.full(t.num_rows, i, dtype=np.int64)))
-            ext = np.tile(np.asarray(extent, dtype=np.float64), (t.num_rows, 1))
-            return t.append_column("__ext", pa.array(list(ext)))
+    def blend(batch: pa.Table) -> pa.Table:
+        trs = batch["tile_row"].to_numpy(zero_copy_only=False)
+        tcs = batch["tile_col"].to_numpy(zero_copy_only=False)
+        blobs = []
+        for i in range(batch.num_rows):
+            tr, tc = int(trs[i]), int(tcs[i])
+            y = dest_gs.y_from_row(np.arange(tr * tpx, (tr + 1) * tpx))
+            x = dest_gs.x_from_col(np.arange(tc * tpx, (tc + 1) * tpx))
+            gx, gy = np.meshgrid(x, y)
+            num = np.zeros(gx.shape)
+            den = np.zeros(gx.shape)
+            for name, (w0, s0, e0, n0) in zip(layers, extents):
+                v = decode(batch, name, i)
+                # feather weight = distance to the source's nearest edge
+                wgt = np.maximum(np.minimum.reduce([gx - w0, e0 - gx, gy - s0, n0 - gy]), 0.0)
+                ok = (v != nod) & (wgt > 0)
+                num += np.where(ok, v * wgt, 0.0)
+                den += np.where(ok, wgt, 0.0)
+            out = np.where(den > 0, num / np.where(den > 0, den, 1.0), nod)
+            blobs.append(codecs.encode_tile(out, "f32"))
+        return codecs.tile_table(trs, tcs, blobs, ["f32"] * len(blobs))
 
-        return fn
-
-    tagged = None
-    for i, (layer, extent) in enumerate(layers):
-        tl = layer.map_batches(tag(i, extent), batch_format="pyarrow")
-        tagged = tl if tagged is None else tagged.union(tl)
-
-    tpx = dest_tile_px
-
-    def blend(g: pd.DataFrame) -> pd.DataFrame:
-        tr = int(g["tile_row"].iloc[0])
-        tc = int(g["tile_col"].iloc[0])
-        rows = np.arange(tr * tpx, (tr + 1) * tpx)
-        cols = np.arange(tc * tpx, (tc + 1) * tpx)
-        y = dest_gs.y_from_row(rows)
-        x = dest_gs.x_from_col(cols)
-        gx, gy = np.meshgrid(x, y)
-        num = np.zeros(gx.shape)
-        den = np.zeros(gx.shape)
-        for _, row in g.iterrows():
-            v = codecs.decode_tile(bytes(row["bytes"]), row["fmt"])
-            w0, s0, e0, n0 = row["__ext"]
-            # feather weight = distance to the source's nearest edge
-            wgt = np.minimum.reduce([gx - w0, e0 - gx, gy - s0, n0 - gy])
-            wgt = np.maximum(wgt, 0.0)
-            ok = (v != nod) & (wgt > 0)
-            num += np.where(ok, v * wgt, 0.0)
-            den += np.where(ok, wgt, 0.0)
-        out = np.where(den > 0, num / np.where(den > 0, den, 1.0), nod)
-        return pd.DataFrame(
-            {
-                "tile_row": [tr],
-                "tile_col": [tc],
-                "bytes": [codecs.encode_tile(out, "f32")],
-                "fmt": ["f32"],
-            }
-        )
-
-    return tagged.groupby(["tile_row", "tile_col"]).map_groups(blend, batch_format="pandas")
+    return combine_tile_layers(dest_spec, **layers).map_batches(blend, batch_format="pyarrow")

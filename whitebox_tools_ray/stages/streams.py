@@ -714,7 +714,7 @@ def raster_streams_to_vector_ds(stream_ds, pointer_ds, spec, num_workers: int = 
     import pyarrow as pa
 
     from .hydro2 import _term_acc_ds
-    from .bsp import combine_tile_layers
+    from .bsp import combine_tile_layers, decode
     from .joins import hash_join_bucketed
 
     painted, link_ds = links_table_ds(stream_ds, pointer_ds, spec)
@@ -729,8 +729,8 @@ def raster_streams_to_vector_ds(stream_ds, pointer_ds, spec, num_workers: int = 
         tcs = batch["tile_col"].to_numpy(zero_copy_only=False)
         lids, rr, cc, ll = [], [], [], []
         for i in range(batch.num_rows):
-            lk = codecs.decode_tile(batch["lk"][i].as_py(), batch["lk_fmt"][i].as_py())
-            ln = codecs.decode_tile(batch["ln"][i].as_py(), batch["ln_fmt"][i].as_py())
+            lk = decode(batch, "lk", i)
+            ln = decode(batch, "ln", i)
             tr, tc = int(trs[i]), int(tcs[i])
             r_idx, c_idx = np.nonzero(lk > 0)
             lids.append(lk[r_idx, c_idx].astype(np.int64))
@@ -781,7 +781,7 @@ def stream_cell_rows(stream_ds, pointer_ds, spec):
     layers)."""
     import pyarrow as pa
 
-    from .bsp import combine_tile_layers
+    from .bsp import combine_tile_layers, decode
 
     tpx = spec.tile_px
     W = spec.tiles_x * tpx
@@ -795,8 +795,8 @@ def stream_cell_rows(stream_ds, pointer_ds, spec):
     def pack(batch: pa.Table) -> pa.Table:
         outs = []
         for i in range(batch.num_rows):
-            st = codecs.decode_tile(batch["st"][i].as_py(), batch["st_fmt"][i].as_py())
-            pt = codecs.decode_tile(batch["pt"][i].as_py(), batch["pt_fmt"][i].as_py() or "i8")
+            st = decode(batch, "st", i)
+            pt = decode(batch, "pt", i, "i8")
             packed = (st == 1.0).astype(np.float64) * 16.0 + (pt.astype(np.float64) + 2.0)
             outs.append(packed)
         return f32_tiles(batch, outs)
